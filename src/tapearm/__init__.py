@@ -37,7 +37,6 @@ from .model import (
     Violation,
     cable_lengths,
     extension_ratio,
-    fk_from_controls,
     forward_kinematics,
     link_lengths,
     mass_budget,
@@ -49,7 +48,6 @@ from .planner import (
     PlanningError,
     RateCommand,
     SpeedLimits,
-    constant_theta_cable_rates,
     controls_between,
     ik_enumerate,
     ik_solve,
@@ -62,9 +60,7 @@ from .simulator import (
     SimState,
     TrajectoryLog,
     builtin_scenarios,
-    check_consistency,
     run_scenario,
-    step,
 )
 from .stiffness import (
     CalibrationError,
@@ -76,8 +72,6 @@ from .stiffness import (
     flattened_moment,
     moment_angle_curve,
     peak_ratio,
-    pinched_joint_moment,
-    unpinched_pair_moment,
 )
 from .workspace import (
     AngleInterval,
@@ -95,21 +89,19 @@ __all__ = [
     "DEFAULT_PARAMS", "DEFAULT_TAPE", "CablePair", "CableRangeError",
     "ConstraintViolationError", "ControlState", "JointState",
     "ManipulatorParams", "MassBudget", "Pose", "TapeProperties", "Violation",
-    "cable_lengths", "extension_ratio", "fk_from_controls",
-    "forward_kinematics", "link_lengths", "mass_budget", "theta_from_cables",
-    "validate_state",
+    "cable_lengths", "extension_ratio", "forward_kinematics",
+    "link_lengths", "mass_budget", "theta_from_cables", "validate_state",
     # planner
     "ControlProfile", "PlanningError", "RateCommand", "SpeedLimits",
-    "constant_theta_cable_rates", "controls_between", "ik_enumerate",
-    "ik_solve", "plan_trajectory", "stationary_bend_rates",
+    "controls_between", "ik_enumerate", "ik_solve", "plan_trajectory",
+    "stationary_bend_rates",
     # simulator
     "Scenario", "ScenarioError", "SimState", "TrajectoryLog",
-    "builtin_scenarios", "check_consistency", "run_scenario", "step",
+    "builtin_scenarios", "run_scenario",
     # stiffness
     "CalibrationError", "FlattenedSection", "PinchJointModel",
     "UnpinchedPairModel", "calibrate_unpinched", "default_models",
     "flattened_moment", "moment_angle_curve", "peak_ratio",
-    "pinched_joint_moment", "unpinched_pair_moment",
     # workspace
     "AngleInterval", "WorkspaceGrid", "compute_grid",
     "feasible_theta_interval", "ik_at_theta", "min_end_effector_angle",

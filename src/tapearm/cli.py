@@ -103,7 +103,10 @@ def _load_params(args):
     path = args.params or os.environ.get(PARAMS_ENV_VAR)
     if not path:
         return DEFAULT_PARAMS
-    return serialization.load_params(path)
+    try:
+        return serialization.load_params(path)
+    except (simulator.ScenarioError, ValueError, TypeError, AttributeError) as exc:
+        raise _UsageError(f"bad parameter file: {exc}") from exc
 
 
 def _parse_cli_angle(text, args) -> float:
@@ -246,8 +249,6 @@ def cmd_simulate(args, params) -> int:
     del params  # scenario files carry their own parameters
     try:
         scenario = serialization.load_scenario(args.scenario)
-    except OSError:
-        raise
     except (simulator.ScenarioError, ValueError, TypeError, KeyError, AttributeError) as exc:
         raise _UsageError(f"bad scenario file: {exc}") from exc
     return _run_and_report(scenario, args)
@@ -279,21 +280,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        params = _load_params(args)
-    except FileNotFoundError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (simulator.ScenarioError, ValueError, TypeError, AttributeError) as exc:
-        print(f"bad parameter file: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return _COMMANDS[args.command](args, params)
+        return _COMMANDS[args.command](args, _load_params(args))
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -22,6 +22,10 @@ from dataclasses import dataclass
 # report spurious violations.
 BOUND_EPS = 1e-12
 
+# Relative slack on the +/-4d cable-differential range, so differentials
+# within rounding of the boundary still map to a bend angle.
+CABLE_RANGE_SLACK = 1e-9
+
 # Number of tapes forming the backbone (back-to-back pair).
 TAPE_COUNT = 2
 
@@ -241,26 +245,6 @@ def link_lengths(control: ControlState, params: ManipulatorParams | None = None)
     return l1, l2
 
 
-def fk_from_controls(control: ControlState, theta: float,
-                     params: ManipulatorParams | None = None) -> Pose:
-    """Pose directly from actuator coordinates (single combined linear map).
-
-    Algebraically identical to ``forward_kinematics`` composed with
-    ``link_lengths`` at the same angle, but kept as an independent expression
-    so the two routes can cross-check each other.
-    """
-    s = math.sin(theta)
-    c = math.cos(theta)
-    x = -s * control.q2 + s * control.l2_0
-    y = control.q1 + (1.0 - c) * control.q2 + control.l1_0 + c * control.l2_0
-    if params is not None:
-        l1, l2 = link_lengths(control)
-        violations = validate_state(JointState(l1, l2, theta), params)
-        if violations:
-            raise ConstraintViolationError(violations)
-    return Pose(x=x, y=y, phi=theta)
-
-
 def cable_lengths(state: JointState, d: float) -> CablePair:
     """Steering cable lengths at offset ``d``: c = l1 + l2 +/- 2 d sin(theta/2)."""
     if not d > 0:
@@ -279,7 +263,7 @@ def theta_from_cables(cables: CablePair, d: float) -> float:
     if not d > 0:
         raise ValueError(f"cable offset must be positive, got {d}")
     ratio = (cables.c_L - cables.c_R) / (4.0 * d)
-    if abs(ratio) > 1.0 + 1e-9:
+    if abs(ratio) > 1.0 + CABLE_RANGE_SLACK:
         raise CableRangeError(
             f"cable differential {cables.c_L - cables.c_R:.9g} m is outside the "
             f"+/-{4.0 * d:.9g} m range reachable at offset d={d:.9g} m")

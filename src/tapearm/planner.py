@@ -81,8 +81,8 @@ class ControlProfile:
         segments = tuple((float(duration), command) for duration, command in self.segments)
         object.__setattr__(self, "segments", segments)
         for duration, _ in segments:
-            if not duration > 0:
-                raise ValueError("segment durations must be positive")
+            if not (duration > 0 and math.isfinite(duration)):
+                raise ValueError(f"segment durations must be positive and finite, got {duration}")
 
     @property
     def total_duration(self) -> float:
@@ -159,17 +159,6 @@ def stationary_bend_rates(q1_rate: float) -> RateCommand:
     """
     return RateCommand(q1_rate=q1_rate, q2_rate=-q1_rate,
                        cL_rate=q1_rate, cR_rate=q1_rate)
-
-
-def constant_theta_cable_rates(q1_rate: float, q2_rate: float,
-                               theta: float) -> tuple[float, float]:
-    """Cable rates that hold the bend angle while the lengths change.
-
-    With theta fixed the cable bend terms are constant, so both cables track
-    the total-length rate l1' + l2' = q1', independent of the node rate and
-    of the angle itself (the signature keeps both to document the premise).
-    """
-    return q1_rate, q1_rate
 
 
 def leg_command(from_state: JointState, to_state: JointState, duration: float,

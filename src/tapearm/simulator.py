@@ -5,7 +5,8 @@ computed in closed form from the segment start), so identical scenarios
 produce bit-identical logs and segment-boundary states do not depend on the
 step size. Constraint violations are recorded on the log rows, never
 clamped; only a cable differential outside the reachable range aborts a run,
-since no kinematic state exists for it.
+since no kinematic state exists for it (as does a segment whose rates
+overflow the state to non-finite values).
 """
 
 from __future__ import annotations
@@ -14,8 +15,11 @@ import math
 from dataclasses import dataclass
 
 from .model import (
+    BOUND_EPS,
+    CABLE_RANGE_SLACK,
     DEFAULT_PARAMS,
     CablePair,
+    CableRangeError,
     ControlState,
     JointState,
     ManipulatorParams,
@@ -29,7 +33,6 @@ from .model import (
 from .planner import (
     ControlProfile,
     RateCommand,
-    constant_theta_cable_rates,
     control_from_state,
     plan_trajectory,
     stationary_bend_rates,
@@ -79,64 +82,6 @@ def initial_state(control: ControlState, theta: float, params: ManipulatorParams
     return make_state(control, cables, params, time)
 
 
-def eq3_residual(state: SimState, params: ManipulatorParams) -> float:
-    """Distance between the left cable and the value the joint state implies.
-
-    Since the angle is derived from the cable differential, the residual
-    measures drift between the cable sum and the total link length.
-    """
-    expected = cable_lengths(state.joint, params.cable_offset)
-    return abs(state.cables.c_L - expected.c_L)
-
-
-def step(state: SimState, command: RateCommand, dt: float,
-         params: ManipulatorParams) -> SimState:
-    """Advance one step at constant rates and rederive the kinematics.
-
-    Joint-limit violations do not raise here; they surface through
-    ``validate_state`` on log rows and through ``check_consistency``.
-    """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    control = ControlState(
-        q1=state.control.q1 + command.q1_rate * dt,
-        q2=state.control.q2 + command.q2_rate * dt,
-        l1_0=state.control.l1_0,
-        l2_0=state.control.l2_0,
-    )
-    cables = CablePair(
-        c_L=state.cables.c_L + command.cL_rate * dt,
-        c_R=state.cables.c_R + command.cR_rate * dt,
-    )
-    return make_state(control, cables, params, time=state.time + dt)
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Constraint residuals and bound margins of one state."""
-
-    eq3_residual: float          # m
-    theta_margin: float          # rad, theta_limit - |theta|
-    l1_margin: float             # m, l1 - l1_min
-    l2_margin: float             # m, l2 - l2_min
-    total_length_margin: float   # m, max_total_length - (l1 + l2)
-    tape_budget_margin: float    # m, total_tape_length - (l1 + l2)
-
-
-def check_consistency(state: SimState, params: ManipulatorParams) -> ConsistencyReport:
-    """Audit one state: cable-sum residual plus every bound margin."""
-    joint = state.joint
-    total = joint.l1 + joint.l2
-    return ConsistencyReport(
-        eq3_residual=eq3_residual(state, params),
-        theta_margin=params.theta_limit - abs(joint.theta),
-        l1_margin=joint.l1 - params.l1_min,
-        l2_margin=joint.l2 - params.l2_min,
-        total_length_margin=params.max_total_length - total,
-        tape_budget_margin=params.tape.total_tape_length - total,
-    )
-
-
 # --- scenarios -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -151,12 +96,13 @@ class Scenario:
     checks: tuple = ()
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ScenarioError("dt must be positive")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ScenarioError(f"dt must be positive and finite, got {self.dt}")
         object.__setattr__(self, "checks", tuple(self.checks))
         for duration, _ in self.profile.segments:
             steps = duration / self.dt
-            if abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)):
+            if (not math.isfinite(steps)
+                    or abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps))):
                 raise ScenarioError(f"segment duration {duration} s is not a whole "
                                     f"number of dt={self.dt} s steps")
         for check in self.checks:
@@ -177,7 +123,7 @@ class LogRow:
     theta: float
     x: float
     y: float
-    eq3_residual: float
+    eq3_residual: float  # m, drift of the left cable from what l1, l2, theta imply
     violations: tuple
 
 
@@ -210,16 +156,52 @@ class TrajectoryLog:
         return self.rows[-1]
 
 
-def _log_row(state: SimState, params: ManipulatorParams) -> LogRow:
-    return LogRow(
-        t=state.time,
-        q1=state.control.q1, q2=state.control.q2,
-        cL=state.cables.c_L, cR=state.cables.c_R,
-        l1=state.joint.l1, l2=state.joint.l2, theta=state.joint.theta,
-        x=state.pose.x, y=state.pose.y,
-        eq3_residual=eq3_residual(state, params),
-        violations=tuple(validate_state(state.joint, params)),
-    )
+def _evaluate_segment(start, rates, t_rels, datum, params: ManipulatorParams):
+    """Yield the logged rows of one constant-rate segment.
+
+    ``start`` is the segment's first row as (t, q1, q2, cL, cR), ``rates`` the
+    (q1, q2, cL, cR) rates in m/s and ``datum`` the (l1_0, l2_0) link lengths
+    at q1 = q2 = 0. Each row at relative time ``t_rel`` is computed in closed
+    form from the start with plain floats, in the operation order of
+    link_lengths, theta_from_cables, forward_kinematics and cable_lengths, so
+    every value is bit-identical to what those functions return.
+
+    Raises CableRangeError at the first row whose cable differential no bend
+    angle can produce.
+    """
+    t0, q1_0, q2_0, cL_0, cR_0 = start
+    q1_rate, q2_rate, cL_rate, cR_rate = rates
+    l1_0, l2_0 = datum
+    d = params.cable_offset
+    four_d = 4.0 * d
+    two_d = 2.0 * d
+    ratio_cap = 1.0 + CABLE_RANGE_SLACK
+    # validate_state's bounds, so rows inside them skip building a JointState
+    l1_floor = params.l1_min - BOUND_EPS
+    l2_floor = params.l2_min - BOUND_EPS
+    total_cap = params.max_total_length + BOUND_EPS
+    theta_cap = params.theta_limit + BOUND_EPS
+    for t_rel in t_rels:
+        q1 = q1_0 + q1_rate * t_rel
+        q2 = q2_0 + q2_rate * t_rel
+        cL = cL_0 + cL_rate * t_rel
+        cR = cR_0 + cR_rate * t_rel
+        l1 = q1 + q2 + l1_0
+        l2 = -q2 + l2_0
+        ratio = (cL - cR) / four_d
+        if abs(ratio) > ratio_cap:
+            raise CableRangeError(
+                f"cable differential {cL - cR:.9g} m at t={t0 + t_rel:.9g} s is outside "
+                f"the +/-{four_d:.9g} m range reachable at offset d={d:.9g} m")
+        theta = 2.0 * math.asin(max(-1.0, min(1.0, ratio)))
+        total = l1 + l2
+        if l1 < l1_floor or l2 < l2_floor or total > total_cap or abs(theta) > theta_cap:
+            violations = tuple(validate_state(JointState(l1, l2, theta), params))
+        else:
+            violations = ()
+        yield LogRow(t0 + t_rel, q1, q2, cL, cR, l1, l2, theta,
+                     l2 * math.sin(theta), l1 + l2 * math.cos(theta),
+                     abs(cL - (total + two_d * math.sin(0.5 * theta))), violations)
 
 
 def run_scenario(scenario: Scenario) -> TrajectoryLog:
@@ -230,33 +212,32 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     the whole series after stepping.
     """
     params = scenario.params
-    if eq3_residual(scenario.initial, params) > INITIAL_CONSISTENCY_TOL:
+    initial = scenario.initial
+    datum = (initial.control.l1_0, initial.control.l2_0)
+    start = (initial.time, initial.control.q1, initial.control.q2,
+             initial.cables.c_L, initial.cables.c_R)
+    # Zero rates at t_rel = -0.0 add -0.0 to every start value, which leaves
+    # each float unchanged, negative zeros included.
+    rows = list(_evaluate_segment(start, (0.0,) * 4, (-0.0,), datum, params))
+    if rows[0].eq3_residual > INITIAL_CONSISTENCY_TOL:
         raise ScenarioError("initial state is inconsistent: cable sum does not "
                             "match the link lengths")
-    rows = [_log_row(scenario.initial, params)]
     boundary_indices = []
-    segment_start = scenario.initial
-    for duration, command in scenario.profile.segments:
+    for index, (duration, command) in enumerate(scenario.profile.segments):
         n = round(duration / scenario.dt)
-        state = segment_start
-        for k in range(1, n + 1):
-            # Constant rates integrate exactly; evaluating from the segment
-            # start keeps boundary states independent of dt.
-            t_rel = duration if k == n else k * scenario.dt
-            control = ControlState(
-                q1=segment_start.control.q1 + command.q1_rate * t_rel,
-                q2=segment_start.control.q2 + command.q2_rate * t_rel,
-                l1_0=segment_start.control.l1_0,
-                l2_0=segment_start.control.l2_0,
-            )
-            cables = CablePair(
-                c_L=segment_start.cables.c_L + command.cL_rate * t_rel,
-                c_R=segment_start.cables.c_R + command.cR_rate * t_rel,
-            )
-            state = make_state(control, cables, params,
-                               time=segment_start.time + t_rel)
-            rows.append(_log_row(state, params))
-        segment_start = state
+        # Constant rates integrate exactly; evaluating from the segment start
+        # keeps boundary states independent of dt.
+        t_rels = [duration if k == n else k * scenario.dt for k in range(1, n + 1)]
+        rates = (command.q1_rate, command.q2_rate, command.cL_rate, command.cR_rate)
+        last = rows[-1]
+        rows.extend(_evaluate_segment((last.t, last.q1, last.q2, last.cL, last.cR),
+                                      rates, t_rels, datum, params))
+        # Every coordinate is affine in t, so a finite segment end bounds
+        # the whole segment.
+        end = rows[-1]
+        if not all(map(math.isfinite, (end.q1, end.q2, end.cL, end.cR,
+                                       end.l1, end.l2, end.x, end.y))):
+            raise ScenarioError(f"segment {index} drives the state to non-finite values")
         boundary_indices.append(len(rows) - 1)
     checks = [evaluate_check(check, rows) for check in scenario.checks]
     return TrajectoryLog(scenario=scenario.name, rows=rows, checks=checks,
@@ -288,13 +269,6 @@ def _parse_point(arg: str) -> tuple[float, float]:
 def _check_l1_constant(rows, arg):
     drift = max(abs(row.l1 - rows[0].l1) for row in rows)
     return drift, f"max |l1 - l1(0)| = {drift:.3g} m"
-
-
-def _check_bend_point_constant(rows, arg):
-    # The bend point sits at (0, l1) in the world frame, so its position is
-    # constant exactly when l1 is.
-    drift = max(abs(row.l1 - rows[0].l1) for row in rows)
-    return drift, f"max bend-point displacement = {drift:.3g} m"
 
 
 def _check_theta_constant(rows, arg):
@@ -351,7 +325,9 @@ def _check_l1_growth_equals_node_drive(rows, arg):
 _CHECKS = {
     # name: (takes_argument, default_tolerance, evaluator)
     "l1_constant": (False, 1e-6, _check_l1_constant),
-    "bend_point_constant": (False, 1e-6, _check_bend_point_constant),
+    # The bend point sits at (0, l1) in the world frame, so its position is
+    # constant exactly when l1 is.
+    "bend_point_constant": (False, 1e-6, _check_l1_constant),
     "theta_constant": (True, 1e-6, _check_theta_constant),
     "final_theta": (True, 1e-6, _check_final_theta),
     "theta_visits": (True, 1e-6, _check_theta_visits),
@@ -475,9 +451,9 @@ def _constant_angle_retraction(params: ManipulatorParams) -> Scenario:
     theta = math.radians(22.0)
     start = JointState(0.3, 0.4, theta)
     q1_rate = -0.02
-    cL_rate, cR_rate = constant_theta_cable_rates(q1_rate, 0.0, theta)
+    # At fixed theta both cables track the total-length rate l1' + l2' = q1'.
     command = RateCommand(q1_rate=q1_rate, q2_rate=0.0,
-                          cL_rate=cL_rate, cR_rate=cR_rate)
+                          cL_rate=q1_rate, cR_rate=q1_rate)
     profile = ControlProfile(((11.0, command),))
     checks = (
         f"theta_constant:{theta!r}rad:1e-6",

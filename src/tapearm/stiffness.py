@@ -141,36 +141,9 @@ class UnpinchedPairModel:
         return math.copysign(value, theta)
 
 
-@dataclass(frozen=True)
-class SingleTapeModel:
-    """One tape with independent peak/plateau parameters per bending sense.
-
-    Positive angles follow the opposite-sense branch (stiff peak, then a fold
-    forms), negative angles the compliant equal-sense branch. The symmetric
-    pair model is the special case of equal branches.
-    """
-
-    opposite_sense: UnpinchedPairModel
-    equal_sense: UnpinchedPairModel
-
-    def moment(self, theta: float) -> float:
-        branch = self.opposite_sense if theta >= 0 else self.equal_sense
-        return branch.moment(theta)
-
-
 def flattened_moment(section: FlattenedSection, kappa: float) -> float:
     """Moment of one flattened tape at longitudinal curvature kappa: E I kappa."""
     return section.elastic_modulus * section.second_moment * kappa
-
-
-def pinched_joint_moment(model: PinchJointModel, theta: float) -> float:
-    """Joint moment of the pinched pair at bend angle theta; odd and linear."""
-    return model.moment(theta)
-
-
-def unpinched_pair_moment(model: UnpinchedPairModel, theta: float) -> float:
-    """Moment of the unpinched pair at bend angle theta."""
-    return model.moment(theta)
 
 
 def peak_ratio(pinched: PinchJointModel, unpinched: UnpinchedPairModel,

@@ -36,9 +36,6 @@ LENGTH_TOL = 1e-3
 # Angular slack when checking the hinge limit.
 ANGLE_TOL = 1e-9
 
-# Resolution of the verification sweep behind the closed-form intervals.
-SWEEP_STEP = math.radians(0.05)
-
 GRID_CSV_HEADER = "x_m,y_m,reachable,min_angle_rad"
 
 
@@ -143,9 +140,9 @@ def feasible_theta_interval(point, params: ManipulatorParams,
                             length_tol: float = LENGTH_TOL) -> list[AngleInterval]:
     """Maximal intervals of bend angles from which ``point`` is reachable.
 
-    Uses the closed-form bounds from the module docstring (with the same
-    feasibility slack as ik_at_theta), then verifies representative angles
-    against ik_at_theta itself; a disagreement falls back to the dense sweep.
+    Uses the closed-form bounds from the module docstring, with the same
+    feasibility slack as ik_at_theta; the tests check them against the
+    ``sweep_feasible_intervals`` oracle over random parameters.
     """
     x, y = point
     if abs(x) <= STRAIGHT_X_TOL:
@@ -170,14 +167,7 @@ def feasible_theta_interval(point, params: ManipulatorParams,
             hi = min(hi, math.asin(ratio))
     if lo > hi:
         return []
-    interval = AngleInterval(lo, hi) if x > 0 else AngleInterval(-hi, -lo)
-
-    probes = (interval.lo, 0.5 * (interval.lo + interval.hi), interval.hi)
-    if all(ik_at_theta(point, t, params, length_tol) is not None for t in probes):
-        return [interval]
-    # Closed form disagreed with the feasibility predicate (parameter corner
-    # case); trust the sweep instead.
-    return sweep_feasible_intervals(point, params, SWEEP_STEP, length_tol)
+    return [AngleInterval(lo, hi) if x > 0 else AngleInterval(-hi, -lo)]
 
 
 def min_end_effector_angle(point, params: ManipulatorParams,

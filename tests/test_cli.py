@@ -213,3 +213,44 @@ def test_console_entry_point_smoke():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "y_m=1" in result.stdout
+
+
+_SCENARIO = ('{"initial": {"control": {"l1_0_m": 0.3, "l2_0_m": 0.4}}, "dt_s": %s, '
+             '"segments": [{"duration_s": %s, "rates": %s}], "checks": %s}')
+
+# (case, text of DIR/input.json or None, argv with {dir} expanded, exit code):
+# 0 success, 1 failed checks or invalid states, 2 usage or input errors,
+# 3 I/O errors
+_EXIT_CODE_TABLE = [
+    ("success", None, ["fk", "0.5", "0.5", "0"], 0),
+    ("invalid-state", None, ["fk", "0.5", "0.5", "80deg"], 1),
+    ("failed-check", _SCENARIO % ("0.1", "1.0", '{"q1": 0.01}', '["l1_constant"]'),
+     ["simulate", "{dir}/input.json"], 1),
+    ("retract-past-zero-length",
+     _SCENARIO % ("0.1", "10.0", '{"q1": -0.1, "cL": -0.1, "cR": -0.1}', "[]"),
+     ["simulate", "{dir}/input.json"], 0),
+    ("bad-angle", None, ["fk", "0.5", "0.5", "eighty"], 2),
+    ("malformed-params", "{", ["--params", "{dir}/input.json", "fk", "0.4", "0.3", "10"], 2),
+    ("infinite-duration", _SCENARIO % ("0.01", "1e400", "{}", "[]"),
+     ["simulate", "{dir}/input.json"], 2),
+    ("infinite-dt", _SCENARIO % ("1e400", "1.0", "{}", "[]"), ["simulate", "{dir}/input.json"], 2),
+    ("rates-overflow-the-state", _SCENARIO % ("1e10", "1e10", '{"cL": 1e300, "cR": 1e300}', "[]"),
+     ["simulate", "{dir}/input.json"], 2),
+    ("params-file-missing", None, ["--params", "{dir}/absent.json", "fk", "0.4", "0.3", "10"], 3),
+    ("params-path-is-a-directory", None, ["--params", "{dir}", "fk", "0.4", "0.3", "10"], 3),
+    ("scenario-file-missing", None, ["simulate", "{dir}/absent.json"], 3),
+    # this --out overrides the one the test passes first
+    ("output-directory-is-a-file", "{}", ["--out", "{dir}/input.json", "demo", "stationary-bend"], 3),
+]
+
+
+@pytest.mark.parametrize("text, argv, expected", [row[1:] for row in _EXIT_CODE_TABLE],
+                         ids=[row[0] for row in _EXIT_CODE_TABLE])
+def test_exit_code_taxonomy(capsys, tmp_path, text, argv, expected):
+    if text is not None:
+        (tmp_path / "input.json").write_text(text)
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+    code = main(["--out", str(tmp_path / "out")] + argv)
+    err = capsys.readouterr().err
+    assert code == expected, err
+    assert len(err.splitlines()) == (1 if expected in (2, 3) else 0), err

@@ -12,10 +12,10 @@ from tapearm.model import (
     ControlState,
     JointState,
     ManipulatorParams,
+    Pose,
     TapeProperties,
     cable_lengths,
     extension_ratio,
-    fk_from_controls,
     forward_kinematics,
     link_lengths,
     mass_budget,
@@ -74,6 +74,19 @@ def test_link_lengths_total_length_conservation():
 def test_link_lengths_validates_against_params():
     with pytest.raises(ConstraintViolationError):
         link_lengths(ControlState(0.0, 0.5, 0.076, 0.3), DEFAULT_PARAMS)  # l2 < 0
+
+
+def fk_from_controls(control, theta):
+    """Pose directly from actuator coordinates as one combined linear map.
+
+    Algebraically identical to forward_kinematics composed with link_lengths
+    at the same angle, but an independent expression, so the two routes
+    cross-check each other.
+    """
+    s, c = math.sin(theta), math.cos(theta)
+    return Pose(x=-s * control.q2 + s * control.l2_0,
+                y=control.q1 + (1.0 - c) * control.q2 + control.l1_0 + c * control.l2_0,
+                phi=theta)
 
 
 def test_fk_from_controls_matches_composition():

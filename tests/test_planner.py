@@ -16,7 +16,6 @@ from tapearm.planner import (
     PlanningError,
     RateCommand,
     SpeedLimits,
-    constant_theta_cable_rates,
     control_from_state,
     controls_between,
     ik_enumerate,
@@ -145,8 +144,15 @@ def test_stationary_bend_rates():
 
 
 def test_constant_theta_cable_rates():
-    assert constant_theta_cable_rates(-0.02, 0.07, math.radians(22.0)) == (-0.02, -0.02)
-    assert constant_theta_cable_rates(0.0, 0.05, 0.3) == (0.0, 0.0)
+    # holding the angle, both cables track the total-length rate q1', whatever
+    # the node rate: a leg between equal-angle states gets exactly that law
+    theta = math.radians(22.0)
+    command = leg_command(JointState(0.3, 0.4, theta), JointState(0.45, 0.05, theta),
+                          5.0, PARAMS.cable_offset)
+    assert command.q1_rate == pytest.approx(-0.04, abs=1e-12)
+    assert command.q2_rate == pytest.approx(0.07, abs=1e-12)
+    assert command.cL_rate == pytest.approx(command.q1_rate, abs=1e-12)
+    assert command.cR_rate == pytest.approx(command.q1_rate, abs=1e-12)
 
 
 def test_plan_trajectory_single_waypoint_is_empty():

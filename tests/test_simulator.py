@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -16,15 +17,12 @@ from tapearm.simulator import (
     ScenarioError,
     SimState,
     builtin_scenarios,
-    check_consistency,
-    eq3_residual,
     evaluate_check,
     initial_state,
     log_to_csv,
     make_state,
     parse_check,
     run_scenario,
-    step,
 )
 
 PARAMS = DEFAULT_PARAMS
@@ -34,67 +32,84 @@ def _start(l1=0.3, l2=0.5, theta=0.0):
     return initial_state(control_from_state(JointState(l1, l2, theta)), theta, PARAMS)
 
 
+def _run(state, *segments, dt=0.01, checks=()):
+    return run_scenario(Scenario("test", PARAMS, state, ControlProfile(segments), dt, checks))
+
+
 def test_step_zero_rates_identical_state():
-    state = _start(theta=math.radians(10.0))
-    advanced = step(state, RateCommand(), 0.01, PARAMS)
-    assert advanced.time == state.time + 0.01
-    assert advanced.joint == state.joint
-    assert advanced.cables == state.cables
-    assert advanced.pose == state.pose
+    log = _run(_start(theta=math.radians(10.0)), (1.0, RateCommand()))
+    first = log.rows[0]
+    assert len(log.rows) == 101
+    assert log.final.t == 1.0
+    assert dataclasses.replace(log.final, t=first.t) == first
 
 
 def test_step_growth_only_feeds_l1():
-    state = _start()
-    for _ in range(100):
-        state = step(state, RateCommand(q1_rate=0.05, cL_rate=0.05, cR_rate=0.05),
-                     0.01, PARAMS)
-    assert state.joint.l1 == pytest.approx(0.35, abs=1e-12)
-    assert state.joint.l2 == 0.5
-    assert state.time == pytest.approx(1.0, abs=1e-12)
+    log = _run(_start(), (1.0, RateCommand(q1_rate=0.05, cL_rate=0.05, cR_rate=0.05)))
+    assert log.final.l1 == pytest.approx(0.35, abs=1e-12)
+    assert all(row.l2 == 0.5 for row in log.rows)
+    assert log.final.t == pytest.approx(1.0, abs=1e-12)
 
 
 def test_step_stationary_bend_has_no_drift():
-    state = _start(l2=0.8)
     command = RateCommand(q1_rate=-0.05, q2_rate=0.05, cL_rate=-0.05, cR_rate=-0.05)
-    for _ in range(1000):
-        state = step(state, command, 0.01, PARAMS)
-    assert abs(state.joint.l1 - 0.3) <= 1e-9
-    assert state.joint.l2 == pytest.approx(0.3, abs=1e-9)
+    log = _run(_start(l2=0.8), (10.0, command))
+    assert max(abs(row.l1 - 0.3) for row in log.rows) <= 1e-9
+    assert log.final.l2 == pytest.approx(0.3, abs=1e-9)
 
 
 def test_step_rejects_impossible_cable_differential():
-    state = _start()
-    with pytest.raises(CableRangeError):
-        step(state, RateCommand(cL_rate=10.0), 0.01, PARAMS)
-    with pytest.raises(ValueError):
-        step(state, RateCommand(), 0.0, PARAMS)
+    # the first segment is fine; the second drives the differential past 4d
+    # after 0.5 s of its 1 s
+    bend = 4.0 * PARAMS.cable_offset
+    segments = ((1.0, RateCommand()), (1.0, RateCommand(cL_rate=bend, cR_rate=-bend)))
+    with pytest.raises(CableRangeError, match=r"at t=1\.51 s"):
+        _run(_start(), *segments)
+    with pytest.raises(ScenarioError):
+        Scenario("bad", PARAMS, _start(), ControlProfile(()), dt=0.0)
+
+
+def test_retract_past_zero_length_records_violations():
+    # retracting 1.2 m from a 0.8 m arm drives both cables through zero and
+    # negative; the run finishes and logs the length-bound violations
+    log = _run(_start(), (12.0, RateCommand(q1_rate=-0.1, cL_rate=-0.1, cR_rate=-0.1)),
+               checks=("eq3_residual",))
+    assert len(log.rows) == 1201
+    assert log.final.cL < 0.0 and log.final.l1 == pytest.approx(-0.9, abs=1e-9)
+    assert {v.bound for v in log.final.violations} == {"l1_min"}
+    assert log.all_passed
+    assert not log.rows[0].violations
 
 
 def test_check_consistency_fresh_state():
-    state = _start(theta=math.radians(20.0))
-    report = check_consistency(state, PARAMS)
-    assert report.eq3_residual <= 1e-12
-    assert report.l1_margin == pytest.approx(0.3 - PARAMS.l1_min)
-    assert report.total_length_margin == pytest.approx(1.2)
-    assert report.tape_budget_margin == pytest.approx(6.82)
+    log = _run(_start(theta=math.radians(20.0)))
+    row = log.final
+    assert row.eq3_residual <= 1e-12
+    assert row.violations == ()
+    assert (row.l1, row.l2) == (0.3, 0.5)
+    assert row.theta == pytest.approx(math.radians(20.0), abs=1e-12)
 
 
 def test_check_consistency_corrupted_cable():
     state = _start(theta=math.radians(10.0))
-    corrupted = SimState(
-        time=state.time,
-        control=state.control,
-        cables=CablePair(state.cables.c_L + 1e-3, state.cables.c_R),
-        joint=state.joint,
-        pose=state.pose,
-    )
-    assert check_consistency(corrupted, PARAMS).eq3_residual == pytest.approx(1e-3, rel=1e-6)
+    corrupted = make_state(state.control,
+                           CablePair(state.cables.c_L + 1e-3, state.cables.c_R), PARAMS)
+    with pytest.raises(ScenarioError, match="inconsistent"):
+        _run(corrupted)
+    # within the initial tolerance the run proceeds and the check sees it
+    drifted = make_state(state.control,
+                         CablePair(state.cables.c_L + 4e-10, state.cables.c_R + 4e-10), PARAMS)
+    log = _run(drifted, (1.0, RateCommand()), checks=("eq3_residual:1e-10",))
+    assert log.checks[0].observed == pytest.approx(4e-10, rel=1e-3)
+    assert not log.all_passed
 
 
 def test_check_consistency_zero_margin_at_limit():
     # theta travels through the cable map and back, so "zero" is a few ulp
-    state = _start(theta=PARAMS.theta_limit)
-    assert check_consistency(state, PARAMS).theta_margin == pytest.approx(0.0, abs=1e-12)
+    # and stays within the 1e-12 bound slack
+    log = _run(_start(theta=PARAMS.theta_limit), (1.0, RateCommand()))
+    assert all(row.violations == () for row in log.rows)
+    assert log.final.theta == pytest.approx(PARAMS.theta_limit, abs=1e-12)
 
 
 def test_run_scenario_empty_profile():
@@ -237,4 +252,4 @@ def test_make_state_derives_joint_from_cables():
     cables = cable_lengths(joint, PARAMS.cable_offset)
     state = make_state(control, cables, PARAMS)
     assert state.joint.theta == pytest.approx(joint.theta, abs=1e-12)
-    assert eq3_residual(state, PARAMS) <= 1e-12
+    assert _run(state).final.eq3_residual <= 1e-12

@@ -8,16 +8,13 @@ from tapearm.stiffness import (
     CalibrationError,
     FlattenedSection,
     PinchJointModel,
-    SingleTapeModel,
     UnpinchedPairModel,
     calibrate_unpinched,
     default_models,
     flattened_moment,
     moment_angle_curve,
     peak_ratio,
-    pinched_joint_moment,
     read_moment_csv,
-    unpinched_pair_moment,
     write_moment_csv,
 )
 
@@ -48,12 +45,11 @@ def test_flattened_moment_linearity():
 
 def test_pinched_joint_moment():
     model = PinchJointModel(SECTION)
-    assert pinched_joint_moment(model, 0.0) == 0.0
+    assert model.moment(0.0) == 0.0
     theta = math.radians(12.0)
     doubled = PinchJointModel(SECTION, bend_region_length=2 * model.bend_region_length)
-    assert pinched_joint_moment(doubled, theta) == pytest.approx(
-        0.5 * pinched_joint_moment(model, theta), rel=1e-12)
-    assert pinched_joint_moment(model, -theta) == -pinched_joint_moment(model, theta)
+    assert doubled.moment(theta) == pytest.approx(0.5 * model.moment(theta), rel=1e-12)
+    assert model.moment(-theta) == -model.moment(theta)
 
 
 def test_pinched_calibration_hits_anchor():
@@ -63,8 +59,8 @@ def test_pinched_calibration_hits_anchor():
 
 def test_unpinched_moment_shape():
     _, unpinched = default_models()
-    assert unpinched_pair_moment(unpinched, 0.0) == 0.0
-    assert unpinched_pair_moment(unpinched, unpinched.peak_angle) == pytest.approx(0.654)
+    assert unpinched.moment(0.0) == 0.0
+    assert unpinched.moment(unpinched.peak_angle) == pytest.approx(0.654)
     thetas = np.linspace(1e-4, math.pi, 200)
     for theta in thetas:
         assert unpinched.moment(-theta) == -unpinched.moment(theta)
@@ -190,12 +186,3 @@ def test_calibration_degenerate_data():
     ramp_only = [(t, 2.0 * t) for t in np.linspace(0.01, 0.2, 10)]
     with pytest.raises(CalibrationError):
         calibrate_unpinched(ramp_only)  # no post-peak sample
-
-
-def test_single_tape_asymmetric_branches():
-    stiff = UnpinchedPairModel(peak_moment=0.5, peak_angle=0.1, propagation_moment=0.06)
-    soft = UnpinchedPairModel(peak_moment=0.08, peak_angle=0.3, propagation_moment=0.02)
-    tape = SingleTapeModel(opposite_sense=stiff, equal_sense=soft)
-    assert tape.moment(0.1) == pytest.approx(0.5)
-    assert tape.moment(-0.3) == pytest.approx(-0.08)
-    assert abs(tape.moment(-0.1)) < tape.moment(0.1)

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tapearm.model import DEFAULT_PARAMS, ManipulatorParams, forward_kinematics
+from tapearm.model import BOUND_EPS, DEFAULT_PARAMS, ManipulatorParams, forward_kinematics
 from tapearm.workspace import (
+    ANGLE_TOL,
+    STRAIGHT_X_TOL,
     AngleInterval,
     compute_grid,
     feasibility_mask,
@@ -87,6 +91,55 @@ def test_interval_endpoints_match_sweep_oracle():
             assert abs(c.hi - s.hi) <= step + 1e-12
         checked += len(closed)
     assert checked > 20  # the sample actually hit reachable points
+
+
+@st.composite
+def _params_and_points(draw):
+    bound = st.one_of(st.just(0.0), st.floats(0.0, 0.5))
+    params = ManipulatorParams(theta_limit=draw(st.floats(0.05, math.pi / 2)),
+                               l1_min=draw(bound), l2_min=draw(bound),
+                               max_total_length=draw(st.floats(0.05, 7.62)))
+    # off the midline, where the closed form applies; x spans the length
+    # budget or one of the minimum link lengths, so every bound gets active
+    scales = [v for v in (params.max_total_length, params.l1_min, params.l2_min) if v > 0]
+    coordinate = st.tuples(st.floats(-1.1, 1.1), st.sampled_from(scales),
+                           st.floats(-0.1, 1.1))
+    points = [(fx * scale, fy * params.max_total_length)
+              for fx, scale, fy in draw(st.lists(coordinate, min_size=1, max_size=10))
+              if abs(fx * scale) > STRAIGHT_X_TOL]
+    return params, draw(st.sampled_from([0.0, 1e-3])), points
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_params_and_points())
+def test_closed_form_interval_matches_sweep_oracle(case):
+    params, length_tol, points = case
+    step = math.radians(0.01)
+    n = int(params.theta_limit / step + 1e-9)
+    thetas = np.arange(-n, n + 1) * step  # the sweep's lattice
+    for point in points:
+        closed = feasible_theta_interval(point, params, length_tol)
+        for c in closed:
+            for theta in (c.lo, 0.5 * (c.lo + c.hi), c.hi):
+                assert ik_at_theta(point, theta, params, length_tol) is not None
+        in_closed = np.zeros(thetas.shape, dtype=bool)
+        for c in closed:
+            in_closed |= (thetas >= c.lo) & (thetas <= c.hi)
+        in_sweep = np.zeros(thetas.shape, dtype=bool)
+        for s in sweep_feasible_intervals(point, params, step, length_tol):
+            in_sweep |= (thetas >= s.lo) & (thetas <= s.hi)
+        # The closed form covers angles on x's side of the midline. Opposite
+        # them link 2 has negative length, which the predicate admits only
+        # within the length slack; those angles are left out here. On x's
+        # side the two may disagree only where a bound holds to within its
+        # slack: ANGLE_TOL on the hinge limit, BOUND_EPS on the lengths.
+        same_side = thetas * point[0] > 0
+        assert not np.any(in_closed & ~same_side)
+        for theta in thetas[(in_closed != in_sweep) & same_side]:
+            if abs(abs(theta) - params.theta_limit) <= ANGLE_TOL:
+                continue
+            assert ik_at_theta(point, theta, params, length_tol - 2 * BOUND_EPS) is None
+            assert ik_at_theta(point, theta, params, length_tol + 2 * BOUND_EPS) is not None
 
 
 def test_feasibility_mask_matches_scalar_predicate():
