@@ -11,7 +11,7 @@ Modules:
 - stiffness: pinched and unpinched bending-moment models plus calibration
 - workspace: reachability and minimum end-effector-angle analysis
 - planner: inverse kinematics, configuration enumeration, rate coordination
-- simulator: quasi-static scenario execution with consistency checks
+- simulator: quasi-static scenario execution with named checks
 - serialization: JSON schemas for parameters and scenarios
 - svg: workspace heat maps and configuration overlays
 - cli: the ``tapearm`` command-line front end

@@ -238,6 +238,8 @@ def _run_and_report(scenario, args) -> int:
         svg_path = directory / f"{scenario.name}_overlay.svg"
         svg_path.write_text(svg.overlay_svg(log, title=scenario.name))
         print(f"wrote {svg_path}")
+    if log.abort is not None:
+        print(f"aborted at t={log.abort.time:.9g} s: {log.abort.reason}")
     for result in log.checks:
         status = "PASS" if result.passed else "FAIL"
         print(f"{status} {result.check} observed={result.observed:.6g} "

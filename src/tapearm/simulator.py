@@ -5,8 +5,9 @@ computed in closed form from the segment start), so identical scenarios
 produce bit-identical logs and segment-boundary states do not depend on the
 step size. Constraint violations are recorded on the log rows, never
 clamped; only a cable differential outside the reachable range aborts a run,
-since no kinematic state exists for it (as does a segment whose rates
-overflow the state to non-finite values).
+since no kinematic state exists for it. The aborted run keeps the rows logged
+before it. A segment whose rates overflow the state to non-finite values is
+rejected as a malformed scenario.
 """
 
 from __future__ import annotations
@@ -138,18 +139,31 @@ class CheckResult:
     detail: str
 
 
+@dataclass(frozen=True)
+class Abort:
+    """Why and when a run stopped before the end of its profile."""
+
+    time: float  # s, the first instant no kinematic state exists for
+    reason: str
+
+
 @dataclass
 class TrajectoryLog:
-    """Time series of a scenario run plus per-check outcomes."""
+    """Time series of a scenario run plus per-check outcomes.
+
+    An aborted run holds the rows logged before ``abort.time`` and no check
+    outcomes, since checks grade the whole profile.
+    """
 
     scenario: str
     rows: list
     checks: list
     boundary_indices: list
+    abort: Abort | None = None
 
     @property
     def all_passed(self) -> bool:
-        return all(result.passed for result in self.checks)
+        return self.abort is None and all(result.passed for result in self.checks)
 
     @property
     def final(self) -> LogRow:
@@ -167,7 +181,7 @@ def _evaluate_segment(start, rates, t_rels, datum, params: ManipulatorParams):
     every value is bit-identical to what those functions return.
 
     Raises CableRangeError at the first row whose cable differential no bend
-    angle can produce.
+    angle can produce; the rows before it have been yielded.
     """
     t0, q1_0, q2_0, cL_0, cR_0 = start
     q1_rate, q2_rate, cL_rate, cR_rate = rates
@@ -191,8 +205,8 @@ def _evaluate_segment(start, rates, t_rels, datum, params: ManipulatorParams):
         ratio = (cL - cR) / four_d
         if abs(ratio) > ratio_cap:
             raise CableRangeError(
-                f"cable differential {cL - cR:.9g} m at t={t0 + t_rel:.9g} s is outside "
-                f"the +/-{four_d:.9g} m range reachable at offset d={d:.9g} m")
+                f"cable differential {cL - cR:.9g} m is outside the +/-{four_d:.9g} m "
+                f"range reachable at offset d={d:.9g} m")
         theta = 2.0 * math.asin(max(-1.0, min(1.0, ratio)))
         total = l1 + l2
         if l1 < l1_floor or l2 < l2_floor or total > total_cap or abs(theta) > theta_cap:
@@ -209,7 +223,8 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
 
     The log has one row per step plus the initial row. Rows carry the cable
     consistency residual and any bound violations; checks are evaluated over
-    the whole series after stepping.
+    the whole series after stepping. A cable differential no bend angle can
+    produce ends the run early with ``abort`` set and the rows before it kept.
     """
     params = scenario.params
     initial = scenario.initial
@@ -223,6 +238,7 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
         raise ScenarioError("initial state is inconsistent: cable sum does not "
                             "match the link lengths")
     boundary_indices = []
+    abort = None
     for index, (duration, command) in enumerate(scenario.profile.segments):
         n = round(duration / scenario.dt)
         # Constant rates integrate exactly; evaluating from the segment start
@@ -230,8 +246,14 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
         t_rels = [duration if k == n else k * scenario.dt for k in range(1, n + 1)]
         rates = (command.q1_rate, command.q2_rate, command.cL_rate, command.cR_rate)
         last = rows[-1]
-        rows.extend(_evaluate_segment((last.t, last.q1, last.q2, last.cL, last.cR),
-                                      rates, t_rels, datum, params))
+        first = len(rows)
+        try:
+            for row in _evaluate_segment((last.t, last.q1, last.q2, last.cL, last.cR),
+                                         rates, t_rels, datum, params):
+                rows.append(row)
+        except CableRangeError as exc:
+            abort = Abort(last.t + t_rels[len(rows) - first], str(exc))
+            break
         # Every coordinate is affine in t, so a finite segment end bounds
         # the whole segment.
         end = rows[-1]
@@ -239,9 +261,10 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
                                        end.l1, end.l2, end.x, end.y))):
             raise ScenarioError(f"segment {index} drives the state to non-finite values")
         boundary_indices.append(len(rows) - 1)
-    checks = [evaluate_check(check, rows) for check in scenario.checks]
+    checks = ([evaluate_check(check, rows) for check in scenario.checks]
+              if abort is None else [])
     return TrajectoryLog(scenario=scenario.name, rows=rows, checks=checks,
-                         boundary_indices=boundary_indices)
+                         boundary_indices=boundary_indices, abort=abort)
 
 
 def log_to_csv(log: TrajectoryLog, path) -> None:

@@ -25,11 +25,20 @@ _CASES = {
     13: [("b", "r")],
     14: [("l", "b")],
 }
+# Saddle cases keyed by whether the cell-center value is above the level.
+_SADDLE_5 = {True: [("b", "r"), ("t", "l")], False: [("l", "b"), ("r", "t")]}
+_SADDLE_10 = {True: [("l", "b"), ("r", "t")], False: [("b", "r"), ("t", "l")]}
 
 
-def _interpolate(pa, va, pb, vb, level):
+def _interpolate(pa, va, pb, vb, level) -> list:
+    """Points where ``level`` crosses the edges from ``pa`` to ``pb``.
+
+    Elementwise over arrays of edges. Where the endpoint values straddle the
+    level, the denominator is nonzero.
+    """
     t = (level - va) / (vb - va)
-    return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
+    return list(zip((pa[0] + t * (pb[0] - pa[0])).tolist(),
+                    (pa[1] + t * (pb[1] - pa[1])).tolist()))
 
 
 def marching_squares(xs, ys, field, level) -> list:
@@ -41,43 +50,42 @@ def marching_squares(xs, ys, field, level) -> list:
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     field = np.asarray(field, dtype=float)
+    # Corner values of every cell, indexed [iy, ix] like the cell's
+    # bottom-left sample.
+    bl = field[:-1, :-1]
+    br = field[:-1, 1:]
+    tr = field[1:, 1:]
+    tl = field[1:, :-1]
+    case = ((bl > level) | (br > level) << 1 | (tr > level) << 2 | (tl > level) << 3)
+    finite = ~(np.isnan(bl) | np.isnan(br) | np.isnan(tr) | np.isnan(tl))
+    # Row-major, so segments come out in cell scan order.
+    iy, ix = np.nonzero(finite & (case != 0) & (case != 15))
+    if iy.size == 0:
+        return []
+    v_bl, v_br, v_tr, v_tl = bl[iy, ix], br[iy, ix], tr[iy, ix], tl[iy, ix]
+    x0, x1 = xs[ix], xs[ix + 1]
+    y0, y1 = ys[iy], ys[iy + 1]
+    # Interpolate all four edges of each crossed cell; an edge the contour
+    # does not cross may divide by zero, and its point is never used.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        edge_points = {
+            "b": _interpolate((x0, y0), v_bl, (x1, y0), v_br, level),
+            "r": _interpolate((x1, y0), v_br, (x1, y1), v_tr, level),
+            "t": _interpolate((x0, y1), v_tl, (x1, y1), v_tr, level),
+            "l": _interpolate((x0, y0), v_bl, (x0, y1), v_tl, level),
+        }
+        # Saddle cells use the center value to pick the separation.
+        center_above = (0.25 * (((v_bl + v_br) + v_tr) + v_tl) > level).tolist()
     segments = []
-    for iy in range(len(ys) - 1):
-        for ix in range(len(xs) - 1):
-            v_bl = field[iy, ix]
-            v_br = field[iy, ix + 1]
-            v_tr = field[iy + 1, ix + 1]
-            v_tl = field[iy + 1, ix]
-            corners = (v_bl, v_br, v_tr, v_tl)
-            if any(math.isnan(v) for v in corners):
-                continue
-            case = ((v_bl > level) | (v_br > level) << 1
-                    | (v_tr > level) << 2 | (v_tl > level) << 3)
-            if case in (0, 15):
-                continue
-            x0, x1 = xs[ix], xs[ix + 1]
-            y0, y1 = ys[iy], ys[iy + 1]
-            p_bl, p_br, p_tr, p_tl = (x0, y0), (x1, y0), (x1, y1), (x0, y1)
-            edge_ends = {
-                "b": (p_bl, v_bl, p_br, v_br),
-                "r": (p_br, v_br, p_tr, v_tr),
-                "t": (p_tl, v_tl, p_tr, v_tr),
-                "l": (p_bl, v_bl, p_tl, v_tl),
-            }
-            if case in (5, 10):
-                # Saddle cell: use the center value to pick the separation.
-                center_above = 0.25 * sum(corners) > level
-                if case == 5:
-                    pairs = [("b", "r"), ("t", "l")] if center_above else [("l", "b"), ("r", "t")]
-                else:
-                    pairs = [("l", "b"), ("r", "t")] if center_above else [("b", "r"), ("t", "l")]
-            else:
-                pairs = _CASES[case]
-            for edge_a, edge_b in pairs:
-                # Only crossed edges are interpolated; their endpoint values
-                # straddle the level, so the denominator is nonzero.
-                segments.append((_interpolate(*edge_ends[edge_a], level),
-                                 _interpolate(*edge_ends[edge_b], level)))
+    for k, cell_case in enumerate(case[iy, ix].tolist()):
+        if cell_case == 5:
+            pairs = _SADDLE_5[center_above[k]]
+        elif cell_case == 10:
+            pairs = _SADDLE_10[center_above[k]]
+        else:
+            pairs = _CASES[cell_case]
+        for edge_a, edge_b in pairs:
+            segments.append((edge_points[edge_a][k], edge_points[edge_b][k]))
     return _stitch(segments)
 
 
@@ -193,13 +201,20 @@ def workspace_svg(grid, levels=None, width=640) -> str:
     vmax = np.nanmax(magnitude) if grid.reachable.any() else 1.0
     if not (vmax > 0):
         vmax = 1.0
+    # The cell rects as _Canvas.rect would draw them, with each pixel
+    # coordinate computed once per column or row in the same operation order.
     half = 0.5 * grid.resolution
+    size = grid.resolution * canvas.scale
+    px = canvas.pad + ((grid.xs - half) - canvas.x_min) * canvas.scale
+    py = canvas.pad + (canvas.y_max - ((grid.ys - half) + grid.resolution)) * canvas.scale
+    px_text = [f'<rect x="{v:.2f}" y="' for v in px.tolist()]
+    size_text = f'" width="{size:.2f}" height="{size:.2f}" fill="'
     for iy in range(grid.ny):
-        for ix in range(grid.nx):
-            if grid.reachable[iy, ix]:
-                fill = _color(float(magnitude[iy, ix]) / vmax)
-                canvas.rect(float(grid.xs[ix]) - half, float(grid.ys[iy]) - half,
-                            grid.resolution, grid.resolution, fill)
+        row_text = f"{float(py[iy]):.2f}{size_text}"
+        columns = np.flatnonzero(grid.reachable[iy])
+        shares = (magnitude[iy, columns] / vmax).tolist()
+        canvas.parts.extend(f'{px_text[ix]}{row_text}{_color(share)}"/>'
+                            for ix, share in zip(columns.tolist(), shares))
     for level in levels:
         for chain in marching_squares(grid.xs, grid.ys, magnitude, level):
             canvas.polyline(chain, stroke="black", stroke_width=1.0)

@@ -38,6 +38,10 @@ ANGLE_TOL = 1e-9
 
 GRID_CSV_HEADER = "x_m,y_m,reachable,min_angle_rad"
 
+# Largest grid compute_grid accepts, in cells (50x the 80 000-cell map of
+# --bounds -2 2 0 2 --resolution 0.01), so time and memory stay bounded.
+MAX_GRID_CELLS = 4_000_000
+
 
 @dataclass(frozen=True)
 class AngleInterval:
@@ -237,15 +241,26 @@ def compute_grid(params: ManipulatorParams, bounds, resolution: float,
     """Evaluate reachability and minimum angle on square cells over ``bounds``.
 
     bounds = (x_min, x_max, y_min, y_max). Cell evaluation is independent per
-    cell, so the result does not depend on evaluation order.
+    cell, so the result does not depend on evaluation order. Raises
+    ValueError on non-finite input, and on a grid over MAX_GRID_CELLS cells
+    (an empty axis counts as one cell wide) before allocating it.
     """
-    if not resolution > 0:
-        raise ValueError("resolution must be positive")
+    if not (resolution > 0 and math.isfinite(resolution)):
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
     x_min, x_max, y_min, y_max = bounds
+    if not all(map(math.isfinite, bounds)):
+        raise ValueError(f"bounds must be finite, got {tuple(bounds)}")
     if x_max < x_min or y_max < y_min:
         raise ValueError(f"invalid bounds {bounds}")
-    nx = int(round((x_max - x_min) / resolution))
-    ny = int(round((y_max - y_min) / resolution))
+    # A tiny resolution overflows the float cell counts to inf, which the
+    # clamp keeps out of round().
+    nx_f = (x_max - x_min) / resolution
+    ny_f = (y_max - y_min) / resolution
+    nx = round(min(nx_f, MAX_GRID_CELLS + 1))
+    ny = round(min(ny_f, MAX_GRID_CELLS + 1))
+    if max(nx, 1) * max(ny, 1) > MAX_GRID_CELLS:
+        raise ValueError(f"a {nx_f:.7g} x {ny_f:.7g} cell grid exceeds the "
+                         f"{MAX_GRID_CELLS} cell limit; use a coarser resolution")
     xs = grid_centers(x_min, x_max, nx, resolution)
     ys = grid_centers(y_min, y_max, ny, resolution)
     reach = np.zeros((ny, nx), dtype=bool)
@@ -262,13 +277,10 @@ def compute_grid(params: ManipulatorParams, bounds, resolution: float,
 
 def grid_to_csv(grid: WorkspaceGrid, path) -> None:
     """Write the grid as CSV; min_angle is left empty on unreachable cells."""
+    x_text = [f"{x!r}," for x in grid.xs.tolist()]
     with open(path, "w", newline="") as fh:
         fh.write(GRID_CSV_HEADER + "\n")
-        for iy in range(grid.ny):
-            y = float(grid.ys[iy])
-            for ix in range(grid.nx):
-                x = float(grid.xs[ix])
-                if grid.reachable[iy, ix]:
-                    fh.write(f"{x!r},{y!r},1,{float(grid.min_angle[iy, ix])!r}\n")
-                else:
-                    fh.write(f"{x!r},{y!r},0,\n")
+        for y, reach, angle in zip(grid.ys.tolist(), grid.reachable, grid.min_angle):
+            y_text = f"{y!r},"
+            fh.write("".join(f"{x}{y_text}1,{a!r}\n" if r else f"{x}{y_text}0,\n"
+                             for x, r, a in zip(x_text, reach.tolist(), angle.tolist())))

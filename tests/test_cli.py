@@ -218,6 +218,9 @@ def test_console_entry_point_smoke():
 _SCENARIO = ('{"initial": {"control": {"l1_0_m": 0.3, "l2_0_m": 0.4}}, "dt_s": %s, '
              '"segments": [{"duration_s": %s, "rates": %s}], "checks": %s}')
 
+# the cable differential grows 0.12 m/s past the 0.06 m that d = 15 mm allows
+_ABORTING_SCENARIO = _SCENARIO % ("0.01", "1.0", '{"cL": 0.06, "cR": -0.06}', '["l1_constant"]')
+
 # (case, text of DIR/input.json or None, argv with {dir} expanded, exit code):
 # 0 success, 1 failed checks or invalid states, 2 usage or input errors,
 # 3 I/O errors
@@ -229,11 +232,15 @@ _EXIT_CODE_TABLE = [
     ("retract-past-zero-length",
      _SCENARIO % ("0.1", "10.0", '{"q1": -0.1, "cL": -0.1, "cR": -0.1}', "[]"),
      ["simulate", "{dir}/input.json"], 0),
+    ("mid-run-cable-abort", _ABORTING_SCENARIO, ["simulate", "{dir}/input.json"], 1),
     ("bad-angle", None, ["fk", "0.5", "0.5", "eighty"], 2),
     ("malformed-params", "{", ["--params", "{dir}/input.json", "fk", "0.4", "0.3", "10"], 2),
     ("infinite-duration", _SCENARIO % ("0.01", "1e400", "{}", "[]"),
      ["simulate", "{dir}/input.json"], 2),
     ("infinite-dt", _SCENARIO % ("1e400", "1.0", "{}", "[]"), ["simulate", "{dir}/input.json"], 2),
+    ("infinite-workspace-bound", None,
+     ["workspace", "--bounds", "0", "inf", "0", "1", "--resolution", "0.1"], 2),
+    ("workspace-grid-too-large", None, ["workspace", "--resolution", "1e-300"], 2),
     ("rates-overflow-the-state", _SCENARIO % ("1e10", "1e10", '{"cL": 1e300, "cR": 1e300}', "[]"),
      ["simulate", "{dir}/input.json"], 2),
     ("params-file-missing", None, ["--params", "{dir}/absent.json", "fk", "0.4", "0.3", "10"], 3),
@@ -254,3 +261,15 @@ def test_exit_code_taxonomy(capsys, tmp_path, text, argv, expected):
     err = capsys.readouterr().err
     assert code == expected, err
     assert len(err.splitlines()) == (1 if expected in (2, 3) else 0), err
+
+
+def test_simulate_abort_keeps_partial_log(capsys, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(_ABORTING_SCENARIO)
+    code, out = _run(capsys, ["--out", str(tmp_path), "simulate", str(path)])
+    assert code == 1
+    assert "aborted at t=0.51 s: cable differential" in out
+    assert "l1_constant" not in out
+    lines = (tmp_path / "scenario_log.csv").read_text().splitlines()
+    assert len(lines) == 1 + 51 and lines[-1].startswith("0.5,")
+    assert (tmp_path / "scenario_overlay.svg").read_text().startswith("<svg")

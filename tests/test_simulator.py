@@ -6,7 +6,6 @@ import pytest
 from tapearm.model import (
     DEFAULT_PARAMS,
     CablePair,
-    CableRangeError,
     ControlState,
     JointState,
 )
@@ -60,11 +59,15 @@ def test_step_stationary_bend_has_no_drift():
 
 def test_step_rejects_impossible_cable_differential():
     # the first segment is fine; the second drives the differential past 4d
-    # after 0.5 s of its 1 s
+    # after 0.5 s of its 1 s, which aborts the run and keeps the rows before
     bend = 4.0 * PARAMS.cable_offset
     segments = ((1.0, RateCommand()), (1.0, RateCommand(cL_rate=bend, cR_rate=-bend)))
-    with pytest.raises(CableRangeError, match=r"at t=1\.51 s"):
-        _run(_start(), *segments)
+    log = _run(_start(), *segments, checks=("eq3_residual",))
+    assert log.abort.time == 1.51
+    assert "cable differential" in log.abort.reason
+    assert len(log.rows) == 151 and log.final.t == 1.5
+    assert log.boundary_indices == [100]
+    assert log.checks == [] and not log.all_passed
     with pytest.raises(ScenarioError):
         Scenario("bad", PARAMS, _start(), ControlProfile(()), dt=0.0)
 

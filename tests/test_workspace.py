@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tapearm import workspace
 from tapearm.model import BOUND_EPS, DEFAULT_PARAMS, ManipulatorParams, forward_kinematics
 from tapearm.workspace import (
     ANGLE_TOL,
@@ -223,6 +224,22 @@ def test_compute_grid_determinism_and_edge_cases():
         compute_grid(PARAMS, (-1.0, 1.0, 0.0, 1.0), 0.0)
     with pytest.raises(ValueError):
         compute_grid(PARAMS, (1.0, -1.0, 0.0, 1.0), 0.1)
+
+
+def test_compute_grid_cell_limit(monkeypatch):
+    monkeypatch.setattr(workspace, "MAX_GRID_CELLS", 12)
+    assert compute_grid(PARAMS, (0.0, 0.4, 0.0, 0.3), 0.1).reachable.shape == (3, 4)
+    assert compute_grid(PARAMS, (0.0, 0.0, 0.0, 1.2), 0.1).ys.size == 12
+    for bounds in ((0.0, 0.5, 0.0, 0.3), (0.0, 0.0, 0.0, 1.3), (0.0, 1.0, 0.0, 1.0)):
+        with pytest.raises(ValueError, match="cell limit"):
+            compute_grid(PARAMS, bounds, 0.1)
+    with pytest.raises(ValueError, match="cell limit"):
+        compute_grid(PARAMS, (0.0, 1.0, 0.0, 1.0), 5e-324)  # counts overflow to inf
+    for bounds, resolution in (((0.0, math.inf, 0.0, 1.0), 0.1),
+                               ((math.nan, 1.0, 0.0, 1.0), 0.1),
+                               ((0.0, 1.0, 0.0, 1.0), math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            compute_grid(PARAMS, bounds, resolution)
 
 
 def test_grid_sector_and_disk_shape():
