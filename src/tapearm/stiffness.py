@@ -5,6 +5,10 @@ into a thin rectangle whose bending moment is linear in curvature. The
 unpinched pair resists bending with a stiff ramp up to a peak moment, then
 relaxes onto the fold-propagation plateau; the back-to-back arrangement makes
 that curve odd-symmetric in the bending angle.
+
+``calibrate_unpinched`` fits that curve to measured samples with numpy alone:
+the peak and plateau moments come from linear least squares, and the peak and
+decay angles from a small Levenberg-Marquardt loop.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .model import DEFAULT_TAPE, TAPE_COUNT, TapeProperties
 
@@ -199,22 +202,88 @@ def _design_matrix(angles: np.ndarray, peak_angle: float, decay_angle: float) ->
     return np.column_stack([phi_peak, phi_prop])
 
 
+# Levenberg-Marquardt settings: forward-difference step relative to the
+# parameter, damping range, stopping tolerances on the relative step and the
+# relative cost decrease, and the iteration cap.
+_LM_DIFF_STEP = math.sqrt(np.finfo(float).eps)
+_LM_DAMPING_START = 1e-3
+_LM_DAMPING_MIN = 1e-12
+_LM_DAMPING_MAX = 1e16
+_LM_STEP_TOL = 1e-10
+_LM_COST_TOL = 1e-12
+_LM_MAX_ITERATIONS = 100
+
+
+def _levenberg_marquardt(residuals, u: np.ndarray) -> tuple[np.ndarray, float]:
+    """Minimize the squared norm of ``residuals(u)``, starting from ``u``.
+
+    Marquardt's (1963) damped Gauss-Newton iteration with a forward-difference
+    Jacobian J. The damping is scaled by diag(J^T J), so it does not depend on
+    the units of ``u``. A step is accepted only if its cost is finite and
+    lower; otherwise the damping grows tenfold and the step is retried. The
+    loop stops on a small relative step or cost decrease, when no damping up
+    to _LM_DAMPING_MAX lowers the cost, when the Jacobian is not finite, or
+    after _LM_MAX_ITERATIONS. Returns the last accepted point and its cost.
+    """
+    r = residuals(u)
+    cost = float(r @ r)
+    damping = _LM_DAMPING_START
+    for _ in range(_LM_MAX_ITERATIONS):
+        jac = np.empty((r.size, u.size))
+        for k in range(u.size):
+            shifted = u.copy()
+            shifted[k] += _LM_DIFF_STEP * max(1.0, abs(u[k]))
+            jac[:, k] = (residuals(shifted) - r) / (shifted[k] - u[k])
+        with np.errstate(over="ignore", invalid="ignore"):
+            normal = jac.T @ jac
+            gradient = jac.T @ r
+        if not (np.all(np.isfinite(normal)) and np.all(np.isfinite(gradient))):
+            break
+        diagonal = np.diag(normal)
+        scale = np.diag(np.where(diagonal > 0.0, diagonal, 1.0))
+        while damping <= _LM_DAMPING_MAX:
+            step = np.linalg.solve(normal + damping * scale, -gradient)
+            trial = u + step
+            r_trial = residuals(trial)
+            cost_trial = float(r_trial @ r_trial)
+            if cost_trial < cost:  # False for NaN and inf
+                break
+            damping *= 10.0
+        else:
+            break
+        small_step = np.linalg.norm(step) <= _LM_STEP_TOL * (_LM_STEP_TOL + np.linalg.norm(u))
+        small_gain = cost - cost_trial <= _LM_COST_TOL * cost
+        u, r, cost = trial, r_trial, cost_trial
+        damping = max(0.1 * damping, _LM_DAMPING_MIN)
+        if small_step or small_gain:
+            break
+    return u, cost
+
+
 def calibrate_unpinched(samples) -> CalibrationResult:
     """Least-squares fit of the odd pair model to (angle, moment) samples.
 
     Samples may cover both signs; odd symmetry folds them onto the positive
-    half-axis. The fit separates the two linear coefficients (solved exactly
-    per candidate shape) from the two nonlinear shape parameters (peak and
-    decay angles, optimized in log space from several starts).
+    half-axis. The fit is separable (variable projection, Golub & Pereyra
+    1973): for each candidate shape the two linear coefficients, the peak and
+    plateau moments, are solved exactly by linear least squares, and the two
+    nonlinear shape parameters, the logs of the peak and decay angles, are
+    fitted by a numpy Levenberg-Marquardt loop (``_levenberg_marquardt``).
+    It runs from three decay-angle starts, keeps the fit with the lowest
+    cost, and finishes with a 1-D pass over the decay angle.
 
-    Raises CalibrationError for degenerate data: fewer than 4 samples, all
-    samples at one angle, or no sample past the torque peak.
+    Raises CalibrationError for degenerate data: fewer than 4 samples, a
+    non-finite sample, all samples at one angle, no sample past the torque
+    peak, or a fit that ends at a shape that is not finite and positive or
+    at moments without 0 < plateau < peak.
     """
     points = [(float(a), float(m)) for a, m in samples]
     if len(points) < 4:
         raise CalibrationError(f"need at least 4 samples, got {len(points)}")
     angles = np.array([abs(a) for a, _ in points])
     moments = np.array([m if a >= 0 else -m for a, m in points])
+    if not (np.all(np.isfinite(angles)) and np.all(np.isfinite(moments))):
+        raise CalibrationError("samples must be finite")
     if np.ptp(angles) == 0.0:
         raise CalibrationError("all samples share one angle; the curve shape is unconstrained")
     peak_guess = float(angles[int(np.argmax(moments))])
@@ -223,23 +292,35 @@ def calibrate_unpinched(samples) -> CalibrationResult:
     if peak_guess <= 0.0:
         raise CalibrationError("torque peak at zero angle; the ramp is unconstrained")
 
-    def solve_linear(peak_angle, decay_angle):
-        design = _design_matrix(angles, peak_angle, decay_angle)
+    def solve_linear(log_shape):
+        """Moment coefficients and residuals at (log peak, log decay) angles."""
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            peak_angle, decay_angle = np.exp(log_shape)
+            design = _design_matrix(angles, peak_angle, decay_angle)
+        if not np.all(np.isfinite(design)):
+            return None, np.full(moments.shape, math.inf)
         coeffs, *_ = np.linalg.lstsq(design, moments, rcond=None)
         return coeffs, design @ coeffs - moments
 
-    def residuals(u):
-        return solve_linear(math.exp(u[0]), math.exp(u[1]))[1]
+    def residuals(log_shape):
+        return solve_linear(log_shape)[1]
 
-    best = None
-    for decay_guess in (0.5 * peak_guess, peak_guess, 2.0 * peak_guess):
-        fit = least_squares(residuals, np.log([peak_guess, decay_guess]),
-                            method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        if best is None or fit.cost < best.cost:
-            best = fit
-    peak_angle = math.exp(best.x[0])
-    decay_angle = math.exp(best.x[1])
-    coeffs, residual = solve_linear(peak_angle, decay_angle)
+    fits = [_levenberg_marquardt(residuals, np.log([peak_guess, decay_guess]))
+            for decay_guess in (0.5 * peak_guess, peak_guess, 2.0 * peak_guess)]
+    log_peak, log_decay = min(fits, key=lambda fit: fit[1])[0]
+    # The residual has a kink in the peak angle wherever the peak passes a
+    # sample angle, and the optimum often sits on one. The 2-D steps then keep
+    # crossing the kink and the decay angle stalls short of its optimum, so a
+    # last 1-D pass fits the decay angle with the peak angle held.
+    (log_decay,), _ = _levenberg_marquardt(
+        lambda v: residuals(np.array([log_peak, v[0]])), np.array([log_decay]))
+    best = np.array([log_peak, log_decay])
+    with np.errstate(over="ignore"):
+        peak_angle, decay_angle = np.exp(best).tolist()
+    coeffs, residual = solve_linear(best)
+    if coeffs is None or not (0.0 < peak_angle < math.inf and 0.0 < decay_angle < math.inf):
+        raise CalibrationError("fit converged to a degenerate shape "
+                               f"(peak angle={peak_angle:.6g}, decay angle={decay_angle:.6g})")
     peak_moment, propagation_moment = float(coeffs[0]), float(coeffs[1])
     if not (math.isfinite(peak_moment) and math.isfinite(propagation_moment)
             and 0.0 < propagation_moment < peak_moment):

@@ -125,24 +125,32 @@ def _stitch(segments) -> list:
     return polylines
 
 
-# Five-stop colormap for the heat maps (dark blue -> yellow).
-_STOPS = [
-    (0.00, (13, 8, 135)),
-    (0.25, (126, 3, 168)),
-    (0.50, (203, 70, 121)),
-    (0.75, (248, 149, 64)),
-    (1.00, (240, 249, 33)),
-]
+# Five-stop colormap for the heat maps (dark blue -> yellow): stop positions
+# and their RGB colours.
+_STOP_AT = np.array([0.00, 0.25, 0.50, 0.75, 1.00])
+_STOP_RGB = np.array([
+    (13, 8, 135),
+    (126, 3, 168),
+    (203, 70, 121),
+    (248, 149, 64),
+    (240, 249, 33),
+])
 
 
-def _color(t: float) -> str:
-    t = min(1.0, max(0.0, t))
-    for (t0, c0), (t1, c1) in zip(_STOPS, _STOPS[1:]):
-        if t <= t1:
-            f = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-            r, g, b = (round(a + f * (b_ - a)) for a, b_ in zip(c0, c1))
-            return f"#{r:02x}{g:02x}{b:02x}"
-    return "#ffffff"
+def _colors(values) -> list[str]:
+    """Hex colours of ``values`` on the colormap, one per value.
+
+    Values are clamped to [0, 1] (NaN counts as 0) and interpolated linearly
+    between the two stops around them; each channel is rounded half to even.
+    """
+    t = np.fmin(np.fmax(np.asarray(values, dtype=float), 0.0), 1.0)
+    upper = np.searchsorted(_STOP_AT, t).clip(1)  # first stop at or above t
+    t0, t1 = _STOP_AT[upper - 1], _STOP_AT[upper]
+    c0, c1 = _STOP_RGB[upper - 1], _STOP_RGB[upper]
+    f = ((t - t0) / (t1 - t0))[:, None]
+    rgb = np.rint(c0 + f * (c1 - c0)).astype(int)
+    packed = (rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]
+    return [f"#{v:06x}" for v in packed.tolist()]
 
 
 class _Canvas:
@@ -209,12 +217,11 @@ def workspace_svg(grid, levels=None, width=640) -> str:
     py = canvas.pad + (canvas.y_max - ((grid.ys - half) + grid.resolution)) * canvas.scale
     px_text = [f'<rect x="{v:.2f}" y="' for v in px.tolist()]
     size_text = f'" width="{size:.2f}" height="{size:.2f}" fill="'
-    for iy in range(grid.ny):
-        row_text = f"{float(py[iy]):.2f}{size_text}"
-        columns = np.flatnonzero(grid.reachable[iy])
-        shares = (magnitude[iy, columns] / vmax).tolist()
-        canvas.parts.extend(f'{px_text[ix]}{row_text}{_color(share)}"/>'
-                            for ix, share in zip(columns.tolist(), shares))
+    py_text = [f"{v:.2f}{size_text}" for v in py.tolist()]
+    rows, columns = np.nonzero(grid.reachable)  # row-major, like the old cell loop
+    fills = _colors(magnitude[rows, columns] / vmax)
+    canvas.parts.extend(f'{px_text[ix]}{py_text[iy]}{fill}"/>'
+                        for iy, ix, fill in zip(rows.tolist(), columns.tolist(), fills))
     for level in levels:
         for chain in marching_squares(grid.xs, grid.ys, magnitude, level):
             canvas.polyline(chain, stroke="black", stroke_width=1.0)
@@ -239,9 +246,10 @@ def overlay_svg(log, title=None, width=480, max_configs=9) -> str:
     canvas = _Canvas(min(xs) - margin, max(xs) + margin,
                      min(ys) - margin, max(ys) + margin, width=width)
     last = len(rows) - 1
-    for order, row in enumerate(rows):
-        f = order / max(last, 1)
-        color = "#d62728" if order == last else _color(0.2 + 0.6 * f)
+    shares = [order / max(last, 1) for order in range(len(rows))]
+    colors = _colors([0.2 + 0.6 * f for f in shares])
+    colors[last] = "#d62728"
+    for row, f, color in zip(rows, shares, colors):
         opacity = 0.35 + 0.65 * f
         canvas.polyline([(0.0, 0.0), (0.0, row.l1), (row.x, row.y)],
                         stroke=color, stroke_width=2.5, opacity=opacity)

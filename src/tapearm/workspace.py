@@ -36,6 +36,9 @@ LENGTH_TOL = 1e-3
 # Angular slack when checking the hinge limit.
 ANGLE_TOL = 1e-9
 
+# Smallest positive bend angle: the bent angle closest to straight.
+_SMALLEST_ANGLE = math.ulp(0.0)
+
 GRID_CSV_HEADER = "x_m,y_m,reachable,min_angle_rad"
 
 # Largest grid compute_grid accepts, in cells (50x the 80 000-cell map of
@@ -150,15 +153,23 @@ def feasible_theta_interval(point, params: ManipulatorParams,
     """
     x, y = point
     if abs(x) <= STRAIGHT_X_TOL:
-        if ik_at_theta(point, 0.0, params, length_tol) is None:
+        # On the midline l2 = 0 at every bent angle, so the probe at the
+        # hinge limit stands for all of them; it passes when l2_min is within
+        # the length slack. A feasible straight split (which maximizes l2)
+        # makes a point within STRAIGHT_X_TOL count as on the midline.
+        # Otherwise the bent angles of a point on the midline stop one float
+        # short of zero, and just off it only x's side is left, as in the
+        # general case below.
+        midline = (0.0, y)
+        limit = params.theta_limit
+        bent = ik_at_theta(midline, limit, params, length_tol) is not None
+        if ik_at_theta(midline, 0.0, params, length_tol) is not None:
+            return [AngleInterval(-limit, limit) if bent else AngleInterval(0.0, 0.0)]
+        if x == 0.0:
+            if bent:
+                return [AngleInterval(-limit, -_SMALLEST_ANGLE),
+                        AngleInterval(_SMALLEST_ANGLE, limit)]
             return []
-        # With l2_min at (or within slack of) zero the node can sit at the
-        # tip, so a degenerate zero-length link 2 points anywhere within the
-        # hinge limit. Otherwise only the straight configuration remains.
-        if (params.l2_min <= length_tol
-                and ik_at_theta(point, params.theta_limit, params, length_tol) is not None):
-            return [AngleInterval(-params.theta_limit, params.theta_limit)]
-        return [AngleInterval(0.0, 0.0)]
 
     ax = abs(x)
     lo = math.atan2(ax, y - (params.l1_min - length_tol))

@@ -215,6 +215,17 @@ def test_console_entry_point_smoke():
     assert "y_m=1" in result.stdout
 
 
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; a stray scipy import would add
+    # most of a second to every command's start-up.
+    result = subprocess.run(
+        [sys.executable, "-c", "import tapearm.cli, sys; "
+         "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"],
+        capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 _SCENARIO = ('{"initial": {"control": {"l1_0_m": 0.3, "l2_0_m": 0.4}}, "dt_s": %s, '
              '"segments": [{"duration_s": %s, "rates": %s}], "checks": %s}')
 

@@ -60,6 +60,26 @@ def _marching_squares_loop(xs, ys, field, level):
     return svg._stitch(segments)
 
 
+# Five-stop colormap of the scalar _color below.
+_STOPS = [
+    (0.00, (13, 8, 135)),
+    (0.25, (126, 3, 168)),
+    (0.50, (203, 70, 121)),
+    (0.75, (248, 149, 64)),
+    (1.00, (240, 249, 33)),
+]
+
+
+def _color(t):
+    t = min(1.0, max(0.0, t))
+    for (t0, c0), (t1, c1) in zip(_STOPS, _STOPS[1:]):
+        if t <= t1:
+            f = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
+            r, g, b = (round(a + f * (b_ - a)) for a, b_ in zip(c0, c1))
+            return f"#{r:02x}{g:02x}{b:02x}"
+    return "#ffffff"
+
+
 def _workspace_svg_loop(grid, width=640):
     levels = [math.radians(v) for v in (10, 20, 30, 40, 50)]
     x_min, x_max, y_min, y_max = grid.bounds
@@ -74,7 +94,7 @@ def _workspace_svg_loop(grid, width=640):
     for iy in range(grid.ny):
         for ix in range(grid.nx):
             if grid.reachable[iy, ix]:
-                fill = svg._color(float(magnitude[iy, ix]) / vmax)
+                fill = _color(float(magnitude[iy, ix]) / vmax)
                 canvas.rect(float(grid.xs[ix]) - half, float(grid.ys[iy]) - half,
                             grid.resolution, grid.resolution, fill)
     for level in levels:
@@ -132,6 +152,31 @@ def _case(bl, br, tr, tl, level=0.5):
 def test_marching_squares_matches_reference_loop(case):
     xs, ys, field, level = case
     assert marching_squares(xs, ys, field, level) == _marching_squares_loop(xs, ys, field, level)
+
+
+def _exact_half_shares():
+    """(share, k) pairs where a channel's a + f * (b - a) is exactly k + 0.5."""
+    halves = []
+    for (t0, c0), (t1, c1) in zip(_STOPS, _STOPS[1:]):
+        for a, b in zip(c0, c1):
+            for k in range(min(a, b), max(a, b)):
+                t = t0 + (t1 - t0) * (k + 0.5 - a) / (b - a)
+                if a + (t - t0) / (t1 - t0) * (b - a) == k + 0.5:
+                    halves.append((t, k))
+    return halves
+
+
+def test_colors_match_scalar_colormap():
+    halves = _exact_half_shares()
+    # exact halves that round down (even k) and up (odd k)
+    assert {k % 2 for _, k in halves} == {0, 1} and len(halves) > 100
+    boundaries = [math.nextafter(t0, direction) for t0, _ in _STOPS
+                  for direction in (-math.inf, math.inf)] + [t0 for t0, _ in _STOPS]
+    outside = [-math.inf, -2.0, -1e-300, -0.0, 1.0 + 1e-9, 1.5, 1e300, math.inf, math.nan]
+    spread = np.random.default_rng(3).uniform(-0.2, 1.2, 2000).tolist()
+    values = [t for t, _ in halves] + boundaries + outside + spread
+    assert svg._colors(values) == [_color(v) for v in values]
+    assert svg._colors([]) == []
 
 
 _ALT_PARAMS = ManipulatorParams(theta_limit=0.7, l1_min=0.2, l2_min=0.05, max_total_length=1.3)

@@ -9,6 +9,7 @@ from tapearm import workspace
 from tapearm.model import BOUND_EPS, DEFAULT_PARAMS, ManipulatorParams, forward_kinematics
 from tapearm.workspace import (
     ANGLE_TOL,
+    LENGTH_TOL,
     STRAIGHT_X_TOL,
     AngleInterval,
     compute_grid,
@@ -63,6 +64,31 @@ def test_feasible_interval_midline_with_l2_floor():
     assert intervals == [AngleInterval(0.0, 0.0)]
 
 
+def test_feasible_interval_midline_with_zero_length_link2():
+    # l2_min within the slack and the node below l1_min + l2_min: the
+    # straight split (l1 = l1_min) leaves link 2 too short, but every bent
+    # angle reaches the point with a zero-length link 2.
+    params = ManipulatorParams(l2_min=0.0005)
+    point = (0.0, params.l1_min - 0.0007)
+    assert ik_at_theta(point, 0.0, params) is None
+    assert ik_at_theta(point, params.theta_limit, params) is not None
+    tiny = math.ulp(0.0)
+    assert feasible_theta_interval(point, params) == [
+        AngleInterval(-params.theta_limit, -tiny), AngleInterval(tiny, params.theta_limit)]
+    theta = min_end_effector_angle(point, params)
+    assert abs(theta) == tiny and ik_at_theta(point, theta, params) is not None
+    swept = sweep_feasible_intervals(point, params, step=math.radians(1.0))
+    assert [(s.lo > 0, s.hi > 0) for s in swept] == [(False, False), (True, True)]
+    # just off the midline only x's side is feasible
+    for x in (1e-10, -1e-10):
+        (interval,) = feasible_theta_interval((x, point[1]), params)
+        assert interval.lo * x > 0 and interval.hi * x > 0
+        assert ik_at_theta((x, point[1]), min_end_effector_angle((x, point[1]), params),
+                           params) is not None
+    # below the slack on l1_min nothing is left
+    assert feasible_theta_interval((0.0, params.l1_min - 0.0011), params) == []
+
+
 def test_feasible_interval_outside_sector_and_disk():
     angle = math.radians(60.0)
     point = (math.sin(angle), math.cos(angle))
@@ -97,8 +123,10 @@ def test_interval_endpoints_match_sweep_oracle():
 @st.composite
 def _params_and_points(draw):
     bound = st.one_of(st.just(0.0), st.floats(0.0, 0.5))
+    # l2_min within the length slack lets link 2 shrink to zero length
+    l2_bound = st.one_of(bound, st.floats(0.0, LENGTH_TOL, exclude_min=True))
     params = ManipulatorParams(theta_limit=draw(st.floats(0.05, math.pi / 2)),
-                               l1_min=draw(bound), l2_min=draw(bound),
+                               l1_min=draw(bound), l2_min=draw(l2_bound),
                                max_total_length=draw(st.floats(0.05, 7.62)))
     # off the midline, where the closed form applies; x spans the length
     # budget or one of the minimum link lengths, so every bound gets active
@@ -108,6 +136,16 @@ def _params_and_points(draw):
     points = [(fx * scale, fy * params.max_total_length)
               for fx, scale, fy in draw(st.lists(coordinate, min_size=1, max_size=10))
               if abs(fx * scale) > STRAIGHT_X_TOL]
+    # on and just off the midline, with heights also near the ends of the
+    # straight split's range
+    edge = st.floats(-2 * LENGTH_TOL, 2 * LENGTH_TOL)
+    height = st.one_of(
+        st.floats(-0.1, 1.1).map(lambda f: f * params.max_total_length),
+        edge.map(lambda d: params.l1_min + d),
+        edge.map(lambda d: params.l1_min + params.l2_min + d),
+        edge.map(lambda d: params.max_total_length + d))
+    offset = st.one_of(st.just(0.0), st.floats(-STRAIGHT_X_TOL, STRAIGHT_X_TOL))
+    points += draw(st.lists(st.tuples(offset, height), max_size=4))
     return params, draw(st.sampled_from([0.0, 1e-3])), points
 
 
@@ -119,28 +157,35 @@ def test_closed_form_interval_matches_sweep_oracle(case):
     n = int(params.theta_limit / step + 1e-9)
     thetas = np.arange(-n, n + 1) * step  # the sweep's lattice
     for point in points:
+        x, y = point
         closed = feasible_theta_interval(point, params, length_tol)
+        # A point on the midline, or within STRAIGHT_X_TOL of it where the
+        # straight split is feasible, counts as x = 0 on both sides of it.
+        # Elsewhere the closed form covers angles on x's side of the
+        # midline: opposite them link 2 has negative length, which the
+        # predicate admits only within the length slack; those angles are
+        # left out here.
+        on_midline = abs(x) <= STRAIGHT_X_TOL and (
+            x == 0.0 or ik_at_theta(point, 0.0, params, length_tol) is not None)
+        oracle = (0.0, y) if on_midline else point
+        compared = np.full(thetas.shape, True) if on_midline else thetas * x > 0
         for c in closed:
             for theta in (c.lo, 0.5 * (c.lo + c.hi), c.hi):
-                assert ik_at_theta(point, theta, params, length_tol) is not None
+                assert ik_at_theta(oracle, theta, params, length_tol) is not None
         in_closed = np.zeros(thetas.shape, dtype=bool)
         for c in closed:
             in_closed |= (thetas >= c.lo) & (thetas <= c.hi)
         in_sweep = np.zeros(thetas.shape, dtype=bool)
-        for s in sweep_feasible_intervals(point, params, step, length_tol):
+        for s in sweep_feasible_intervals(oracle, params, step, length_tol):
             in_sweep |= (thetas >= s.lo) & (thetas <= s.hi)
-        # The closed form covers angles on x's side of the midline. Opposite
-        # them link 2 has negative length, which the predicate admits only
-        # within the length slack; those angles are left out here. On x's
-        # side the two may disagree only where a bound holds to within its
-        # slack: ANGLE_TOL on the hinge limit, BOUND_EPS on the lengths.
-        same_side = thetas * point[0] > 0
-        assert not np.any(in_closed & ~same_side)
-        for theta in thetas[(in_closed != in_sweep) & same_side]:
+        # The two may disagree only where a bound holds to within its slack:
+        # ANGLE_TOL on the hinge limit, BOUND_EPS on the lengths.
+        assert not np.any(in_closed & ~compared)
+        for theta in thetas[(in_closed != in_sweep) & compared]:
             if abs(abs(theta) - params.theta_limit) <= ANGLE_TOL:
                 continue
-            assert ik_at_theta(point, theta, params, length_tol - 2 * BOUND_EPS) is None
-            assert ik_at_theta(point, theta, params, length_tol + 2 * BOUND_EPS) is not None
+            assert ik_at_theta(oracle, theta, params, length_tol - 2 * BOUND_EPS) is None
+            assert ik_at_theta(oracle, theta, params, length_tol + 2 * BOUND_EPS) is not None
 
 
 def test_feasibility_mask_matches_scalar_predicate():
