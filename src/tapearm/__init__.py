@@ -12,7 +12,7 @@ Modules:
 - workspace: reachability and minimum end-effector-angle analysis
 - planner: inverse kinematics, configuration enumeration, rate coordination
 - simulator: quasi-static scenario execution with named checks
-- serialization: JSON schemas for parameters and scenarios
+- serialization: JSON codec for parameter and scenario files
 - svg: workspace heat maps and configuration overlays
 - cli: the ``tapearm`` command-line front end
 

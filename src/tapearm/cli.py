@@ -105,7 +105,7 @@ def _load_params(args):
         return DEFAULT_PARAMS
     try:
         return serialization.load_params(path)
-    except (simulator.ScenarioError, ValueError, TypeError, AttributeError) as exc:
+    except ValueError as exc:
         raise _UsageError(f"bad parameter file: {exc}") from exc
 
 
@@ -251,7 +251,7 @@ def cmd_simulate(args, params) -> int:
     del params  # scenario files carry their own parameters
     try:
         scenario = serialization.load_scenario(args.scenario)
-    except (simulator.ScenarioError, ValueError, TypeError, KeyError, AttributeError) as exc:
+    except ValueError as exc:
         raise _UsageError(f"bad scenario file: {exc}") from exc
     return _run_and_report(scenario, args)
 
@@ -292,7 +292,7 @@ def main(argv=None) -> int:
     except ConstraintViolationError as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)
         return EXIT_CHECK
-    except (simulator.ScenarioError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

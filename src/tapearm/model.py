@@ -123,6 +123,7 @@ class ManipulatorParams:
 
     def __post_init__(self):
         _require_positive(self, "cable_offset", "max_total_length")
+        _require_finite(self, "l1_min", "l2_min", "base_mass", "node_mass")
         if not 0.0 < self.theta_limit <= math.pi / 2:
             raise ValueError("theta_limit must lie in (0, pi/2]")
         if self.l1_min < 0 or self.l2_min < 0:

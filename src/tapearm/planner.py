@@ -89,10 +89,6 @@ class ControlProfile:
             if not (duration > 0 and math.isfinite(duration)):
                 raise ValueError(f"segment durations must be positive and finite, got {duration}")
 
-    @property
-    def total_duration(self) -> float:
-        return sum(duration for duration, _ in self.segments)
-
 
 def ik_solve(target: Pose, params: ManipulatorParams) -> JointState | None:
     """Joint state reaching the target pose, or None when infeasible.

@@ -1,8 +1,19 @@
-"""JSON schemas for parameters, states, profiles and scenarios.
+"""JSON codec for parameter and scenario files.
 
 Keys carry unit suffixes (_m, _rad, _s, _pa, _kg, ...) so files are
 unambiguous; rates inside profile segments use the bare actuator names
-q1/q2/cL/cR, all in m/s. Unknown keys are rejected so typos fail loudly.
+q1/q2/cL/cR, all in m/s.
+
+Each value type a file holds has one key table mapping its JSON keys, in
+file order, to its dataclass fields: ``_TAPE``, ``_PARAMS``, ``_CONTROL``,
+``_CABLES`` and ``_RATES``. ``_encode`` writes a value through its table and
+``_fields`` reads it back: the value must be a JSON object, unknown keys are
+rejected so typos fail loudly, a missing key takes its default or is
+reported missing, and every number goes through ``float()``. A malformed
+file raises ScenarioError of the form ``<key> in <context>: ...``,
+``missing key ... in <context>`` or ``unknown key(s) ... in <context>``; a
+value its type rejects raises that type's ValueError. Apart from OSError
+when reading the file, every failure is a ValueError.
 
 Scenario files look like::
 
@@ -26,145 +37,100 @@ from __future__ import annotations
 import json
 
 from .model import (
+    DEFAULT_PARAMS,
     DEFAULT_TAPE,
     CablePair,
     ControlState,
-    JointState,
     ManipulatorParams,
-    Pose,
     TapeProperties,
 )
 from .planner import ControlProfile, RateCommand
 from .simulator import Scenario, ScenarioError, initial_state, make_state
 
+_TAPE = {
+    "elastic_modulus_pa": "elastic_modulus",
+    "thickness_m": "thickness",
+    "transverse_radius_m": "transverse_radius",
+    "subtended_angle_rad": "subtended_angle",
+    "linear_density_kg_per_m": "linear_density",
+    "total_tape_length_m": "total_tape_length",
+}
+_PARAMS = {
+    "cable_offset_m": "cable_offset",
+    "theta_limit_rad": "theta_limit",
+    "l1_min_m": "l1_min",
+    "l2_min_m": "l2_min",
+    "max_total_length_m": "max_total_length",
+    "base_mass_kg": "base_mass",
+    "node_mass_kg": "node_mass",
+}
+_CONTROL = {"q1_m": "q1", "q2_m": "q2", "l1_0_m": "l1_0", "l2_0_m": "l2_0"}
+_CABLES = {"cL_m": "c_L", "cR_m": "c_R"}
+_RATES = {"q1": "q1_rate", "q2": "q2_rate", "cL": "cL_rate", "cR": "cR_rate"}
 
-def _check_keys(data: dict, allowed: set, context: str) -> None:
-    unknown = set(data) - allowed
+
+def _encode(obj, table: dict) -> dict:
+    return {key: getattr(obj, name) for key, name in table.items()}
+
+
+def _object(data, allowed, context: str) -> dict:
+    """``data`` itself, once it is a JSON object whose keys are all allowed."""
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{context}: expected a JSON object, got {type(data).__name__}")
+    unknown = set(data) - set(allowed)
     if unknown:
         raise ScenarioError(f"unknown key(s) {sorted(unknown)} in {context}; "
                             f"allowed: {sorted(allowed)}")
+    return data
 
 
-def tape_to_dict(tape: TapeProperties) -> dict:
-    return {
-        "elastic_modulus_pa": tape.elastic_modulus,
-        "thickness_m": tape.thickness,
-        "transverse_radius_m": tape.transverse_radius,
-        "subtended_angle_rad": tape.subtended_angle,
-        "linear_density_kg_per_m": tape.linear_density,
-        "total_tape_length_m": tape.total_tape_length,
-    }
+def _get(data: dict, key: str, context: str):
+    if key not in data:
+        raise ScenarioError(f"missing key {key!r} in {context}")
+    return data[key]
 
 
-def tape_from_dict(data: dict) -> TapeProperties:
-    """Build tape properties from a (possibly partial) dict; defaults fill gaps."""
-    defaults = tape_to_dict(DEFAULT_TAPE)
-    _check_keys(data, set(defaults), "tape")
-    merged = {**defaults, **data}
-    return TapeProperties(
-        elastic_modulus=float(merged["elastic_modulus_pa"]),
-        thickness=float(merged["thickness_m"]),
-        transverse_radius=float(merged["transverse_radius_m"]),
-        subtended_angle=float(merged["subtended_angle_rad"]),
-        linear_density=float(merged["linear_density_kg_per_m"]),
-        total_tape_length=float(merged["total_tape_length_m"]),
-    )
+def _number(value, key: str, context: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{key} in {context}: {exc}") from None
+
+
+def _fields(data, table: dict, context: str, defaults: dict, other=()) -> dict:
+    """Field values read through ``table`` from the JSON object ``data``.
+
+    A key absent from ``data`` takes the field's value in ``defaults`` and is
+    reported missing when the field has none. Keys in ``other`` are allowed
+    and left to the caller.
+    """
+    _object(data, [*table, *other], context)
+    fields = {}
+    for key, name in table.items():
+        if key not in data and name in defaults:
+            fields[name] = defaults[name]
+        else:
+            fields[name] = _number(_get(data, key, context), key, context)
+    return fields
+
+
+def _array(data: dict, key: str, item_type, items: str) -> list:
+    """``data[key]``, an empty list if absent: a JSON array of ``item_type`` values."""
+    value = data.get(key, [])
+    if not (isinstance(value, list) and all(isinstance(item, item_type) for item in value)):
+        raise ScenarioError(f"{key} in scenario: expected a JSON array of {items}")
+    return value
 
 
 def params_to_dict(params: ManipulatorParams) -> dict:
-    return {
-        "tape": tape_to_dict(params.tape),
-        "cable_offset_m": params.cable_offset,
-        "theta_limit_rad": params.theta_limit,
-        "l1_min_m": params.l1_min,
-        "l2_min_m": params.l2_min,
-        "max_total_length_m": params.max_total_length,
-        "base_mass_kg": params.base_mass,
-        "node_mass_kg": params.node_mass,
-    }
+    return {"tape": _encode(params.tape, _TAPE), **_encode(params, _PARAMS)}
 
 
-def params_from_dict(data: dict) -> ManipulatorParams:
+def params_from_dict(data) -> ManipulatorParams:
     """Build parameters from a (possibly partial) dict; defaults fill gaps."""
-    allowed = {"tape", "cable_offset_m", "theta_limit_rad", "l1_min_m", "l2_min_m",
-               "max_total_length_m", "base_mass_kg", "node_mass_kg"}
-    _check_keys(data, allowed, "params")
-    defaults = ManipulatorParams()
-    return ManipulatorParams(
-        tape=tape_from_dict(data.get("tape", {})),
-        cable_offset=float(data.get("cable_offset_m", defaults.cable_offset)),
-        theta_limit=float(data.get("theta_limit_rad", defaults.theta_limit)),
-        l1_min=float(data.get("l1_min_m", defaults.l1_min)),
-        l2_min=float(data.get("l2_min_m", defaults.l2_min)),
-        max_total_length=float(data.get("max_total_length_m", defaults.max_total_length)),
-        base_mass=float(data.get("base_mass_kg", defaults.base_mass)),
-        node_mass=float(data.get("node_mass_kg", defaults.node_mass)),
-    )
-
-
-def joint_to_dict(state: JointState) -> dict:
-    return {"l1_m": state.l1, "l2_m": state.l2, "theta_rad": state.theta}
-
-
-def joint_from_dict(data: dict) -> JointState:
-    _check_keys(data, {"l1_m", "l2_m", "theta_rad"}, "joint state")
-    return JointState(float(data["l1_m"]), float(data["l2_m"]), float(data["theta_rad"]))
-
-
-def pose_to_dict(pose: Pose) -> dict:
-    return {"x_m": pose.x, "y_m": pose.y, "phi_rad": pose.phi}
-
-
-def pose_from_dict(data: dict) -> Pose:
-    _check_keys(data, {"x_m", "y_m", "phi_rad"}, "pose")
-    return Pose(float(data["x_m"]), float(data["y_m"]), float(data["phi_rad"]))
-
-
-def control_to_dict(control: ControlState) -> dict:
-    return {"q1_m": control.q1, "q2_m": control.q2,
-            "l1_0_m": control.l1_0, "l2_0_m": control.l2_0}
-
-
-def control_from_dict(data: dict) -> ControlState:
-    _check_keys(data, {"q1_m", "q2_m", "l1_0_m", "l2_0_m"}, "control state")
-    return ControlState(q1=float(data.get("q1_m", 0.0)), q2=float(data.get("q2_m", 0.0)),
-                        l1_0=float(data["l1_0_m"]), l2_0=float(data["l2_0_m"]))
-
-
-def cables_to_dict(cables: CablePair) -> dict:
-    return {"cL_m": cables.c_L, "cR_m": cables.c_R}
-
-
-def cables_from_dict(data: dict) -> CablePair:
-    _check_keys(data, {"cL_m", "cR_m"}, "cables")
-    return CablePair(c_L=float(data["cL_m"]), c_R=float(data["cR_m"]))
-
-
-def rate_to_dict(command: RateCommand) -> dict:
-    return {"q1": command.q1_rate, "q2": command.q2_rate,
-            "cL": command.cL_rate, "cR": command.cR_rate}
-
-
-def rate_from_dict(data: dict) -> RateCommand:
-    _check_keys(data, {"q1", "q2", "cL", "cR"}, "rates")
-    return RateCommand(q1_rate=float(data.get("q1", 0.0)),
-                       q2_rate=float(data.get("q2", 0.0)),
-                       cL_rate=float(data.get("cL", 0.0)),
-                       cR_rate=float(data.get("cR", 0.0)))
-
-
-def profile_to_segments(profile: ControlProfile) -> list:
-    return [{"duration_s": duration, "rates": rate_to_dict(command)}
-            for duration, command in profile.segments]
-
-
-def profile_from_segments(data) -> ControlProfile:
-    segments = []
-    for entry in data:
-        _check_keys(entry, {"duration_s", "rates"}, "segment")
-        segments.append((float(entry["duration_s"]),
-                         rate_from_dict(entry.get("rates", {}))))
-    return ControlProfile(tuple(segments))
+    fields = _fields(data, _PARAMS, "params", vars(DEFAULT_PARAMS), other=("tape",))
+    tape = _fields(data.get("tape", {}), _TAPE, "tape", vars(DEFAULT_TAPE))
+    return ManipulatorParams(tape=TapeProperties(**tape), **fields)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -172,40 +138,51 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "name": scenario.name,
         "params": params_to_dict(scenario.params),
         "initial": {
-            "control": control_to_dict(scenario.initial.control),
-            "cables": cables_to_dict(scenario.initial.cables),
+            "control": _encode(scenario.initial.control, _CONTROL),
+            "cables": _encode(scenario.initial.cables, _CABLES),
         },
         "dt_s": scenario.dt,
-        "segments": profile_to_segments(scenario.profile),
+        "segments": [{"duration_s": duration, "rates": _encode(command, _RATES)}
+                     for duration, command in scenario.profile.segments],
         "checks": list(scenario.checks),
     }
 
 
-def scenario_from_dict(data: dict) -> Scenario:
-    _check_keys(data, {"name", "params", "initial", "dt_s", "segments", "checks"},
-                "scenario")
+def scenario_from_dict(data) -> Scenario:
+    _object(data, ("name", "params", "initial", "dt_s", "segments", "checks"), "scenario")
     params = params_from_dict(data.get("params", {}))
-    try:
-        initial_data = dict(data["initial"])
-    except KeyError:
-        raise ScenarioError("scenario is missing 'initial'") from None
-    _check_keys(initial_data, {"control", "theta_rad", "cables"}, "initial")
-    if "control" not in initial_data:
-        raise ScenarioError("initial state needs a 'control' object")
-    control = control_from_dict(initial_data["control"])
-    if "cables" in initial_data:
-        state = make_state(control, cables_from_dict(initial_data["cables"]), params)
+    initial = _object(_get(data, "initial", "scenario"), ("control", "theta_rad", "cables"),
+                      "initial")
+    control = ControlState(**_fields(_get(initial, "control", "initial"), _CONTROL,
+                                     "control state", {"q1": 0.0, "q2": 0.0}))
+    if "cables" in initial:
+        cables = CablePair(**_fields(initial["cables"], _CABLES, "cables", {}))
+        state = make_state(control, cables, params)
     else:
-        state = initial_state(control, float(initial_data.get("theta_rad", 0.0)), params)
-    profile = profile_from_segments(data.get("segments", []))
+        theta = _number(initial.get("theta_rad", 0.0), "theta_rad", "initial")
+        state = initial_state(control, theta, params)
+    segments = []
+    for entry in _array(data, "segments", dict, "objects"):
+        _object(entry, ("duration_s", "rates"), "segment")
+        duration = _number(_get(entry, "duration_s", "segment"), "duration_s", "segment")
+        rates = _fields(entry.get("rates", {}), _RATES, "rates", vars(RateCommand()))
+        segments.append((duration, RateCommand(**rates)))
     return Scenario(
         name=str(data.get("name", "scenario")),
         params=params,
         initial=state,
-        profile=profile,
-        dt=float(data.get("dt_s", 0.01)),
-        checks=tuple(data.get("checks", ())),
+        profile=ControlProfile(tuple(segments)),
+        dt=_number(data.get("dt_s", 0.01), "dt_s", "scenario"),
+        checks=tuple(_array(data, "checks", str, "strings")),
     )
+
+
+def _read_json(path):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ScenarioError(f"{path}: JSON nested too deeply") from None
 
 
 def save_scenario(scenario: Scenario, path) -> None:
@@ -215,8 +192,7 @@ def save_scenario(scenario: Scenario, path) -> None:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path) as fh:
-        return scenario_from_dict(json.load(fh))
+    return scenario_from_dict(_read_json(path))
 
 
 def save_params(params: ManipulatorParams, path) -> None:
@@ -226,5 +202,4 @@ def save_params(params: ManipulatorParams, path) -> None:
 
 
 def load_params(path) -> ManipulatorParams:
-    with open(path) as fh:
-        return params_from_dict(json.load(fh))
+    return params_from_dict(_read_json(path))

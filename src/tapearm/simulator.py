@@ -13,6 +13,7 @@ rejected as a malformed scenario.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 from .model import (
@@ -97,6 +98,11 @@ class Scenario:
     checks: tuple = ()
 
     def __post_init__(self):
+        # The CLI writes <out>/<name>_log.csv, so a name must not leave --out.
+        if self.name in ("", ".", "..") or any(
+                sep and sep in self.name for sep in ("/", os.sep, os.altsep)):
+            raise ScenarioError(f"scenario name {self.name!r} is empty, '.', '..' or "
+                                "contains a path separator")
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ScenarioError(f"dt must be positive and finite, got {self.dt}")
         object.__setattr__(self, "checks", tuple(self.checks))

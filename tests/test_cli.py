@@ -259,6 +259,20 @@ _EXIT_CODE_TABLE = [
     ("scenario-file-missing", None, ["simulate", "{dir}/absent.json"], 3),
     # this --out overrides the one the test passes first
     ("output-directory-is-a-file", "{}", ["--out", "{dir}/input.json", "demo", "stationary-bend"], 3),
+    ("scenario-int-overflow", _SCENARIO % ("1" + "0" * 400, "1.0", "{}", "[]"),
+     ["simulate", "{dir}/input.json"], 2),
+    ("params-int-overflow", '{"l1_min_m": 1%s}' % ("0" * 400),
+     ["--params", "{dir}/input.json", "fk", "0.4", "0.3", "10"], 2),
+    ("scenario-nested-too-deep", "[" * 100_000, ["simulate", "{dir}/input.json"], 2),
+    ("scenario-not-an-object", "[]", ["simulate", "{dir}/input.json"], 2),
+    ("checks-not-an-array", _SCENARIO % ("0.01", "1.0", "{}", '"eq3_residual"'),
+     ["simulate", "{dir}/input.json"], 2),
+    # the log would land at {dir}/escaped_log.csv, outside {dir}/out
+    ("scenario-name-escapes-out",
+     '{"name": "../escaped", ' + _SCENARIO[1:] % ("0.01", "1.0", "{}", "[]"),
+     ["simulate", "{dir}/input.json"], 2),
+    ("params-nan-l1-min", '{"l1_min_m": NaN}',
+     ["--params", "{dir}/input.json", "fk", "0.0", "0.4", "10"], 2),
 ]
 
 
@@ -272,6 +286,8 @@ def test_exit_code_taxonomy(capsys, tmp_path, text, argv, expected):
     err = capsys.readouterr().err
     assert code == expected, err
     assert len(err.splitlines()) == (1 if expected in (2, 3) else 0), err
+    # nothing is written outside --out
+    assert {path.name for path in tmp_path.iterdir()} <= {"input.json", "out"}
 
 
 def test_simulate_abort_keeps_partial_log(capsys, tmp_path):

@@ -214,3 +214,11 @@ def test_type_invariants():
         CablePair(0.0, 0.5)
     with pytest.raises(ValueError):
         JointState(math.nan, 0.5, 0.0)
+
+
+@pytest.mark.parametrize("field", ["l1_min", "l2_min", "base_mass", "node_mass"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_params_reject_non_finite_bounds_and_masses(field, value):
+    # a NaN bound compares false both ways and so would silently disable it
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ManipulatorParams(**{field: value})

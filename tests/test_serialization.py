@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tapearm.model import DEFAULT_PARAMS, JointState, ManipulatorParams
 from tapearm.serialization import (
@@ -99,24 +101,6 @@ def test_scenario_rejects_malformed_input():
         })
 
 
-def test_state_dicts_roundtrip():
-    from tapearm.model import CablePair, Pose
-    from tapearm.serialization import (
-        cables_from_dict,
-        cables_to_dict,
-        joint_from_dict,
-        joint_to_dict,
-        pose_from_dict,
-        pose_to_dict,
-    )
-    joint = JointState(0.3, 0.4, 0.12)
-    assert joint_from_dict(joint_to_dict(joint)) == joint
-    pose = Pose(0.1, 0.7, -0.2)
-    assert pose_from_dict(pose_to_dict(pose)) == pose
-    cables = CablePair(0.71, 0.69)
-    assert cables_from_dict(cables_to_dict(cables)) == cables
-
-
 def test_scenario_json_is_plain_data(tmp_path):
     scenario = builtin_scenarios()["deploy-and-bend"]
     path = tmp_path / "scenario.json"
@@ -125,3 +109,144 @@ def test_scenario_json_is_plain_data(tmp_path):
     assert set(data) == {"name", "params", "initial", "dt_s", "segments", "checks"}
     assert data["segments"][0].keys() == {"duration_s", "rates"}
     assert set(data["segments"][0]["rates"]) == {"q1", "q2", "cL", "cR"}
+
+
+_INITIAL = {"control": {"l1_0_m": 0.3, "l2_0_m": 0.4}}
+
+
+@pytest.mark.parametrize("data, message", [
+    ([], "scenario: expected a JSON object, got list"),
+    ({"segments": []}, "missing key 'initial' in scenario"),
+    ({"initial": {}}, "missing key 'control' in initial"),
+    ({"initial": {"control": {"l1_0_m": 0.3}}}, "missing key 'l2_0_m' in control state"),
+    ({"initial": {"control": {"l1_0_m": 0.3, "l2_0_m": None}}},
+     "l2_0_m in control state: float[(][)] argument must be"),
+    ({"initial": _INITIAL, "dt_s": 10 ** 400}, "dt_s in scenario: int too large"),
+    ({"initial": _INITIAL, "params": {"tape": {"thickness_m": "thin"}}},
+     "thickness_m in tape: could not convert"),
+    ({"initial": _INITIAL, "segments": {}}, "segments in scenario: expected a JSON array"),
+    ({"initial": _INITIAL, "segments": [[]]}, "segments in scenario: expected a JSON array"),
+    ({"initial": _INITIAL, "segments": [{"rates": {}}]}, "missing key 'duration_s' in segment"),
+    ({"initial": _INITIAL, "segments": [{"duration_s": 1.0, "rates": []}]},
+     "rates: expected a JSON object, got list"),
+    # a string used to be parsed one character at a time ("unknown check 'e'")
+    ({"initial": _INITIAL, "checks": "eq3_residual"},
+     "checks in scenario: expected a JSON array of strings"),
+    ({"initial": _INITIAL, "checks": [1]}, "checks in scenario: expected a JSON array of strings"),
+])
+def test_scenario_errors_name_the_key_and_its_object(data, message):
+    with pytest.raises(ScenarioError, match=message):
+        scenario_from_dict(data)
+
+
+def test_numbers_go_through_float():
+    scenario = scenario_from_dict({
+        "initial": {"control": {"q1_m": False, "l1_0_m": "0.3", "l2_0_m": 0.4}},
+        "dt_s": "0.01",
+        "segments": [{"duration_s": 1, "rates": {"q1": True}}],
+    })
+    assert scenario.dt == 0.01
+    assert scenario.initial.control.l1_0 == 0.3
+    assert scenario.profile.segments[0][1].q1_rate == 1.0
+
+
+def test_load_rejects_deeply_nested_json(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    with pytest.raises(ScenarioError, match="nested too deeply"):
+        load_scenario(path)
+    with pytest.raises(ScenarioError, match="nested too deeply"):
+        load_params(path)
+
+
+# --- the codec contract: any JSON value loads or raises ValueError ----------
+
+# every numeric key with a typical value
+_TYPICAL = {
+    "tape": {"elastic_modulus_pa": 200e9, "thickness_m": 2e-4, "transverse_radius_m": 0.014,
+             "subtended_angle_rad": 1.75, "linear_density_kg_per_m": 0.0253,
+             "total_tape_length_m": 7.62},
+    "params": {"cable_offset_m": 0.015, "theta_limit_rad": 0.96, "l1_min_m": 0.076,
+               "l2_min_m": 0.01, "max_total_length_m": 2.0, "base_mass_kg": 0.372,
+               "node_mass_kg": 0.163},
+    "control": {"q1_m": 0.01, "q2_m": -0.01, "l1_0_m": 0.3, "l2_0_m": 0.4},
+    "initial": {"theta_rad": 0.1},
+    "cables": {"cL_m": 0.7, "cR_m": 0.69},
+    "rates": {"q1": 0.01, "q2": -0.01, "cL": 0.01, "cR": 0.005},
+    "segment": {"duration_s": 1.0},
+    "scenario": {"dt_s": 0.01},
+}
+_KEYS = sorted({key for values in _TYPICAL.values() for key in values}
+               | {"tape", "name", "params", "initial", "control", "cables", "segments",
+                  "rates", "checks"})
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.just(10 ** 400), st.just(-10 ** 400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6), st.sampled_from(["0.01", "1e400", "nan", "-inf", "/", ".."]))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.one_of(st.sampled_from(_KEYS), st.text(max_size=3)),
+                                            inner, max_size=5)),
+    max_leaves=20)
+_CHECKS = st.sampled_from(["eq3_residual", "l1_constant:1e-6", "theta_constant:22deg",
+                           "target:(0.1,0.7)", "expect_fail:final_theta:0.1:1e400",
+                           "visits_target:(1e400,nan)", "theta_visits:x"])
+
+
+def _near(value: float):
+    """Mostly ``value`` itself, else a variant float() accepts or a bound rejects."""
+    return st.one_of(st.just(value),
+                     st.sampled_from([2 * value, value / 2, str(value), True, 0, -value]))
+
+
+def _documents(value):
+    """(params, scenario) document strategies; ``value`` wraps every typical value."""
+
+    def obj(kind, required=(), **nested):
+        fields = {**{key: _near(v) for key, v in _TYPICAL[kind].items()}, **nested}
+        return st.fixed_dictionaries(
+            {key: value(fields.pop(key)) for key in required},
+            optional={key: value(strategy) for key, strategy in fields.items()})
+
+    params = obj("params", tape=obj("tape"))
+    scenario = obj(
+        "scenario", required=("initial",),
+        name=st.one_of(st.sampled_from(["demo", "../up", ""]), st.text(max_size=4)),
+        params=params,
+        initial=obj("initial", required=("control",),
+                    control=obj("control", required=("l1_0_m", "l2_0_m")),
+                    cables=obj("cables", required=("cL_m", "cR_m"))),
+        segments=st.lists(obj("segment", required=("duration_s",), rates=obj("rates")),
+                          max_size=3),
+        checks=st.lists(st.one_of(_CHECKS, st.text(max_size=8)), max_size=3))
+    return params, scenario
+
+
+# plausible documents, the same with any value replaced by arbitrary JSON, and
+# arbitrary JSON
+_CLEAN = _documents(lambda strategy: strategy)
+_DIRTY = _documents(lambda strategy: st.one_of(strategy, _JSON))
+_PARAMS_DOCS = st.one_of(_CLEAN[0], _DIRTY[0], _JSON)
+_SCENARIO_DOCS = st.one_of(_CLEAN[1], _DIRTY[1], _JSON)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_SCENARIO_DOCS)
+def test_scenario_from_any_json_loads_or_raises_value_error(data):
+    try:
+        scenario = scenario_from_dict(data)
+    except ValueError:
+        return
+    assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_PARAMS_DOCS)
+def test_params_from_any_json_loads_or_raises_value_error(data):
+    try:
+        params = params_from_dict(data)
+    except ValueError:
+        return
+    assert params_from_dict(params_to_dict(params)) == params

@@ -140,6 +140,12 @@ def test_scenario_rejects_fractional_step_counts():
         Scenario("bad", PARAMS, _start(), profile, dt=0.01)
 
 
+@pytest.mark.parametrize("name", ["", ".", "..", "a/b", "../up", "/abs/path"])
+def test_scenario_rejects_names_that_leave_the_output_directory(name):
+    with pytest.raises(ScenarioError, match="scenario name"):
+        Scenario(name, PARAMS, _start(), ControlProfile(()))
+
+
 def test_scenario_rejects_unknown_checks():
     with pytest.raises(ScenarioError, match="unknown check"):
         Scenario("bad", PARAMS, _start(), ControlProfile(()), checks=("no_such_check",))
