@@ -46,7 +46,7 @@ class CableRangeError(ValueError):
     """Cable differential is kinematically inconsistent with the offset."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """One violated bound: its name, the offending value, limit and margin.
 

@@ -167,8 +167,12 @@ def scenario_from_dict(data) -> Scenario:
         duration = _number(_get(entry, "duration_s", "segment"), "duration_s", "segment")
         rates = _fields(entry.get("rates", {}), _RATES, "rates", vars(RateCommand()))
         segments.append((duration, RateCommand(**rates)))
+    name = data.get("name", "scenario")
+    if not isinstance(name, str):
+        raise ScenarioError(f"name in scenario: expected a JSON string, got "
+                            f"{type(name).__name__}")
     return Scenario(
-        name=str(data.get("name", "scenario")),
+        name=name,
         params=params,
         initial=state,
         profile=ControlProfile(tuple(segments)),

@@ -273,6 +273,23 @@ _EXIT_CODE_TABLE = [
      ["simulate", "{dir}/input.json"], 2),
     ("params-nan-l1-min", '{"l1_min_m": NaN}',
      ["--params", "{dir}/input.json", "fk", "0.0", "0.4", "10"], 2),
+    # 10^12 rows at dt = 1 ms, refused before the log is allocated
+    ("scenario-too-many-rows", _SCENARIO % ("0.001", "1e9", "{}", "[]"),
+     ["simulate", "{dir}/input.json"], 2),
+    # names that would fail only after the run: not a string, NUL, too long
+    # for a file name, not UTF-8
+    ("scenario-name-not-a-string",
+     '{"name": {"a": 1}, ' + _SCENARIO[1:] % ("0.01", "1.0", "{}", "[]"),
+     ["simulate", "{dir}/input.json"], 2),
+    ("scenario-name-has-nul",
+     '{"name": "a\\u0000b", ' + _SCENARIO[1:] % ("0.01", "1.0", "{}", "[]"),
+     ["simulate", "{dir}/input.json"], 2),
+    ("scenario-name-too-long",
+     '{"name": "%s", ' % ("a" * 300) + _SCENARIO[1:] % ("0.01", "1.0", "{}", "[]"),
+     ["simulate", "{dir}/input.json"], 2),
+    ("scenario-name-not-utf8",
+     '{"name": "\\udc80", ' + _SCENARIO[1:] % ("0.01", "1.0", "{}", "[]"),
+     ["simulate", "{dir}/input.json"], 2),
 ]
 
 
@@ -286,8 +303,10 @@ def test_exit_code_taxonomy(capsys, tmp_path, text, argv, expected):
     err = capsys.readouterr().err
     assert code == expected, err
     assert len(err.splitlines()) == (1 if expected in (2, 3) else 0), err
-    # nothing is written outside --out
+    # nothing is written outside --out, and nothing at all on a usage error
     assert {path.name for path in tmp_path.iterdir()} <= {"input.json", "out"}
+    if expected == 2:
+        assert not (tmp_path / "out").exists()
 
 
 def test_simulate_abort_keeps_partial_log(capsys, tmp_path):

@@ -1,17 +1,31 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from tapearm.model import (
+    BOUND_EPS,
+    CABLE_RANGE_SLACK,
     DEFAULT_PARAMS,
     CablePair,
+    CableRangeError,
     ControlState,
     JointState,
+    validate_state,
 )
 from tapearm.planner import ControlProfile, RateCommand, control_from_state
+from tapearm.units import parse_angle
 from tapearm.simulator import (
+    INITIAL_CONSISTENCY_TOL,
+    LOG_COLUMNS,
     LOG_CSV_HEADER,
+    MAX_LOG_ROWS,
+    Abort,
+    CheckResult,
+    LogRow,
     Scenario,
     ScenarioError,
     SimState,
@@ -25,6 +39,136 @@ from tapearm.simulator import (
 )
 
 PARAMS = DEFAULT_PARAMS
+
+
+# --- reference loop: the per-row simulator the columnar one replaces -------
+
+def _evaluate_segment_loop(start, rates, t_rels, datum, params):
+    t0, q1_0, q2_0, cL_0, cR_0 = start
+    q1_rate, q2_rate, cL_rate, cR_rate = rates
+    l1_0, l2_0 = datum
+    d = params.cable_offset
+    four_d = 4.0 * d
+    two_d = 2.0 * d
+    ratio_cap = 1.0 + CABLE_RANGE_SLACK
+    l1_floor = params.l1_min - BOUND_EPS
+    l2_floor = params.l2_min - BOUND_EPS
+    total_cap = params.max_total_length + BOUND_EPS
+    theta_cap = params.theta_limit + BOUND_EPS
+    for t_rel in t_rels:
+        q1 = q1_0 + q1_rate * t_rel
+        q2 = q2_0 + q2_rate * t_rel
+        cL = cL_0 + cL_rate * t_rel
+        cR = cR_0 + cR_rate * t_rel
+        l1 = q1 + q2 + l1_0
+        l2 = -q2 + l2_0
+        ratio = (cL - cR) / four_d
+        if abs(ratio) > ratio_cap:
+            raise CableRangeError(
+                f"cable differential {cL - cR:.9g} m is outside the +/-{four_d:.9g} m "
+                f"range reachable at offset d={d:.9g} m")
+        theta = 2.0 * math.asin(max(-1.0, min(1.0, ratio)))
+        total = l1 + l2
+        if l1 < l1_floor or l2 < l2_floor or total > total_cap or abs(theta) > theta_cap:
+            violations = tuple(validate_state(JointState(l1, l2, theta), params))
+        else:
+            violations = ()
+        yield LogRow(t0 + t_rel, q1, q2, cL, cR, l1, l2, theta,
+                     l2 * math.sin(theta), l1 + l2 * math.cos(theta),
+                     abs(cL - (total + two_d * math.sin(0.5 * theta))), violations)
+
+
+def _check_loop(name, rows, arg):
+    if name in ("l1_constant", "bend_point_constant"):
+        drift = max(abs(row.l1 - rows[0].l1) for row in rows)
+        return drift, f"max |l1 - l1(0)| = {drift:.3g} m"
+    if name == "eq3_residual":
+        residual = max(row.eq3_residual for row in rows)
+        return residual, f"max cable consistency residual = {residual:.3g} m"
+    if name == "l1_growth_equals_node_drive":
+        growth = rows[-1].l1 - rows[0].l1
+        node_drive = rows[-1].q2 - rows[0].q2
+        mismatch = abs(growth - node_drive)
+        if growth <= 0.0:
+            return math.inf, f"l1 did not grow (change {growth:.3g} m)"
+        return mismatch, (f"l1 grew {growth:.6g} m vs node drive {node_drive:.6g} m "
+                          f"(mismatch {mismatch:.3g} m)")
+    if "theta" in name:
+        target = parse_angle(arg, default_unit="rad")
+        if name == "theta_constant":
+            deviation = max(abs(row.theta - target) for row in rows)
+            return deviation, f"max |theta - {target:.6g} rad| = {deviation:.3g} rad"
+        if name == "final_theta":
+            deviation = abs(rows[-1].theta - target)
+            return deviation, f"|final theta - {target:.6g} rad| = {deviation:.3g} rad"
+        closest = min(abs(row.theta - target) for row in rows)
+        return closest, f"closest approach to theta={target:.6g} rad is {closest:.3g} rad"
+    x, y = map(float, arg[1:-1].split(","))
+    if name == "target":
+        miss = math.hypot(rows[-1].x - x, rows[-1].y - y)
+        return miss, f"final pose misses ({x:.6g}, {y:.6g}) m by {miss:.3g} m"
+    if name == "visits_target":
+        miss = min(math.hypot(row.x - x, row.y - y) for row in rows)
+        return miss, f"closest approach to ({x:.6g}, {y:.6g}) m is {miss:.3g} m"
+    miss = max(math.hypot(row.x - x, row.y - y) for row in rows)
+    return miss, f"max distance from ({x:.6g}, {y:.6g}) m is {miss:.3g} m"
+
+
+def _evaluate_check_loop(text, rows):
+    expect_fail, name, arg, tol, _ = parse_check(text)
+    observed, detail = _check_loop(name, rows, arg)
+    passed = observed <= tol
+    if expect_fail:
+        outcome = "failed as expected" if not passed else "unexpectedly passed"
+        return CheckResult(text, not passed, observed, tol, f"inner check {outcome}: {detail}")
+    return CheckResult(text, passed, observed, tol, detail)
+
+
+def _run_scenario_loop(scenario):
+    """(rows, checks, boundary_indices, abort) as the per-row simulator logged them."""
+    params = scenario.params
+    initial = scenario.initial
+    datum = (initial.control.l1_0, initial.control.l2_0)
+    start = (initial.time, initial.control.q1, initial.control.q2,
+             initial.cables.c_L, initial.cables.c_R)
+    rows = list(_evaluate_segment_loop(start, (0.0,) * 4, (-0.0,), datum, params))
+    if rows[0].eq3_residual > INITIAL_CONSISTENCY_TOL:
+        raise ScenarioError("initial state is inconsistent: cable sum does not "
+                            "match the link lengths")
+    boundary_indices = []
+    abort = None
+    for index, (duration, command) in enumerate(scenario.profile.segments):
+        n = round(duration / scenario.dt)
+        t_rels = [duration if k == n else k * scenario.dt for k in range(1, n + 1)]
+        rates = (command.q1_rate, command.q2_rate, command.cL_rate, command.cR_rate)
+        last = rows[-1]
+        first = len(rows)
+        try:
+            for row in _evaluate_segment_loop((last.t, last.q1, last.q2, last.cL, last.cR),
+                                              rates, t_rels, datum, params):
+                rows.append(row)
+        except CableRangeError as exc:
+            abort = Abort(last.t + t_rels[len(rows) - first], str(exc))
+            break
+        end = rows[-1]
+        if not all(map(math.isfinite, (end.q1, end.q2, end.cL, end.cR,
+                                       end.l1, end.l2, end.x, end.y))):
+            raise ScenarioError(f"segment {index} drives the state to non-finite values")
+        boundary_indices.append(len(rows) - 1)
+    checks = ([_evaluate_check_loop(check, rows) for check in scenario.checks]
+              if abort is None else [])
+    return rows, checks, boundary_indices, abort
+
+
+def _log_csv_loop(rows):
+    lines = [LOG_CSV_HEADER + "\n"]
+    for row in rows:
+        violations = ";".join(str(v) for v in row.violations)
+        fields = [repr(value) for value in
+                  (row.t, row.q1, row.q2, row.cL, row.cR, row.l1, row.l2,
+                   row.theta, row.x, row.y, row.eq3_residual)]
+        lines.append(",".join(fields + [violations]) + "\n")
+    return "".join(lines)
 
 
 def _start(l1=0.3, l2=0.5, theta=0.0):
@@ -140,7 +284,9 @@ def test_scenario_rejects_fractional_step_counts():
         Scenario("bad", PARAMS, _start(), profile, dt=0.01)
 
 
-@pytest.mark.parametrize("name", ["", ".", "..", "a/b", "../up", "/abs/path"])
+@pytest.mark.parametrize("name", ["", ".", "..", "a/b", "../up", "/abs/path",
+                                  # and names that are no file name
+                                  "a\0b", "a" * 244, "\udc80", "\ud800x"])
 def test_scenario_rejects_names_that_leave_the_output_directory(name):
     with pytest.raises(ScenarioError, match="scenario name"):
         Scenario(name, PARAMS, _start(), ControlProfile(()))
@@ -262,3 +408,140 @@ def test_make_state_derives_joint_from_cables():
     state = make_state(control, cables, PARAMS)
     assert state.joint.theta == pytest.approx(joint.theta, abs=1e-12)
     assert _run(state).final.eq3_residual <= 1e-12
+
+
+def test_rows_view_behaves_like_the_row_list():
+    log = _run(_start(), (12.0, RateCommand(q1_rate=-0.1, cL_rate=-0.1, cR_rate=-0.1)))
+    rows = log.rows
+    listed = list(rows)
+    assert len(rows) == len(listed) == 1201
+    assert rows[-1] == listed[-1] == log.final and rows[-1201] == listed[0]
+    assert rows[1:4] == listed[1:4] and rows[::-400] == listed[::-400]
+    assert all(isinstance(value, float) for value in dataclasses.astuple(rows[7])[:-1])
+    with pytest.raises(IndexError):
+        rows[1201]
+    with pytest.raises(IndexError):
+        rows[-1202]
+    assert [i for i, row in enumerate(rows) if row.violations] == sorted(rows.violations)
+    assert rows == _run(_start(), (12.0, RateCommand(q1_rate=-0.1, cL_rate=-0.1,
+                                                      cR_rate=-0.1))).rows
+    assert rows != _run(_start(), (12.0, RateCommand(q1_rate=-0.1))).rows
+    assert list(rows.column("l1")) == [row.l1 for row in listed]
+    with pytest.raises(ValueError, match="read-only"):
+        rows.column("l1")[0] = 1.0
+
+
+def test_scenario_row_budget_is_checked_before_running():
+    dt = 0.001
+    fits = (round((MAX_LOG_ROWS - 1) * dt, 9), RateCommand())
+    Scenario("fits", PARAMS, _start(), ControlProfile((fits,)), dt)
+    with pytest.raises(ScenarioError, match="row limit"):
+        Scenario("over", PARAMS, _start(), ControlProfile((fits, (dt, RateCommand()))), dt)
+    with pytest.raises(ScenarioError, match="row limit"):
+        Scenario("huge", PARAMS, _start(), ControlProfile(((1e9, RateCommand()),)), dt)
+
+
+def test_scenario_accepts_a_255_byte_file_name():
+    Scenario("\u00e9" * 121 + "a", PARAMS, _start(), ControlProfile(()))
+    Scenario("a" * 243, PARAMS, _start(), ControlProfile(()))
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_finite_states_grade_without_numpy_warnings():
+    # y reaches 1.7e308, so its distance from y = -1e308 overflows to inf
+    command = RateCommand(q1_rate=1.7e306, cL_rate=1.7e306, cR_rate=1.7e306)
+    checks = ("target_held:(0,-1e308)", "visits_target:(0,-1e308)")
+    log = _run(_start(), (100.0, command), dt=10.0, checks=checks)
+    assert [c.observed for c in log.checks] == [math.inf, 1e308 + 0.8]
+
+
+# --- the columnar log against the reference loop ----------------------------
+
+_ANGLE_CHECKS = ("theta_constant", "final_theta", "theta_visits")
+_POINT_CHECKS = ("target", "visits_target", "target_held")
+_PLAIN_CHECKS = ("l1_constant", "bend_point_constant", "eq3_residual",
+                 "l1_growth_equals_node_drive")
+
+
+@st.composite
+def _checks(draw):
+    name = draw(st.sampled_from(_ANGLE_CHECKS + _POINT_CHECKS + _PLAIN_CHECKS))
+    if name in _ANGLE_CHECKS:
+        name += f":{draw(st.floats(-1.6, 1.6))!r}rad"
+    elif name in _POINT_CHECKS:
+        name += f":({draw(st.floats(-1.0, 1.0))!r},{draw(st.floats(-0.5, 2.0))!r})"
+    tol = draw(st.sampled_from(["", ":1e-9", ":1e-3", ":0.1"]))
+    return draw(st.sampled_from(["", "expect_fail:"])) + name + tol
+
+
+_RATE = st.one_of(st.sampled_from([0.0, 0.05, -0.05]), st.floats(-0.3, 0.3))
+
+
+@st.composite
+def _scenarios(draw):
+    params = dataclasses.replace(
+        PARAMS, cable_offset=draw(st.floats(0.005, 0.05)),
+        theta_limit=draw(st.floats(0.2, 1.5)), l1_min=draw(st.floats(0.0, 0.3)),
+        l2_min=draw(st.floats(0.0, 0.2)), max_total_length=draw(st.floats(0.5, 3.0)))
+    q1, q2 = draw(st.floats(-0.3, 0.3)), draw(st.floats(-0.3, 0.3))
+    l1, l2 = draw(st.floats(0.1, 1.0)), draw(st.floats(0.1, 1.0))
+    control = ControlState(q1, q2, l1 - q1 - q2, l2 + q2)
+    start = initial_state(control, draw(st.floats(-1.5, 1.5)), params,
+                          time=draw(st.floats(0.0, 100.0)))
+    drift = draw(st.sampled_from([0.0, 0.0, 0.0, 4e-10, 1e-3]))  # 1e-3: inconsistent
+    if drift:
+        start = make_state(control, CablePair(start.cables.c_L + drift, start.cables.c_R),
+                           params, start.time)
+    dt = draw(st.sampled_from([0.001, 0.01, 0.02, 0.05, 0.1, 0.3]))
+    legs = draw(st.lists(st.tuples(st.integers(1, 300), _RATE, _RATE, _RATE, _RATE),
+                         max_size=3))
+    profile = ControlProfile(tuple((steps * dt, RateCommand(*rates))
+                                   for steps, *rates in legs))
+    checks = tuple(draw(st.lists(_checks(), min_size=1, max_size=4)))
+    try:
+        return Scenario("random", params, start, profile, dt, checks)
+    except ScenarioError:
+        assume(False)
+
+
+def _example(*segments, dt=0.01, checks=("eq3_residual", "visits_target:(0.1,0.7)")):
+    return Scenario("example", PARAMS, _start(theta=0.2), ControlProfile(segments), dt, checks)
+
+
+_BEND = 4.0 * PARAMS.cable_offset
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_scenarios())
+# retracts past zero length: every late row breaks l1_min
+@example(_example((12.0, RateCommand(q1_rate=-0.1, cL_rate=-0.1, cR_rate=-0.1))))
+# the cable differential leaves the +/-4d range mid-segment
+@example(_example((1.0, RateCommand()), (1.0, RateCommand(cL_rate=_BEND, cR_rate=-_BEND))))
+# a distance whose last bit math.hypot and np.hypot round differently
+@example(_example((0.1, RateCommand()), checks=("visits_target:(0.93,0.504)",
+                                                "target_held:(0.93,0.504)")))
+# the rates overflow the state to inf
+@example(_example((1e10, RateCommand(q1_rate=1e300)), dt=1e10))
+@example(_example((1e10, RateCommand(cL_rate=1e300, cR_rate=1e300)), dt=1e10))
+def test_columnar_log_matches_reference_loop(tmp_path_factory, scenario):
+    try:
+        rows, checks, boundary_indices, abort = _run_scenario_loop(scenario)
+    except ValueError as exc:  # ScenarioError, or a JointState of an overflowed row
+        with pytest.raises(ValueError) as raised:
+            run_scenario(scenario)
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+        return
+    log = run_scenario(scenario)
+    for name in LOG_COLUMNS:
+        assert ([value.hex() for value in log.rows.column(name).tolist()]
+                == [getattr(row, name).hex() for row in rows]), name
+    assert log.rows.violations == {i: row.violations for i, row in enumerate(rows)
+                                   if row.violations}
+    assert log.boundary_indices == boundary_indices
+    assert log.abort == abort and (abort is None or log.abort.time.hex() == abort.time.hex())
+    assert ([(c.check, c.passed, c.observed.hex(), c.threshold, c.detail) for c in log.checks]
+            == [(c.check, c.passed, c.observed.hex(), c.threshold, c.detail) for c in checks])
+    path = tmp_path_factory.mktemp("log") / "log.csv"
+    log_to_csv(log, path)
+    assert path.read_bytes() == _log_csv_loop(rows).encode()
