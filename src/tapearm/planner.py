@@ -18,12 +18,7 @@ from .model import (
     forward_kinematics,
     link_lengths,
 )
-from .workspace import (
-    STRAIGHT_X_TOL,
-    feasible_theta_interval,
-    ik_at_theta,
-    min_end_effector_angle,
-)
+from .workspace import STRAIGHT_X_TOL, feasible_theta_interval, ik_at_theta
 
 
 class PlanningError(ValueError):
@@ -103,9 +98,8 @@ def ik_enumerate(point, params: ManipulatorParams, count: int) -> list[JointStat
     """Up to ``count`` distinct configurations reaching ``point``.
 
     Angles are sampled uniformly across the feasible interval starting at the
-    minimum-angle endpoint. Straight-line points collapse to the single
-    configuration at their minimum angle (straight, or a bend of a
-    zero-length link 2); unreachable points give an empty list. Every
+    minimum-angle endpoint. Points on the midline collapse to the single
+    straight configuration; unreachable points give an empty list. Every
     returned state is verified to hit the point under forward kinematics.
     """
     if count < 1:
@@ -115,9 +109,7 @@ def ik_enumerate(point, params: ManipulatorParams, count: int) -> list[JointStat
         return []
     x = point[0]
     if abs(x) <= STRAIGHT_X_TOL:
-        # one configuration: straight, or bent with a zero-length link 2
-        # where the straight split is infeasible
-        thetas = [min_end_effector_angle(point, params)]
+        thetas = [0.0]
     else:
         interval = intervals[0]
         start, stop = (interval.lo, interval.hi) if x > 0 else (interval.hi, interval.lo)

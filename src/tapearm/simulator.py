@@ -48,7 +48,7 @@ from .planner import (
     stationary_bend_rates,
 )
 from .units import parse_angle
-from .workspace import feasible_theta_interval, ik_at_theta
+from .workspace import _map_math, feasible_theta_interval, ik_at_theta
 
 INITIAL_CONSISTENCY_TOL = 1e-9
 
@@ -255,16 +255,6 @@ class TrajectoryLog:
     @property
     def final(self) -> LogRow:
         return self.rows[-1]
-
-
-def _map_math(function, values):
-    """``function`` applied to each float of ``values``, as a float64 array.
-
-    The math module's libm calls, not numpy's own loops: np.arcsin differs
-    from math.asin in the last bit on about 8 % of inputs, and np.sin and
-    np.cos may differ from math.sin and math.cos, depending on the build.
-    """
-    return np.fromiter(map(function, values.tolist()), float, len(values))
 
 
 def _evaluate_rows(out, row0, start, rates, t_rels, datum, params: ManipulatorParams,

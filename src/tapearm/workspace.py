@@ -8,8 +8,11 @@ For a target (x, y) with x != 0, the bend angle fixes both link lengths:
 On (0, pi) with x > 0 both l1 and the total length grow monotonically with
 theta, so the feasible angles form a single interval: bounded below by the
 minimum-l1 constraint and above by the length budget, the hinge limit, and
-(when l2_min > 0) the minimum-l2 constraint. Negative x mirrors the analysis;
-x = 0 rides the straight-arm branch.
+(when l2_min > 0) the minimum-l2 constraint. Negative x mirrors the analysis.
+Targets within STRAIGHT_X_TOL of x = 0 count as on the midline, where l1 = y
+and l2 = 0 at every bent angle, besides the straight arm at theta = 0.
+
+The length bounds carry a LENGTH_TOL slack, but never below zero length.
 
 ``sweep_feasible_intervals`` is the module's brute-force oracle: it tests the
 same per-angle feasibility predicate on a dense angle lattice, with no
@@ -25,7 +28,8 @@ import numpy as np
 
 from .model import BOUND_EPS, JointState, ManipulatorParams
 
-# Targets with |x| at or below this ride the theta = 0 straight-arm branch.
+# Targets with |x| at or below this count as on the midline: they ride the
+# theta = 0 straight-arm branch, and bent, link 2 has zero length.
 STRAIGHT_X_TOL = 1e-9
 
 # Feasibility slack on the length bounds. Boundary configurations quoted at
@@ -36,14 +40,15 @@ LENGTH_TOL = 1e-3
 # Angular slack when checking the hinge limit.
 ANGLE_TOL = 1e-9
 
-# Smallest positive bend angle: the bent angle closest to straight.
-_SMALLEST_ANGLE = math.ulp(0.0)
-
 GRID_CSV_HEADER = "x_m,y_m,reachable,min_angle_rad"
 
 # Largest grid compute_grid accepts, in cells (50x the 80 000-cell map of
 # --bounds -2 2 0 2 --resolution 0.01), so time and memory stay bounded.
 MAX_GRID_CELLS = 4_000_000
+
+# compute_grid evaluates the mesh this many cells at a time, so its
+# temporaries and Python float lists stay bounded whatever the grid size.
+_BLOCK_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -67,9 +72,10 @@ class AngleInterval:
 
 def _feasible(l1: float, l2: float, theta: float, params: ManipulatorParams,
               length_tol: float) -> bool:
+    # The slackened lower length bounds stop at zero length.
     return (math.isfinite(l1) and math.isfinite(l2)
-            and l1 >= params.l1_min - length_tol - BOUND_EPS
-            and l2 >= params.l2_min - length_tol - BOUND_EPS
+            and l1 >= params.l1_min - length_tol - BOUND_EPS and l1 >= -BOUND_EPS
+            and l2 >= params.l2_min - length_tol - BOUND_EPS and l2 >= -BOUND_EPS
             and l1 + l2 <= params.max_total_length + length_tol + BOUND_EPS
             and abs(theta) <= params.theta_limit + ANGLE_TOL)
 
@@ -78,36 +84,45 @@ def ik_at_theta(point, theta: float, params: ManipulatorParams,
                 length_tol: float = LENGTH_TOL) -> JointState | None:
     """Joint state reaching ``point`` at bend angle ``theta``, or None.
 
-    Infeasibility is a value, not an error. theta = 0 admits only straight
-    targets (|x| within STRAIGHT_X_TOL); the length split then maximizes l2,
-    matching the deployment bias of growing from the base (every split is
-    kinematically equivalent at theta = 0).
+    Infeasibility is a value, not an error. A target within STRAIGHT_X_TOL
+    of the midline counts as on it at every angle: link 2 has zero length
+    when bent. theta = 0 admits only such targets; the length split then
+    maximizes l2 with l1 >= l1_min, matching the deployment bias of growing
+    from the base (every split is kinematically equivalent at theta = 0),
+    and where that leaves link 2 below its slackened floor, link 1 gives up
+    length within its own slack instead. No length comes back negative: l1
+    within BOUND_EPS below zero is returned as zero.
     """
     x, y = point
-    if theta == 0.0:
-        if abs(x) > STRAIGHT_X_TOL:
+    if not abs(x) <= STRAIGHT_X_TOL:  # NaN x takes this branch and fails
+        if theta == 0.0:
             return None
-        l1 = max(params.l1_min, y - params.max_total_length + params.l1_min)
-        l2 = y - l1
-    else:
         l2 = x / math.sin(theta)
         l1 = y - x / math.tan(theta)
+    elif theta == 0.0:
+        l1 = min(max(params.l1_min, y - params.max_total_length + params.l1_min),
+                 y - max(params.l2_min - length_tol, 0.0))
+        l2 = y - l1
+    else:
+        l1, l2 = y, 0.0
     if not _feasible(l1, l2, theta, params, length_tol):
         return None
-    return JointState(l1, l2, theta)
+    return JointState(l1 if l1 > 0.0 else 0.0, l2, theta)
 
 
 def feasibility_mask(point, thetas, params: ManipulatorParams,
                      length_tol: float = LENGTH_TOL) -> np.ndarray:
     """Vectorized ik_at_theta feasibility over an array of bend angles."""
     x, y = point
+    if abs(x) <= STRAIGHT_X_TOL:
+        x = 0.0
     thetas = np.asarray(thetas, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         l2 = x / np.sin(thetas)
         l1 = y - x / np.tan(thetas)
         mask = (np.isfinite(l1) & np.isfinite(l2)
-                & (l1 >= params.l1_min - length_tol - BOUND_EPS)
-                & (l2 >= params.l2_min - length_tol - BOUND_EPS)
+                & (l1 >= params.l1_min - length_tol - BOUND_EPS) & (l1 >= -BOUND_EPS)
+                & (l2 >= params.l2_min - length_tol - BOUND_EPS) & (l2 >= -BOUND_EPS)
                 & (l1 + l2 <= params.max_total_length + length_tol + BOUND_EPS)
                 & (np.abs(thetas) <= params.theta_limit + ANGLE_TOL))
     zero = thetas == 0.0
@@ -153,26 +168,19 @@ def feasible_theta_interval(point, params: ManipulatorParams,
     """
     x, y = point
     if abs(x) <= STRAIGHT_X_TOL:
-        # On the midline l2 = 0 at every bent angle, so the probe at the
-        # hinge limit stands for all of them; it passes when l2_min is within
-        # the length slack. A feasible straight split (which maximizes l2)
-        # makes a point within STRAIGHT_X_TOL count as on the midline.
-        # Otherwise the bent angles of a point on the midline stop one float
-        # short of zero, and just off it only x's side is left, as in the
-        # general case below.
-        midline = (0.0, y)
-        limit = params.theta_limit
-        bent = ik_at_theta(midline, limit, params, length_tol) is not None
-        if ik_at_theta(midline, 0.0, params, length_tol) is not None:
-            return [AngleInterval(-limit, limit) if bent else AngleInterval(0.0, 0.0)]
-        if x == 0.0:
-            if bent:
-                return [AngleInterval(-limit, -_SMALLEST_ANGLE),
-                        AngleInterval(_SMALLEST_ANGLE, limit)]
+        # On the midline l1 = y and l2 = 0 at every bent angle, so the probe
+        # at the hinge limit stands for all of them; it passes only where
+        # the straight split does too.
+        if ik_at_theta(point, 0.0, params, length_tol) is None:
             return []
+        limit = params.theta_limit
+        if ik_at_theta(point, limit, params, length_tol) is None:
+            return [AngleInterval(0.0, 0.0)]
+        return [AngleInterval(-limit, limit)]
 
     ax = abs(x)
-    lo = math.atan2(ax, y - (params.l1_min - length_tol))
+    l1_floor = params.l1_min - length_tol
+    lo = math.atan2(ax, y - (l1_floor if l1_floor > 0.0 else 0.0))
     hi = min(params.theta_limit,
              2.0 * math.atan2(params.max_total_length + length_tol - y, ax))
     l2_floor = params.l2_min - length_tol
@@ -247,14 +255,32 @@ def grid_centers(lo: float, hi: float, n: int, resolution: float) -> np.ndarray:
     return np.array([center + (i - 0.5 * (n - 1)) * resolution for i in range(n)])
 
 
+def _map_math(function, *arrays) -> np.ndarray:
+    """``function`` applied to the broadcast floats of ``arrays``, as float64.
+
+    The math module's libm calls, not numpy's own loops, so vectorized code
+    keeps the scalar path's values bit for bit: np.arcsin differs from
+    math.asin in the last bit on about 8 % of inputs, np.arctan2 from
+    math.atan2 on about 2 % of grid cells, and np.sin and np.cos may differ
+    from math.sin and math.cos, depending on the build.
+    """
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    lists = [np.broadcast_to(a, shape).ravel().tolist() for a in arrays]
+    return np.fromiter(map(function, *lists), float, math.prod(shape)).reshape(shape)
+
+
 def compute_grid(params: ManipulatorParams, bounds, resolution: float,
                  length_tol: float = LENGTH_TOL) -> WorkspaceGrid:
     """Evaluate reachability and minimum angle on square cells over ``bounds``.
 
-    bounds = (x_min, x_max, y_min, y_max). Cell evaluation is independent per
-    cell, so the result does not depend on evaluation order. Raises
-    ValueError on non-finite input, and on a grid over MAX_GRID_CELLS cells
-    (an empty axis counts as one cell wide) before allocating it.
+    bounds = (x_min, x_max, y_min, y_max). Off the midline a cell's minimum
+    angle is the closed-form lo of feasible_theta_interval, signed like x, and
+    it is reachable iff lo <= hi; these are evaluated over blocks of at most
+    _BLOCK_CELLS cells in the scalar path's operation order, so every value
+    equals min_end_effector_angle's bit for bit. Cells within STRAIGHT_X_TOL
+    of the midline call min_end_effector_angle. Raises ValueError on
+    non-finite input, and on a grid over MAX_GRID_CELLS cells (an empty axis
+    counts as one cell wide) before allocating it.
     """
     if not (resolution > 0 and math.isfinite(resolution)):
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
@@ -276,12 +302,35 @@ def compute_grid(params: ManipulatorParams, bounds, resolution: float,
     ys = grid_centers(y_min, y_max, ny, resolution)
     reach = np.zeros((ny, nx), dtype=bool)
     angle = np.full((ny, nx), math.nan)
-    for iy, y in enumerate(ys):
-        for ix, x in enumerate(xs):
-            minimum = min_end_effector_angle((float(x), float(y)), params, length_tol)
-            if minimum is not None:
-                reach[iy, ix] = True
-                angle[iy, ix] = minimum
+    ax = np.abs(xs)
+    # hi's bounds that do not depend on y: the hinge limit and the l2 floor
+    hi_cap = np.full(nx, params.theta_limit)
+    l2_floor = params.l2_min - length_tol
+    if l2_floor > 0.0:
+        ratio = ax / l2_floor
+        capped = ratio < 1.0
+        hi_cap[capped] = np.minimum(hi_cap[capped], _map_math(math.asin, ratio[capped]))
+    l1_floor = params.l1_min - length_tol
+    l1_floor = l1_floor if l1_floor > 0.0 else 0.0
+    total = params.max_total_length + length_tol
+    cols = max(1, min(nx, _BLOCK_CELLS))
+    rows = max(1, _BLOCK_CELLS // cols)
+    for r0 in range(0, ny, rows):
+        block_ys = ys[r0:r0 + rows, None]
+        for c0 in range(0, nx, cols):
+            block = (slice(r0, r0 + rows), slice(c0, c0 + cols))
+            bx = ax[c0:c0 + cols]
+            lo = _map_math(math.atan2, bx, block_ys - l1_floor)
+            hi = np.minimum(hi_cap[c0:c0 + cols],
+                            2.0 * _map_math(math.atan2, total - block_ys, bx))
+            reach[block] = lo <= hi
+            angle[block] = np.where(reach[block], np.copysign(lo, xs[c0:c0 + cols]), math.nan)
+    for ix in np.flatnonzero(ax <= STRAIGHT_X_TOL).tolist():
+        x = float(xs[ix])
+        for iy, y in enumerate(ys.tolist()):
+            minimum = min_end_effector_angle((x, y), params, length_tol)
+            reach[iy, ix] = minimum is not None
+            angle[iy, ix] = math.nan if minimum is None else minimum
     return WorkspaceGrid(xs=xs, ys=ys, reachable=reach, min_angle=angle,
                          resolution=resolution, bounds=tuple(bounds))
 

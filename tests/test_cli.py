@@ -6,7 +6,13 @@ import sys
 import pytest
 
 from tapearm.cli import main
-from tapearm.model import DEFAULT_PARAMS, JointState, cable_lengths, forward_kinematics
+from tapearm.model import (
+    DEFAULT_PARAMS,
+    JointState,
+    ManipulatorParams,
+    cable_lengths,
+    forward_kinematics,
+)
 from tapearm.serialization import save_params, save_scenario
 from tapearm.simulator import builtin_scenarios
 
@@ -79,6 +85,34 @@ def test_ik_unreachable(capsys):
     code, out = _run(capsys, ["ik", "0.0", "2.5"])
     assert code == 1
     assert "unreachable" in out
+
+
+def test_ik_below_l1_min_takes_link_1_slack(capsys):
+    code, out = _run(capsys, ["ik", "0", "0.0755"])
+    assert code == 0
+    assert _values(out) == {"l1_m": "0.0755", "l2_m": "0", "theta_deg": "0"}
+
+
+@pytest.mark.parametrize("l1_min, l2_min", [(0.076, 0.0), (0.076, 0.0005), (0.0005, 0.0003)])
+def test_ik_on_the_midline_prints_no_negative_length(capsys, tmp_path, l1_min, l2_min):
+    params = ManipulatorParams(l1_min=l1_min, l2_min=l2_min)
+    params_path = tmp_path / "params.json"
+    save_params(params, params_path)
+    reached = 0
+    heights = [l1_min + dy for dy in (-0.0012, -0.001, -0.0007, -0.0005, -1e-12, 0.0,
+                                      0.0003, 0.0007, 0.001)]
+    for y in map(repr, heights + [-1e-13]):  # l1 = y is within BOUND_EPS of zero
+        for argv in (["--", "0", y], ["--", "-0.0", y], ["--", "1e-10", y],
+                     ["--theta=-10deg", "--", "0", y]):
+            code, out = _run(capsys, ["--params", str(params_path), "ik", *argv])
+            values = _values(out)
+            if code == 0:
+                reached += 1
+                assert not values["l1_m"].startswith("-"), (argv, out)
+                assert not values["l2_m"].startswith("-"), (argv, out)
+            else:
+                assert code == 1 and "infeasible" in out
+    assert reached >= 20
 
 
 def test_cables_command(capsys):

@@ -97,10 +97,12 @@ def test_ik_enumerate_midline_and_unreachable():
     assert ik_enumerate((0.0, 2.5), PARAMS, 5) == []
     with pytest.raises(ValueError):
         ik_enumerate((0.5, 1.0), PARAMS, 0)
-    # the straight split is infeasible here, a zero-length link 2 is not
+    # below l1_min the straight split takes link 1's slack, leaving link 2
+    # at zero length, not below it
     params = ManipulatorParams(l2_min=0.0005)
-    (bent,) = ik_enumerate((0.0, params.l1_min - 0.0007), params, 7)
-    assert bent.theta != 0.0 and bent.l2 == 0.0
+    (straight,) = ik_enumerate((0.0, params.l1_min - 0.0007), params, 7)
+    assert straight.theta == 0.0 and straight.l1 == params.l1_min - 0.0007
+    assert straight.l2 == 0.0
 
 
 def test_ik_enumerate_starts_at_minimum_angle():

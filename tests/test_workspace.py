@@ -1,12 +1,19 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tapearm import workspace
-from tapearm.model import BOUND_EPS, DEFAULT_PARAMS, ManipulatorParams, forward_kinematics
+from tapearm.model import (
+    BOUND_EPS,
+    DEFAULT_PARAMS,
+    JointState,
+    ManipulatorParams,
+    forward_kinematics,
+)
 from tapearm.workspace import (
     ANGLE_TOL,
     LENGTH_TOL,
@@ -65,26 +72,23 @@ def test_feasible_interval_midline_with_l2_floor():
 
 
 def test_feasible_interval_midline_with_zero_length_link2():
-    # l2_min within the slack and the node below l1_min + l2_min: the
-    # straight split (l1 = l1_min) leaves link 2 too short, but every bent
-    # angle reaches the point with a zero-length link 2.
+    # l2_min within the slack and the node below l1_min: link 1 gives up
+    # length within its slack, so the straight split has a zero-length link 2,
+    # and so has every bent angle.
     params = ManipulatorParams(l2_min=0.0005)
     point = (0.0, params.l1_min - 0.0007)
-    assert ik_at_theta(point, 0.0, params) is None
+    assert ik_at_theta(point, 0.0, params) == JointState(point[1], 0.0, 0.0)
     assert ik_at_theta(point, params.theta_limit, params) is not None
-    tiny = math.ulp(0.0)
     assert feasible_theta_interval(point, params) == [
-        AngleInterval(-params.theta_limit, -tiny), AngleInterval(tiny, params.theta_limit)]
-    theta = min_end_effector_angle(point, params)
-    assert abs(theta) == tiny and ik_at_theta(point, theta, params) is not None
+        AngleInterval(-params.theta_limit, params.theta_limit)]
+    assert min_end_effector_angle(point, params) == 0.0
     swept = sweep_feasible_intervals(point, params, step=math.radians(1.0))
-    assert [(s.lo > 0, s.hi > 0) for s in swept] == [(False, False), (True, True)]
-    # just off the midline only x's side is feasible
+    assert [(s.lo, s.hi) for s in swept] == [(-math.radians(55.0), math.radians(55.0))]
+    # within STRAIGHT_X_TOL of the midline counts as on it, at every angle
     for x in (1e-10, -1e-10):
-        (interval,) = feasible_theta_interval((x, point[1]), params)
-        assert interval.lo * x > 0 and interval.hi * x > 0
-        assert ik_at_theta((x, point[1]), min_end_effector_angle((x, point[1]), params),
-                           params) is not None
+        assert feasible_theta_interval((x, point[1]), params) == feasible_theta_interval(
+            point, params)
+        assert ik_at_theta((x, point[1]), -0.5, params) == JointState(point[1], 0.0, -0.5)
     # below the slack on l1_min nothing is left
     assert feasible_theta_interval((0.0, params.l1_min - 0.0011), params) == []
 
@@ -151,51 +155,49 @@ def _params_and_points(draw):
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_params_and_points())
+# within STRAIGHT_X_TOL of the midline with l2_min at the slack: the far
+# side holds because the point counts as on the midline, where link 2 has
+# zero length at every bent angle, not a negative one
+@example((ManipulatorParams(l2_min=0.001), LENGTH_TOL, [(1e-10, 1.0), (-1e-10, 1.0)]))
 def test_closed_form_interval_matches_sweep_oracle(case):
     params, length_tol, points = case
     step = math.radians(0.01)
     n = int(params.theta_limit / step + 1e-9)
     thetas = np.arange(-n, n + 1) * step  # the sweep's lattice
     for point in points:
-        x, y = point
         closed = feasible_theta_interval(point, params, length_tol)
-        # A point on the midline, or within STRAIGHT_X_TOL of it where the
-        # straight split is feasible, counts as x = 0 on both sides of it.
-        # Elsewhere the closed form covers angles on x's side of the
-        # midline: opposite them link 2 has negative length, which the
-        # predicate admits only within the length slack; those angles are
-        # left out here.
-        on_midline = abs(x) <= STRAIGHT_X_TOL and (
-            x == 0.0 or ik_at_theta(point, 0.0, params, length_tol) is not None)
-        oracle = (0.0, y) if on_midline else point
-        compared = np.full(thetas.shape, True) if on_midline else thetas * x > 0
         for c in closed:
             for theta in (c.lo, 0.5 * (c.lo + c.hi), c.hi):
-                assert ik_at_theta(oracle, theta, params, length_tol) is not None
+                assert ik_at_theta(point, theta, params, length_tol) is not None
         in_closed = np.zeros(thetas.shape, dtype=bool)
         for c in closed:
             in_closed |= (thetas >= c.lo) & (thetas <= c.hi)
         in_sweep = np.zeros(thetas.shape, dtype=bool)
-        for s in sweep_feasible_intervals(oracle, params, step, length_tol):
+        for s in sweep_feasible_intervals(point, params, step, length_tol):
             in_sweep |= (thetas >= s.lo) & (thetas <= s.hi)
         # The two may disagree only where a bound holds to within its slack:
         # ANGLE_TOL on the hinge limit, BOUND_EPS on the lengths.
-        assert not np.any(in_closed & ~compared)
-        for theta in thetas[(in_closed != in_sweep) & compared]:
+        for theta in thetas[in_closed != in_sweep]:
             if abs(abs(theta) - params.theta_limit) <= ANGLE_TOL:
                 continue
-            assert ik_at_theta(oracle, theta, params, length_tol - 2 * BOUND_EPS) is None
-            assert ik_at_theta(oracle, theta, params, length_tol + 2 * BOUND_EPS) is not None
+            assert ik_at_theta(point, theta, params, length_tol - 2 * BOUND_EPS) is None
+            assert ik_at_theta(point, theta, params, length_tol + 2 * BOUND_EPS) is not None
 
 
 def test_feasibility_mask_matches_scalar_predicate():
     rng = np.random.default_rng(9)
     thetas = np.concatenate([[0.0], rng.uniform(-1.0, 1.0, 200)])
-    for _ in range(20):
-        point = (rng.uniform(-1.5, 1.5), rng.uniform(0.0, 2.0))
-        mask = feasibility_mask(point, thetas, PARAMS)
-        scalar = np.array([ik_at_theta(point, float(t), PARAMS) is not None for t in thetas])
-        assert np.array_equal(mask, scalar)
+    for params in (PARAMS, ManipulatorParams(l1_min=0.0, l2_min=0.0005)):
+        points = [(rng.uniform(-1.5, 1.5), rng.uniform(0.0, 2.0)) for _ in range(20)]
+        # off the midline by less than the length slack, which must not let
+        # link 2 go negative on the far side of the midline
+        points += [(1e-4, 0.5), (-1e-4, 0.5), (1e-4, 1e-4)]
+        for point in points:
+            mask = feasibility_mask(point, thetas, params)
+            scalar = np.array([ik_at_theta(point, float(t), params) is not None
+                               for t in thetas])
+            assert np.array_equal(mask, scalar)
+            assert not np.any(mask & (thetas * point[0] < 0))
 
 
 def test_min_angle_sign_and_mirror():
@@ -285,6 +287,47 @@ def test_compute_grid_cell_limit(monkeypatch):
                                ((0.0, 1.0, 0.0, 1.0), math.inf)):
         with pytest.raises(ValueError, match="finite"):
             compute_grid(PARAMS, bounds, resolution)
+
+
+@st.composite
+def _grid_cases(draw):
+    bound = st.one_of(st.just(0.0), st.floats(0.0, 0.5))
+    # l2_min inside the length slack, or past it so the asin bound is active
+    l2_bound = st.one_of(bound, st.floats(0.0, LENGTH_TOL), st.floats(LENGTH_TOL, 0.05))
+    params = ManipulatorParams(theta_limit=draw(st.floats(0.05, math.pi / 2)),
+                               l1_min=draw(bound), l2_min=draw(l2_bound),
+                               max_total_length=draw(st.floats(0.05, 7.62)))
+    scale = params.max_total_length
+    nx, ny = draw(st.integers(1, 25)), draw(st.integers(1, 25))
+    resolution = draw(st.floats(0.01, 0.3)) * scale
+    # centred on the midline (odd nx puts a column at x = 0), within
+    # STRAIGHT_X_TOL of it, or anywhere
+    cx = draw(st.one_of(st.just(0.0), st.floats(-STRAIGHT_X_TOL, STRAIGHT_X_TOL),
+                        st.floats(-1.0, 1.0).map(lambda f: f * scale)))
+    y0 = draw(st.floats(-0.2, 1.0)) * scale
+    half = 0.5 * nx * resolution
+    bounds = (cx - half, cx + half, y0, y0 + ny * resolution)
+    block = draw(st.sampled_from([1, 7, 64, workspace._BLOCK_CELLS]))
+    return params, draw(st.sampled_from([0.0, LENGTH_TOL])), bounds, resolution, block
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_grid_cases())
+# 21 columns, one at x = 0 or 5e-10 off it, in 13 blocks of 20 cells, with
+# the asin bound active for |x| < l2_min - LENGTH_TOL
+@example((ManipulatorParams(l2_min=0.05), LENGTH_TOL, (-0.21, 0.21, 0.0, 0.24), 0.02, 20))
+@example((ManipulatorParams(l2_min=0.05), LENGTH_TOL,
+          (5e-10 - 0.21, 5e-10 + 0.21, 0.0, 0.24), 0.02, 20))
+def test_compute_grid_matches_per_cell_min_angle(case):
+    params, length_tol, bounds, resolution, block = case
+    with mock.patch.object(workspace, "_BLOCK_CELLS", block):
+        grid = compute_grid(params, bounds, resolution, length_tol)
+    for iy, y in enumerate(grid.ys.tolist()):
+        for ix, x in enumerate(grid.xs.tolist()):
+            expected = min_end_effector_angle((x, y), params, length_tol)
+            assert grid.reachable[iy, ix] == (expected is not None)
+            got = float(grid.min_angle[iy, ix])
+            assert got.hex() == (math.nan if expected is None else expected).hex()
 
 
 def test_grid_sector_and_disk_shape():
