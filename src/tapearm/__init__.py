@@ -9,8 +9,9 @@ Modules:
 
 - model: value types, closed-form kinematic maps, mass/extension bookkeeping
 - stiffness: pinched and unpinched bending-moment models plus calibration
-- workspace: reachability and minimum end-effector-angle analysis
-- planner: inverse kinematics, configuration enumeration, rate coordination
+- workspace: inverse kinematics at a given angle, reachability and
+  minimum end-effector-angle analysis
+- planner: configuration enumeration, rate coordination, trajectory planning
 - simulator: quasi-static scenario execution with named checks
 - serialization: JSON codec for parameter and scenario files
 - svg: workspace heat maps and configuration overlays
@@ -50,7 +51,6 @@ from .planner import (
     SpeedLimits,
     controls_between,
     ik_enumerate,
-    ik_solve,
     plan_trajectory,
     stationary_bend_rates,
 )
@@ -80,7 +80,6 @@ from .workspace import (
     feasible_theta_interval,
     ik_at_theta,
     min_end_effector_angle,
-    reachable,
     sweep_feasible_intervals,
 )
 
@@ -93,7 +92,7 @@ __all__ = [
     "link_lengths", "mass_budget", "theta_from_cables", "validate_state",
     # planner
     "ControlProfile", "PlanningError", "RateCommand", "SpeedLimits",
-    "controls_between", "ik_enumerate", "ik_solve", "plan_trajectory",
+    "controls_between", "ik_enumerate", "plan_trajectory",
     "stationary_bend_rates",
     # simulator
     "Scenario", "ScenarioError", "SimState", "TrajectoryLog",
@@ -105,5 +104,5 @@ __all__ = [
     # workspace
     "AngleInterval", "WorkspaceGrid", "compute_grid",
     "feasible_theta_interval", "ik_at_theta", "min_end_effector_angle",
-    "reachable", "sweep_feasible_intervals",
+    "sweep_feasible_intervals",
 ]

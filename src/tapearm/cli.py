@@ -9,6 +9,7 @@ codes: 0 success, 1 failed checks or invalid states, 2 usage/parse errors,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -111,9 +112,12 @@ def _load_params(args):
 
 def _parse_cli_angle(text, args) -> float:
     try:
-        return parse_angle(text, default_unit=args.angle_unit)
+        angle = parse_angle(text, default_unit=args.angle_unit)
     except ValueError as exc:
         raise _UsageError(f"bad angle {text!r}: {exc}") from exc
+    if not math.isfinite(angle):
+        raise _UsageError(f"bad angle {text!r}: must be finite")
+    return angle
 
 
 def _print_violations(violations) -> None:
@@ -282,6 +286,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # argparse's float() accepts "nan" and "inf"
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise _UsageError(f"argument {name} must be a finite number, got {value}")
         return _COMMANDS[args.command](args, _load_params(args))
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

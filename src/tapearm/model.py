@@ -198,6 +198,22 @@ def _length_violations(l1: float, l2: float, params: ManipulatorParams) -> list[
     return violations
 
 
+def within_bounds(l1, l2, theta, params: ManipulatorParams, length_tol: float = 0.0,
+                  angle_tol: float = BOUND_EPS):
+    """True where a state lies inside every bound of ``params``.
+
+    The length bounds get ``length_tol`` slack, but the lower ones stop at
+    zero length, and the hinge limit gets ``angle_tol``; the defaults are
+    validate_state's bounds. One expression of comparisons joined with ``&``,
+    so floats give a bool and numpy arrays an elementwise mask. NaN is
+    outside every bound, and so is an infinite length.
+    """
+    return ((l1 >= params.l1_min - length_tol - BOUND_EPS) & (l1 >= -BOUND_EPS)
+            & (l2 >= params.l2_min - length_tol - BOUND_EPS) & (l2 >= -BOUND_EPS)
+            & (l1 + l2 <= params.max_total_length + length_tol + BOUND_EPS)
+            & (abs(theta) <= params.theta_limit + angle_tol))
+
+
 def validate_state(state: JointState, params: ManipulatorParams) -> list[Violation]:
     """Check a joint state against every bound; an empty list means valid.
 

@@ -1,5 +1,6 @@
-"""Closed-form planning: inverse kinematics, configuration enumeration, and
-the rate-coordination laws for simultaneous tape, node and cable motion.
+"""Closed-form planning: configuration enumeration, the rate-coordination
+laws for simultaneous tape, node and cable motion, and trajectory planning.
+Inverse kinematics at a given angle is workspace.ik_at_theta.
 
 All functions are pure and deterministic for identical inputs.
 """
@@ -9,15 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import (
-    ControlState,
-    JointState,
-    ManipulatorParams,
-    Pose,
-    cable_lengths,
-    forward_kinematics,
-    link_lengths,
-)
+from .model import ControlState, JointState, ManipulatorParams, cable_lengths, forward_kinematics
 from .workspace import STRAIGHT_X_TOL, feasible_theta_interval, ik_at_theta
 
 
@@ -85,15 +78,6 @@ class ControlProfile:
                 raise ValueError(f"segment durations must be positive and finite, got {duration}")
 
 
-def ik_solve(target: Pose, params: ManipulatorParams) -> JointState | None:
-    """Joint state reaching the target pose, or None when infeasible.
-
-    The pose orientation pins the bend angle, so this is the angle-constrained
-    inverse at phi.
-    """
-    return ik_at_theta((target.x, target.y), target.phi, params)
-
-
 def ik_enumerate(point, params: ManipulatorParams, count: int) -> list[JointState]:
     """Up to ``count`` distinct configurations reaching ``point``.
 
@@ -104,14 +88,13 @@ def ik_enumerate(point, params: ManipulatorParams, count: int) -> list[JointStat
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    intervals = feasible_theta_interval(point, params)
-    if not intervals:
+    interval = feasible_theta_interval(point, params)
+    if interval is None:
         return []
     x = point[0]
     if abs(x) <= STRAIGHT_X_TOL:
         thetas = [0.0]
     else:
-        interval = intervals[0]
         start, stop = (interval.lo, interval.hi) if x > 0 else (interval.hi, interval.lo)
         if count == 1 or interval.width == 0.0:
             thetas = [start]
@@ -129,18 +112,12 @@ def ik_enumerate(point, params: ManipulatorParams, count: int) -> list[JointStat
     return states
 
 
-def controls_between(from_state: JointState, to_state: JointState,
-                     control0: ControlState | None = None) -> tuple[float, float]:
+def controls_between(from_state: JointState, to_state: JointState) -> tuple[float, float]:
     """Actuator increments (dq1, dq2) moving between two joint states.
 
     Node motion is pinned by the link-2 change and extension makes up the
-    rest: dq2 = l2_from - l2_to, dq1 = (l1_to - l1_from) - dq2. When given,
-    ``control0`` is checked for consistency with ``from_state``.
+    rest: dq2 = l2_from - l2_to, dq1 = (l1_to - l1_from) - dq2.
     """
-    if control0 is not None:
-        l1, l2 = link_lengths(control0)
-        if abs(l1 - from_state.l1) > 1e-9 or abs(l2 - from_state.l2) > 1e-9:
-            raise ValueError("control0 does not produce from_state's link lengths")
     dq2 = from_state.l2 - to_state.l2
     dq1 = (to_state.l1 - from_state.l1) - dq2
     return dq1, dq2
@@ -157,26 +134,6 @@ def stationary_bend_rates(q1_rate: float) -> RateCommand:
                        cL_rate=q1_rate, cR_rate=q1_rate)
 
 
-def leg_command(from_state: JointState, to_state: JointState, duration: float,
-                d: float) -> RateCommand:
-    """Constant rates that move between two joint states in ``duration`` s.
-
-    Cable rates come from the endpoint cable lengths, so the bend angle
-    arrives exactly even though it evolves nonlinearly along the segment.
-    """
-    if not duration > 0:
-        raise ValueError("duration must be positive")
-    dq1, dq2 = controls_between(from_state, to_state)
-    cables_from = cable_lengths(from_state, d)
-    cables_to = cable_lengths(to_state, d)
-    return RateCommand(
-        q1_rate=dq1 / duration,
-        q2_rate=dq2 / duration,
-        cL_rate=(cables_to.c_L - cables_from.c_L) / duration,
-        cR_rate=(cables_to.c_R - cables_from.c_R) / duration,
-    )
-
-
 def control_from_state(state: JointState) -> ControlState:
     """Zeroed actuator coordinates with the state's lengths as the datum."""
     return ControlState(q1=0.0, q2=0.0, l1_0=state.l1, l2_0=state.l2)
@@ -186,12 +143,15 @@ def plan_trajectory(waypoints, params: ManipulatorParams,
                     limits: SpeedLimits = SpeedLimits(), dt: float = 0.01) -> ControlProfile:
     """Piecewise-constant-rate profile visiting the waypoints in order.
 
-    Waypoints are poses (solved through ik_solve) or explicit joint states;
-    the first waypoint is the start. Each leg runs all four actuators
-    together, stretched to the slowest-admissible duration and rounded up to
-    a whole number of ``dt`` steps so a simulator can replay the profile
-    exactly. Legs between waypoints with equal orientation reduce to the
-    constant-angle cable law. Coincident waypoints produce no segment.
+    Waypoints are poses (solved by ik_at_theta at their phi) or explicit
+    joint states; the first waypoint is the start. Each leg runs all four
+    actuators together at constant rates, stretched to the slowest-admissible
+    duration and rounded up to a whole number of ``dt`` steps, at least one,
+    so a simulator can replay the profile exactly. Cable rates come from the
+    endpoint cable lengths, so the bend angle arrives exactly even though it
+    evolves nonlinearly along the leg. Legs between waypoints with equal
+    orientation reduce to the constant-angle cable law. Coincident waypoints
+    produce no segment.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -200,7 +160,7 @@ def plan_trajectory(waypoints, params: ManipulatorParams,
         if isinstance(waypoint, JointState):
             states.append(waypoint)
             continue
-        state = ik_solve(waypoint, params)
+        state = ik_at_theta((waypoint.x, waypoint.y), waypoint.phi, params)
         if state is None:
             raise PlanningError(
                 f"waypoint {index} at (x={waypoint.x:.6g} m, y={waypoint.y:.6g} m, "
@@ -215,14 +175,14 @@ def plan_trajectory(waypoints, params: ManipulatorParams,
         dq1, dq2 = controls_between(a, b)
         cables_a = cable_lengths(a, d)
         cables_b = cable_lengths(b, d)
-        slowest = max(abs(dq1) / limits.q1,
-                      abs(dq2) / limits.q2,
-                      abs(cables_b.c_L - cables_a.c_L) / limits.cable,
-                      abs(cables_b.c_R - cables_a.c_R) / limits.cable)
+        dcL = cables_b.c_L - cables_a.c_L
+        dcR = cables_b.c_R - cables_a.c_R
+        slowest = max(abs(dq1) / limits.q1, abs(dq2) / limits.q2,
+                      abs(dcL) / limits.cable, abs(dcR) / limits.cable)
         if slowest == 0.0:
             continue
-        duration = math.ceil(slowest / dt - 1e-12) * dt
-        command = leg_command(a, b, duration, d)
+        duration = max(1, math.ceil(slowest / dt - 1e-12)) * dt
+        command = RateCommand(dq1 / duration, dq2 / duration, dcL / duration, dcR / duration)
         command.check_limits(limits)
         segments.append((duration, command))
     return ControlProfile(tuple(segments))

@@ -25,7 +25,6 @@ from itertools import repeat
 import numpy as np
 
 from .model import (
-    BOUND_EPS,
     CABLE_RANGE_SLACK,
     DEFAULT_PARAMS,
     CablePair,
@@ -39,6 +38,7 @@ from .model import (
     link_lengths,
     theta_from_cables,
     validate_state,
+    within_bounds,
 )
 from .planner import (
     ControlProfile,
@@ -268,7 +268,8 @@ def _evaluate_rows(out, row0, start, rates, t_rels, datum, params: ManipulatorPa
     operation order of link_lengths, theta_from_cables, forward_kinematics
     and cable_lengths, so every value is bit-identical to what those
     functions return. Rows outside a bound get their validate_state
-    violations in ``violations``, keyed by row index.
+    violations in ``violations``, keyed by row index; rows with a non-finite
+    link length get none, and are left to the segment-end finiteness check.
 
     Returns (rows filled, None), or (rows filled, reason) when the next row's
     cable differential is one no bend angle can produce; that row and the
@@ -302,10 +303,8 @@ def _evaluate_rows(out, row0, start, rates, t_rels, datum, params: ManipulatorPa
             l2 * _map_math(math.sin, theta), l1 + l2 * _map_math(math.cos, theta), residual)
     for column, values in zip(out, rows):
         column[row0:row0 + len(t_rels)] = values
-    # validate_state's bounds, so rows inside them skip building a JointState
-    outside = ((l1 < params.l1_min - BOUND_EPS) | (l2 < params.l2_min - BOUND_EPS)
-               | (total > params.max_total_length + BOUND_EPS)
-               | (np.abs(theta) > params.theta_limit + BOUND_EPS))
+    # rows inside every bound skip building a JointState
+    outside = ~within_bounds(l1, l2, theta, params) & np.isfinite(l1) & np.isfinite(l2)
     for i in np.flatnonzero(outside).tolist():
         state = JointState(float(l1[i]), float(l2[i]), float(theta[i]))
         violations[row0 + i] = tuple(validate_state(state, params))
@@ -563,7 +562,7 @@ def _reach_two_targets(params: ManipulatorParams) -> Scenario:
     waypoints = [start]
     checks = ["eq3_residual:1e-9"]
     for index, (x, y) in enumerate(targets):
-        interval = feasible_theta_interval((x, y), params)[0]
+        interval = feasible_theta_interval((x, y), params)
         theta = 0.5 * (interval.lo + interval.hi)
         waypoints.append(ik_at_theta((x, y), theta, params))
         kind = "target" if index == len(targets) - 1 else "visits_target"

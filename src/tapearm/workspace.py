@@ -12,7 +12,8 @@ minimum-l1 constraint and above by the length budget, the hinge limit, and
 Targets within STRAIGHT_X_TOL of x = 0 count as on the midline, where l1 = y
 and l2 = 0 at every bent angle, besides the straight arm at theta = 0.
 
-The length bounds carry a LENGTH_TOL slack, but never below zero length.
+Feasibility at one angle is model.within_bounds with a LENGTH_TOL slack on
+the length bounds, never below zero length, and ANGLE_TOL on the hinge limit.
 
 ``sweep_feasible_intervals`` is the module's brute-force oracle: it tests the
 same per-angle feasibility predicate on a dense angle lattice, with no
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BOUND_EPS, JointState, ManipulatorParams
+from .model import JointState, ManipulatorParams, within_bounds
 
 # Targets with |x| at or below this count as on the midline: they ride the
 # theta = 0 straight-arm branch, and bent, link 2 has zero length.
@@ -66,19 +67,6 @@ class AngleInterval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, theta: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= theta <= self.hi + tol
-
-
-def _feasible(l1: float, l2: float, theta: float, params: ManipulatorParams,
-              length_tol: float) -> bool:
-    # The slackened lower length bounds stop at zero length.
-    return (math.isfinite(l1) and math.isfinite(l2)
-            and l1 >= params.l1_min - length_tol - BOUND_EPS and l1 >= -BOUND_EPS
-            and l2 >= params.l2_min - length_tol - BOUND_EPS and l2 >= -BOUND_EPS
-            and l1 + l2 <= params.max_total_length + length_tol + BOUND_EPS
-            and abs(theta) <= params.theta_limit + ANGLE_TOL)
-
 
 def ik_at_theta(point, theta: float, params: ManipulatorParams,
                 length_tol: float = LENGTH_TOL) -> JointState | None:
@@ -105,7 +93,7 @@ def ik_at_theta(point, theta: float, params: ManipulatorParams,
         l2 = y - l1
     else:
         l1, l2 = y, 0.0
-    if not _feasible(l1, l2, theta, params, length_tol):
+    if not within_bounds(l1, l2, theta, params, length_tol, ANGLE_TOL):
         return None
     return JointState(l1 if l1 > 0.0 else 0.0, l2, theta)
 
@@ -120,11 +108,7 @@ def feasibility_mask(point, thetas, params: ManipulatorParams,
     with np.errstate(divide="ignore", invalid="ignore"):
         l2 = x / np.sin(thetas)
         l1 = y - x / np.tan(thetas)
-        mask = (np.isfinite(l1) & np.isfinite(l2)
-                & (l1 >= params.l1_min - length_tol - BOUND_EPS) & (l1 >= -BOUND_EPS)
-                & (l2 >= params.l2_min - length_tol - BOUND_EPS) & (l2 >= -BOUND_EPS)
-                & (l1 + l2 <= params.max_total_length + length_tol + BOUND_EPS)
-                & (np.abs(thetas) <= params.theta_limit + ANGLE_TOL))
+        mask = within_bounds(l1, l2, thetas, params, length_tol, ANGLE_TOL)
     zero = thetas == 0.0
     if np.any(zero):
         mask[zero] = ik_at_theta(point, 0.0, params, length_tol) is not None
@@ -159,12 +143,13 @@ def sweep_feasible_intervals(point, params: ManipulatorParams,
 
 
 def feasible_theta_interval(point, params: ManipulatorParams,
-                            length_tol: float = LENGTH_TOL) -> list[AngleInterval]:
-    """Maximal intervals of bend angles from which ``point`` is reachable.
+                            length_tol: float = LENGTH_TOL) -> AngleInterval | None:
+    """The interval of bend angles from which ``point`` is reachable, or None.
 
     Uses the closed-form bounds from the module docstring, with the same
     feasibility slack as ik_at_theta; the tests check them against the
-    ``sweep_feasible_intervals`` oracle over random parameters.
+    ``sweep_feasible_intervals`` oracle over random parameters. A NaN
+    coordinate is unreachable.
     """
     x, y = point
     if abs(x) <= STRAIGHT_X_TOL:
@@ -172,11 +157,11 @@ def feasible_theta_interval(point, params: ManipulatorParams,
         # at the hinge limit stands for all of them; it passes only where
         # the straight split does too.
         if ik_at_theta(point, 0.0, params, length_tol) is None:
-            return []
+            return None
         limit = params.theta_limit
         if ik_at_theta(point, limit, params, length_tol) is None:
-            return [AngleInterval(0.0, 0.0)]
-        return [AngleInterval(-limit, limit)]
+            return AngleInterval(0.0, 0.0)
+        return AngleInterval(-limit, limit)
 
     ax = abs(x)
     l1_floor = params.l1_min - length_tol
@@ -188,33 +173,22 @@ def feasible_theta_interval(point, params: ManipulatorParams,
         ratio = ax / l2_floor
         if ratio < 1.0:
             hi = min(hi, math.asin(ratio))
-    if lo > hi:
-        return []
-    return [AngleInterval(lo, hi) if x > 0 else AngleInterval(-hi, -lo)]
+    if not lo <= hi:  # NaN x or y takes this branch
+        return None
+    return AngleInterval(lo, hi) if x > 0 else AngleInterval(-hi, -lo)
 
 
 def min_end_effector_angle(point, params: ManipulatorParams,
                            length_tol: float = LENGTH_TOL) -> float | None:
     """Smallest-magnitude feasible bend angle, signed like x; None if unreachable."""
-    intervals = feasible_theta_interval(point, params, length_tol)
-    if not intervals:
+    interval = feasible_theta_interval(point, params, length_tol)
+    if interval is None:
         return None
-    best = None
-    for interval in intervals:
-        if interval.lo <= 0.0 <= interval.hi:
-            candidate = 0.0
-        elif interval.lo > 0.0:
-            candidate = interval.lo
-        else:
-            candidate = interval.hi
-        if best is None or abs(candidate) < abs(best):
-            best = candidate
-    return 0.0 if best == 0.0 else best
-
-
-def reachable(point, params: ManipulatorParams, length_tol: float = LENGTH_TOL) -> bool:
-    """True iff some feasible bend angle reaches the point."""
-    return bool(feasible_theta_interval(point, params, length_tol))
+    if interval.lo > 0.0:
+        return interval.lo
+    if interval.hi < 0.0:
+        return interval.hi
+    return 0.0
 
 
 @dataclass

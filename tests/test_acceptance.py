@@ -17,7 +17,6 @@ from tapearm.model import (
     mass_budget,
     theta_from_cables,
 )
-from tapearm.planner import ik_solve
 from tapearm.simulator import Scenario, builtin_scenarios, run_scenario
 from tapearm.stiffness import FlattenedSection, default_models, flattened_moment, peak_ratio
 from tapearm.workspace import (
@@ -61,7 +60,8 @@ def test_criterion_02_reaching_targets():
         if minimum is None:
             failures.append(f"({x}, {y}) unreachable")
             continue
-        state = ik_solve(forward_kinematics(ik_at_theta((x, y), minimum, PARAMS)), PARAMS)
+        pose = forward_kinematics(ik_at_theta((x, y), minimum, PARAMS))
+        state = ik_at_theta((pose.x, pose.y), pose.phi, PARAMS)
         pose = forward_kinematics(state)
         miss = math.hypot(pose.x - x, pose.y - y)
         if miss > 1e-9:
@@ -83,7 +83,8 @@ def test_criterion_03_fk_ik_roundtrip():
         if theta == 0.0:
             continue
         state = JointState(l1, l2, theta)
-        solved = ik_solve(forward_kinematics(state), PARAMS)
+        pose = forward_kinematics(state)
+        solved = ik_at_theta((pose.x, pose.y), pose.phi, PARAMS)
         count += 1
         if solved is None:
             failures.append(f"state {state} became unreachable")

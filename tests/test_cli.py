@@ -288,6 +288,17 @@ _EXIT_CODE_TABLE = [
     ("workspace-grid-too-large", None, ["workspace", "--resolution", "1e-300"], 2),
     ("rates-overflow-the-state", _SCENARIO % ("1e10", "1e10", '{"cL": 1e300, "cR": 1e300}', "[]"),
      ["simulate", "{dir}/input.json"], 2),
+    ("rates-overflow-a-length", _SCENARIO % ("1e10", "1e10", '{"q1": 1e300}', "[]"),
+     ["simulate", "{dir}/input.json"], 2),
+    # a non-finite number or angle is a usage error, not an unreachable point
+    ("ik-nan-coordinate", None, ["ik", "nan", "1.0"], 2),
+    ("ik-infinite-coordinate", None, ["ik", "0.3", "inf"], 2),
+    ("ik-nan-angle", None, ["ik", "0.3", "1.0", "--theta", "nan"], 2),
+    ("fk-infinite-length", None, ["fk", "inf", "0.5", "0"], 2),
+    ("fk-nan-angle", None, ["fk", "0.5", "0.5", "nan"], 2),
+    ("cables-nan-offset", None, ["cables", "0.5", "0.5", "0", "--d", "nan"], 2),
+    ("theta-from-cables-nan", None, ["theta-from-cables", "nan", "1"], 2),
+    ("theta-from-cables-infinite-offset", None, ["theta-from-cables", "1", "1", "--d", "inf"], 2),
     ("params-file-missing", None, ["--params", "{dir}/absent.json", "fk", "0.4", "0.3", "10"], 3),
     ("params-path-is-a-directory", None, ["--params", "{dir}", "fk", "0.4", "0.3", "10"], 3),
     ("scenario-file-missing", None, ["simulate", "{dir}/absent.json"], 3),

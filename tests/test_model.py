@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tapearm.model import (
+    BOUND_EPS,
     DEFAULT_PARAMS,
     DEFAULT_TAPE,
     CablePair,
@@ -21,7 +24,9 @@ from tapearm.model import (
     mass_budget,
     theta_from_cables,
     validate_state,
+    within_bounds,
 )
+from tapearm.workspace import ANGLE_TOL, LENGTH_TOL
 
 
 def test_forward_kinematics_reference_configs():
@@ -176,6 +181,62 @@ def test_validate_state_reports_margins():
     violations = validate_state(JointState(0.05, 0.5, 0.0), DEFAULT_PARAMS)
     assert [v.bound for v in violations] == ["l1_min"]
     assert violations[0].margin == pytest.approx(-0.026)
+
+
+def _feasible_reference(l1, l2, theta, params, length_tol, angle_tol):
+    """The bound test workspace used before within_bounds, hinge slack as an argument."""
+    return (math.isfinite(l1) and math.isfinite(l2)
+            and l1 >= params.l1_min - length_tol - BOUND_EPS and l1 >= -BOUND_EPS
+            and l2 >= params.l2_min - length_tol - BOUND_EPS and l2 >= -BOUND_EPS
+            and l1 + l2 <= params.max_total_length + length_tol + BOUND_EPS
+            and abs(theta) <= params.theta_limit + angle_tol)
+
+
+def _near(values):
+    """One of ``values``, or a float one ulp either side of it."""
+    return st.sampled_from(values).flatmap(lambda v: st.sampled_from(
+        [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]))
+
+
+@st.composite
+def _bounds_cases(draw):
+    bound = st.one_of(st.just(0.0), st.floats(0.0, 0.5))
+    params = ManipulatorParams(theta_limit=draw(st.floats(0.05, math.pi / 2)),
+                               l1_min=draw(bound), l2_min=draw(bound),
+                               max_total_length=draw(st.floats(0.05, 7.62)))
+    length_tol = draw(st.sampled_from([0.0, LENGTH_TOL]))
+    angle_tol = draw(st.sampled_from([BOUND_EPS, ANGLE_TOL]))
+    special = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0])
+    floors = [params.l1_min, params.l2_min, params.l1_min - length_tol - BOUND_EPS,
+              params.l2_min - length_tol - BOUND_EPS, -BOUND_EPS]
+    length = st.one_of(special, _near(floors), st.floats(-0.1, 8.0), st.floats())
+    # half the lengths lie inside their bounds, so that the other bounds decide
+    half_room = max(0.0, params.max_total_length - params.l1_min - params.l2_min) / 2
+    l1 = draw(st.floats(params.l1_min, params.l1_min + half_room)
+              if draw(st.booleans()) else length)
+    # l2 also where the total sits at the length budget
+    total_cap = params.max_total_length + length_tol + BOUND_EPS
+    l2 = draw(st.floats(params.l2_min, params.l2_min + half_room) if draw(st.booleans())
+              else st.one_of(length, _near([total_cap - l1, params.max_total_length - l1])))
+    limit = params.theta_limit
+    theta = draw(_near([limit, -limit, limit + angle_tol, -(limit + angle_tol)])
+                 if draw(st.booleans()) else st.one_of(special, st.floats(-2.0, 2.0), st.floats()))
+    return params, length_tol, angle_tol, l1, l2, theta
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_bounds_cases())
+def test_within_bounds_matches_reference_on_floats_and_arrays(case):
+    params, length_tol, angle_tol, l1, l2, theta = case
+    expected = _feasible_reference(l1, l2, theta, params, length_tol, angle_tol)
+    scalar = within_bounds(l1, l2, theta, params, length_tol, angle_tol)
+    assert type(scalar) is bool and scalar == expected
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        mask = within_bounds(np.array([l1]), np.array([l2]), np.array([theta]), params,
+                             length_tol, angle_tol)
+    assert mask.dtype == bool and mask.tolist() == [expected]
+    if length_tol == 0.0 and angle_tol == BOUND_EPS and all(map(math.isfinite, (l1, l2, theta))):
+        assert expected == (validate_state(JointState(l1, l2, theta), params) == [])
 
 
 def test_mass_budget_reference_values():

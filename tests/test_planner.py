@@ -9,6 +9,7 @@ from tapearm.model import (
     JointState,
     ManipulatorParams,
     Pose,
+    cable_lengths,
     forward_kinematics,
     link_lengths,
 )
@@ -20,39 +21,37 @@ from tapearm.planner import (
     control_from_state,
     controls_between,
     ik_enumerate,
-    ik_solve,
-    leg_command,
     plan_trajectory,
     stationary_bend_rates,
 )
-from tapearm.workspace import feasible_theta_interval
+from tapearm.workspace import feasible_theta_interval, ik_at_theta
 
 PARAMS = DEFAULT_PARAMS
 
 
 def test_ik_solve_reference_config():
-    state = ik_solve(Pose(0.076, 0.686, math.radians(16.7)), PARAMS)
+    state = ik_at_theta((0.076, 0.686), math.radians(16.7), PARAMS)
     assert state is not None
     assert state.l1 == pytest.approx(0.432, abs=5e-3)
     assert state.l2 == pytest.approx(0.265, abs=5e-3)
 
 
 def test_ik_solve_straight():
-    state = ik_solve(Pose(0.0, 0.9, 0.0), PARAMS)
+    state = ik_at_theta((0.0, 0.9), 0.0, PARAMS)
     assert state.l1 + state.l2 == pytest.approx(0.9, abs=1e-12)
 
 
 def test_ik_solve_second_target():
-    interval = feasible_theta_interval((0.229, 0.838), PARAMS)[0]
+    interval = feasible_theta_interval((0.229, 0.838), PARAMS)
     theta = 0.5 * (interval.lo + interval.hi)
-    state = ik_solve(Pose(0.229, 0.838, theta), PARAMS)
+    state = ik_at_theta((0.229, 0.838), theta, PARAMS)
     assert state is not None
     pose = forward_kinematics(state)
     assert math.hypot(pose.x - 0.229, pose.y - 0.838) <= 1e-9
 
 
 def test_ik_solve_infeasible_is_none():
-    assert ik_solve(Pose(1.5, 0.1, math.radians(30.0)), PARAMS) is None
+    assert ik_at_theta((1.5, 0.1), math.radians(30.0), PARAMS) is None
 
 
 def test_fk_ik_roundtrip_property():
@@ -67,7 +66,8 @@ def test_fk_ik_roundtrip_property():
         if theta == 0.0:
             continue
         state = JointState(l1, l2, theta)
-        solved = ik_solve(forward_kinematics(state), PARAMS)
+        pose = forward_kinematics(state)
+        solved = ik_at_theta((pose.x, pose.y), pose.phi, PARAMS)
         assert solved is not None
         assert solved.theta == state.theta
         assert solved.l1 == pytest.approx(state.l1, abs=1e-9)
@@ -106,7 +106,7 @@ def test_ik_enumerate_midline_and_unreachable():
 
 
 def test_ik_enumerate_starts_at_minimum_angle():
-    interval = feasible_theta_interval((0.3, 1.0), PARAMS)[0]
+    interval = feasible_theta_interval((0.3, 1.0), PARAMS)
     states = ik_enumerate((0.3, 1.0), PARAMS, 5)
     assert states[0].theta == interval.lo
     states_left = ik_enumerate((-0.3, 1.0), PARAMS, 5)
@@ -133,14 +133,6 @@ def test_controls_between_is_exact_inverse():
         assert l2 == pytest.approx(b.l2, abs=1e-12)
 
 
-def test_controls_between_checks_control0():
-    a = JointState(0.3, 0.5, 0.0)
-    b = JointState(0.4, 0.4, 0.0)
-    controls_between(a, b, control0=ControlState(0.0, 0.0, 0.3, 0.5))
-    with pytest.raises(ValueError):
-        controls_between(a, b, control0=ControlState(0.0, 0.0, 0.9, 0.5))
-
-
 def test_stationary_bend_rates():
     command = stationary_bend_rates(-0.05)
     assert command.q1_rate == -0.05
@@ -154,8 +146,10 @@ def test_constant_theta_cable_rates():
     # holding the angle, both cables track the total-length rate q1', whatever
     # the node rate: a leg between equal-angle states gets exactly that law
     theta = math.radians(22.0)
-    command = leg_command(JointState(0.3, 0.4, theta), JointState(0.45, 0.05, theta),
-                          5.0, PARAMS.cable_offset)
+    profile = plan_trajectory([JointState(0.3, 0.4, theta), JointState(0.45, 0.05, theta)],
+                              PARAMS, SpeedLimits(q2=0.07))
+    ((duration, command),) = profile.segments
+    assert duration == pytest.approx(5.0, abs=1e-12)
     assert command.q1_rate == pytest.approx(-0.04, abs=1e-12)
     assert command.q2_rate == pytest.approx(0.07, abs=1e-12)
     assert command.cL_rate == pytest.approx(command.q1_rate, abs=1e-12)
@@ -214,7 +208,7 @@ def test_plan_trajectory_replay_hits_waypoints():
                  Pose(0.2, 0.9, math.radians(25.0)),
                  Pose(0.1, 1.1, math.radians(12.0)),
                  Pose(0.35, 0.8, math.radians(35.0))]
-    states = [ik_solve(w, PARAMS) for w in waypoints]
+    states = [ik_at_theta((w.x, w.y), w.phi, PARAMS) for w in waypoints]
     profile = plan_trajectory(waypoints, PARAMS)
     start = initial_state(control_from_state(states[0]), states[0].theta, PARAMS)
     log = run_scenario(Scenario("replay", PARAMS, start, profile))
@@ -225,12 +219,27 @@ def test_plan_trajectory_replay_hits_waypoints():
 
 
 def test_leg_command_endpoint_exactness():
+    # each leg's rates times its duration give the actuator increments and
+    # the endpoint cable lengths, so the bend angle arrives exactly
     a = JointState(0.3, 0.5, math.radians(5.0))
     b = JointState(0.5, 0.4, math.radians(25.0))
-    command = leg_command(a, b, 2.0, PARAMS.cable_offset)
+    ((duration, command),) = plan_trajectory([a, b], PARAMS).segments
     dq1, dq2 = controls_between(a, b)
-    assert command.q1_rate * 2.0 == pytest.approx(dq1, rel=1e-12)
-    assert command.q2_rate * 2.0 == pytest.approx(dq2, rel=1e-12)
+    assert command.q1_rate * duration == pytest.approx(dq1, rel=1e-12)
+    assert command.q2_rate * duration == pytest.approx(dq2, rel=1e-12)
+    cables_a = cable_lengths(a, PARAMS.cable_offset)
+    cables_b = cable_lengths(b, PARAMS.cable_offset)
+    assert command.cL_rate * duration == pytest.approx(cables_b.c_L - cables_a.c_L, rel=1e-12)
+    assert command.cR_rate * duration == pytest.approx(cables_b.c_R - cables_a.c_R, rel=1e-12)
+
+
+def test_plan_trajectory_tiny_leg_takes_one_step():
+    # a leg far shorter than one step at the speed limits still gets one step
+    a = JointState(0.3, 0.5, 0.0)
+    b = JointState(math.nextafter(0.3, 1.0), 0.5, 0.0)
+    ((duration, command),) = plan_trajectory([a, b], PARAMS, dt=0.01).segments
+    assert duration == 0.01
+    assert command.q1_rate * duration == pytest.approx(b.l1 - a.l1, rel=1e-12)
 
 
 def test_control_profile_rejects_bad_durations():

@@ -69,7 +69,9 @@ def _evaluate_segment_loop(start, rates, t_rels, datum, params):
                 f"range reachable at offset d={d:.9g} m")
         theta = 2.0 * math.asin(max(-1.0, min(1.0, ratio)))
         total = l1 + l2
-        if l1 < l1_floor or l2 < l2_floor or total > total_cap or abs(theta) > theta_cap:
+        # rows with a non-finite length are left to the segment-end check
+        if math.isfinite(l1) and math.isfinite(l2) and (
+                l1 < l1_floor or l2 < l2_floor or total > total_cap or abs(theta) > theta_cap):
             violations = tuple(validate_state(JointState(l1, l2, theta), params))
         else:
             violations = ()
@@ -455,6 +457,13 @@ def test_huge_finite_states_grade_without_numpy_warnings():
     assert [c.observed for c in log.checks] == [math.inf, 1e308 + 0.8]
 
 
+def test_rates_that_overflow_a_length_reject_the_segment():
+    # l1 overflows to inf, which also breaks the length budget: the row gets
+    # no violations, and the segment end reports the overflow
+    with pytest.raises(ScenarioError, match="segment 0 drives the state to non-finite values"):
+        _run(_start(), (1e10, RateCommand(q1_rate=1e300)), dt=1e10)
+
+
 # --- the columnar log against the reference loop ----------------------------
 
 _ANGLE_CHECKS = ("theta_constant", "final_theta", "theta_visits")
@@ -527,7 +536,7 @@ _BEND = 4.0 * PARAMS.cable_offset
 def test_columnar_log_matches_reference_loop(tmp_path_factory, scenario):
     try:
         rows, checks, boundary_indices, abort = _run_scenario_loop(scenario)
-    except ValueError as exc:  # ScenarioError, or a JointState of an overflowed row
+    except ValueError as exc:  # ScenarioError, or CableRangeError at the initial row
         with pytest.raises(ValueError) as raised:
             run_scenario(scenario)
         assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))

@@ -25,7 +25,6 @@ from tapearm.workspace import (
     grid_to_csv,
     ik_at_theta,
     min_end_effector_angle,
-    reachable,
     sweep_feasible_intervals,
 )
 
@@ -59,16 +58,14 @@ def test_ik_at_theta_infeasible_negative_l1():
 
 
 def test_feasible_interval_midline():
-    intervals = feasible_theta_interval((0.0, 1.0), PARAMS)
-    assert len(intervals) == 1
-    assert intervals[0].contains(0.0)
+    interval = feasible_theta_interval((0.0, 1.0), PARAMS)
+    assert interval == AngleInterval(-PARAMS.theta_limit, PARAMS.theta_limit)
     assert min_end_effector_angle((0.0, 1.0), PARAMS) == 0.0
 
 
 def test_feasible_interval_midline_with_l2_floor():
     params = ManipulatorParams(l2_min=0.05)
-    intervals = feasible_theta_interval((0.0, 1.0), params)
-    assert intervals == [AngleInterval(0.0, 0.0)]
+    assert feasible_theta_interval((0.0, 1.0), params) == AngleInterval(0.0, 0.0)
 
 
 def test_feasible_interval_midline_with_zero_length_link2():
@@ -79,8 +76,8 @@ def test_feasible_interval_midline_with_zero_length_link2():
     point = (0.0, params.l1_min - 0.0007)
     assert ik_at_theta(point, 0.0, params) == JointState(point[1], 0.0, 0.0)
     assert ik_at_theta(point, params.theta_limit, params) is not None
-    assert feasible_theta_interval(point, params) == [
-        AngleInterval(-params.theta_limit, params.theta_limit)]
+    assert feasible_theta_interval(point, params) == AngleInterval(
+        -params.theta_limit, params.theta_limit)
     assert min_end_effector_angle(point, params) == 0.0
     swept = sweep_feasible_intervals(point, params, step=math.radians(1.0))
     assert [(s.lo, s.hi) for s in swept] == [(-math.radians(55.0), math.radians(55.0))]
@@ -90,22 +87,30 @@ def test_feasible_interval_midline_with_zero_length_link2():
             point, params)
         assert ik_at_theta((x, point[1]), -0.5, params) == JointState(point[1], 0.0, -0.5)
     # below the slack on l1_min nothing is left
-    assert feasible_theta_interval((0.0, params.l1_min - 0.0011), params) == []
+    assert feasible_theta_interval((0.0, params.l1_min - 0.0011), params) is None
 
 
 def test_feasible_interval_outside_sector_and_disk():
     angle = math.radians(60.0)
     point = (math.sin(angle), math.cos(angle))
-    assert feasible_theta_interval(point, PARAMS) == []
-    assert feasible_theta_interval((0.0, 2.5), PARAMS) == []
-    assert not reachable((0.0, 2.5), PARAMS)
+    assert feasible_theta_interval(point, PARAMS) is None
+    assert feasible_theta_interval((0.0, 2.5), PARAMS) is None
 
 
 def test_reachable_examples():
-    assert reachable((0.5, 1.0), PARAMS)
+    assert feasible_theta_interval((0.5, 1.0), PARAMS) is not None
     angle = math.radians(56.0)
-    assert not reachable((math.sin(angle), math.cos(angle)), PARAMS)
-    assert not reachable((0.0, 2.1), PARAMS)
+    assert feasible_theta_interval((math.sin(angle), math.cos(angle)), PARAMS) is None
+    assert feasible_theta_interval((0.0, 2.1), PARAMS) is None
+
+
+@pytest.mark.parametrize("point", [(math.nan, 1.0), (0.3, math.nan), (0.0, math.nan),
+                                   (math.nan, math.nan), (math.inf, 1.0), (-math.inf, 1.0),
+                                   (0.3, math.inf), (0.3, -math.inf), (0.0, math.inf)])
+def test_non_finite_coordinates_are_unreachable(point):
+    assert feasible_theta_interval(point, PARAMS) is None
+    assert min_end_effector_angle(point, PARAMS) is None
+    assert not feasibility_mask(point, [0.0, 0.3, -0.3], PARAMS).any()
 
 
 def test_interval_endpoints_match_sweep_oracle():
@@ -116,11 +121,12 @@ def test_interval_endpoints_match_sweep_oracle():
         point = (rng.uniform(-2.0, 2.0), rng.uniform(0.0, 2.0))
         closed = feasible_theta_interval(point, PARAMS)
         swept = sweep_feasible_intervals(point, PARAMS, step=step)
-        assert len(closed) == len(swept)
-        for c, s in zip(closed, swept):
-            assert abs(c.lo - s.lo) <= step + 1e-12
-            assert abs(c.hi - s.hi) <= step + 1e-12
-        checked += len(closed)
+        assert len(swept) == (closed is not None)
+        if closed is not None:
+            (s,) = swept
+            assert abs(closed.lo - s.lo) <= step + 1e-12
+            assert abs(closed.hi - s.hi) <= step + 1e-12
+            checked += 1
     assert checked > 20  # the sample actually hit reachable points
 
 
@@ -166,12 +172,11 @@ def test_closed_form_interval_matches_sweep_oracle(case):
     thetas = np.arange(-n, n + 1) * step  # the sweep's lattice
     for point in points:
         closed = feasible_theta_interval(point, params, length_tol)
-        for c in closed:
-            for theta in (c.lo, 0.5 * (c.lo + c.hi), c.hi):
-                assert ik_at_theta(point, theta, params, length_tol) is not None
         in_closed = np.zeros(thetas.shape, dtype=bool)
-        for c in closed:
-            in_closed |= (thetas >= c.lo) & (thetas <= c.hi)
+        if closed is not None:
+            for theta in (closed.lo, 0.5 * (closed.lo + closed.hi), closed.hi):
+                assert ik_at_theta(point, theta, params, length_tol) is not None
+            in_closed = (thetas >= closed.lo) & (thetas <= closed.hi)
         in_sweep = np.zeros(thetas.shape, dtype=bool)
         for s in sweep_feasible_intervals(point, params, step, length_tol):
             in_sweep |= (thetas >= s.lo) & (thetas <= s.hi)
@@ -243,9 +248,9 @@ def test_monotone_nesting():
     wider_hinge = ManipulatorParams(theta_limit=math.radians(80.0))
     for y in ys:
         for x in xs:
-            if reachable((x, y), PARAMS):
-                assert reachable((x, y), bigger_reach)
-                assert reachable((x, y), wider_hinge)
+            if feasible_theta_interval((x, y), PARAMS) is not None:
+                assert feasible_theta_interval((x, y), bigger_reach) is not None
+                assert feasible_theta_interval((x, y), wider_hinge) is not None
 
 
 def test_compute_grid_mirror_symmetry():
