@@ -180,7 +180,7 @@ def cmd_theta_from_cables(args, params) -> int:
     d = args.d if args.d is not None else params.cable_offset
     try:
         theta = theta_from_cables(CablePair(args.cL, args.cR), d)
-    except (CableRangeError, ValueError) as exc:
+    except CableRangeError as exc:
         print(f"error: {exc}")
         return EXIT_CHECK
     print(f"theta_{args.angle_unit}={format_angle(theta, args.angle_unit)}")

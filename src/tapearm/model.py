@@ -72,6 +72,8 @@ def _require_positive(obj, *names):
 
 
 def _require_finite(obj, *names):
+    # The value types built per simulator row test their fields inline and
+    # call this only on failure, to name the first non-finite one.
     for name in names:
         value = getattr(obj, name)
         if not math.isfinite(value):
@@ -146,7 +148,8 @@ class JointState:
     theta: float  # rad
 
     def __post_init__(self):
-        _require_finite(self, "l1", "l2", "theta")
+        if not (math.isfinite(self.l1) and math.isfinite(self.l2) and math.isfinite(self.theta)):
+            _require_finite(self, "l1", "l2", "theta")
 
 
 @dataclass(frozen=True)
@@ -159,7 +162,9 @@ class ControlState:
     l2_0: float  # m, link 2 length at q1 = q2 = 0
 
     def __post_init__(self):
-        _require_finite(self, "q1", "q2", "l1_0", "l2_0")
+        if not (math.isfinite(self.q1) and math.isfinite(self.q2)
+                and math.isfinite(self.l1_0) and math.isfinite(self.l2_0)):
+            _require_finite(self, "q1", "q2", "l1_0", "l2_0")
 
 
 @dataclass(frozen=True)
@@ -171,7 +176,8 @@ class Pose:
     phi: float  # rad
 
     def __post_init__(self):
-        _require_finite(self, "x", "y", "phi")
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.phi)):
+            _require_finite(self, "x", "y", "phi")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ decay angles from a small Levenberg-Marquardt loop.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass
@@ -192,16 +193,6 @@ class CalibrationResult:
     residual_norm: float  # N*m, sqrt of the squared-residual sum
 
 
-def _design_matrix(angles: np.ndarray, peak_angle: float, decay_angle: float) -> np.ndarray:
-    """Basis for the two linear coefficients (peak and plateau moments)."""
-    ramp = angles <= peak_angle
-    exponent = np.where(ramp, 0.0, -(angles - peak_angle) / decay_angle)
-    decay = np.exp(exponent)
-    phi_peak = np.where(ramp, angles / peak_angle, decay)
-    phi_prop = np.where(ramp, 0.0, 1.0 - decay)
-    return np.column_stack([phi_peak, phi_prop])
-
-
 # Levenberg-Marquardt settings: forward-difference step relative to the
 # parameter, damping range, stopping tolerances on the relative step and the
 # relative cost decrease, and the iteration cap.
@@ -260,17 +251,110 @@ def _levenberg_marquardt(residuals, u: np.ndarray) -> tuple[np.ndarray, float]:
     return u, cost
 
 
+def _exp(x: float) -> float:
+    """math.exp, with inf where the result overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+# Relative size of the 2x2 normal matrix's determinant, against the product of
+# its diagonal, at or below which the two basis columns count as parallel: the
+# determinant's own rounding error is about twice the machine epsilon.
+_PARALLEL_TOL = 4.0 * np.finfo(float).eps
+
+
+def _solve_normal_2x2(g11: float, g12: float, g22: float, b1: float, b2: float):
+    """Least-squares coefficients from the normal equations G c = b.
+
+    G is the Gram matrix of two basis columns. When the columns are parallel
+    to working precision, or one or both are zero, the longer column is
+    fitted alone. That leaves the same residual, and a zero column gets
+    coefficient 0, which is lstsq's minimum-norm answer.
+    """
+    det = g11 * g22 - g12 * g12
+    if det > _PARALLEL_TOL * g11 * g22:
+        return (g22 * b1 - g12 * b2) / det, (g11 * b2 - g12 * b1) / det
+    if g11 >= g22:
+        return (b1 / g11 if g11 else 0.0), 0.0
+    return 0.0, b2 / g22
+
+
+def _moment_solver(angles: np.ndarray, moments: np.ndarray):
+    """The separable fit's inner solve for folded samples (angles >= 0).
+
+    Returns ``solve(log_shape) -> (coeffs, residuals)``: at the shape's peak
+    and decay angles, exp(log_shape), the least-squares peak and plateau
+    moments and the residual of every sample, in ascending angle order. On
+    the ramp (angle <= peak) the peak column is a / peak and the plateau
+    column 0; past it they are fall = exp((peak - a) / decay) and
+    rise = 1 - fall. A shape whose columns are not finite (a NaN angle, or a
+    zero peak angle over a sample at angle 0) is unfit: coeffs is None and
+    the residuals are infinite.
+
+    Sorted by angle, every ramp is a prefix, so its sums of a*a and a*m come
+    from running totals and only the samples past the peak are evaluated per
+    shape. Rows 0 and 1 of ``work`` take their basis columns; row 2 holds the
+    moments, so one product gives all five tail sums of the normal equations.
+    """
+    order = np.argsort(angles, kind="stable")
+    angles, moments = angles[order], moments[order]
+    sorted_angles = angles.tolist()
+    ramp_aa = [0.0] + np.cumsum(angles * angles).tolist()
+    ramp_am = [0.0] + np.cumsum(angles * moments).tolist()
+    n, last = len(sorted_angles), sorted_angles[-1]
+    work = np.empty((3, n))
+    work[2] = moments
+
+    def solve(log_shape):
+        log_peak, log_decay = log_shape.tolist()
+        peak, decay = _exp(log_peak), _exp(log_decay)
+        j = bisect.bisect_right(sorted_angles, peak)
+        if math.isnan(peak) or (j and peak == 0.0) or (j < n and math.isnan(decay)):
+            return None, np.full(n, math.inf)
+        fall, rise = work[0, j:], work[1, j:]
+        np.subtract(peak, angles[j:], out=fall)
+        if last - peak > decay * 2.0 ** 1000:  # the quotient may overflow to -inf
+            with np.errstate(divide="ignore", over="ignore"):
+                np.divide(fall, decay, out=fall)
+        else:
+            np.divide(fall, decay, out=fall)
+        np.exp(fall, out=fall)
+        np.subtract(1.0, fall, out=rise)
+        (g11, g12, b1), (_, g22, b2) = (work[:2, j:] @ work[:, j:].T).tolist()
+        # Divided by peak twice, as peak * peak underflows for a tiny peak
+        # angle; a ramp of angle-0 samples adds nothing.
+        if ramp_aa[j]:
+            g11 += ramp_aa[j] / peak / peak
+            b1 += ramp_am[j] / peak
+        c0, c1 = _solve_normal_2x2(g11, g12, g22, b1, b2)
+        # The residual is c0 * column 0 + c1 * column 1 - moments, term by term.
+        residual = np.empty(n)
+        ramp, tail = residual[:j], residual[j:]
+        np.divide(angles[:j], peak, out=ramp)
+        ramp *= c0
+        np.multiply(fall, c0, out=tail)
+        rise *= c1
+        tail += rise
+        residual -= moments
+        return (c0, c1), residual
+
+    return solve
+
+
 def calibrate_unpinched(samples) -> CalibrationResult:
     """Least-squares fit of the odd pair model to (angle, moment) samples.
 
     Samples may cover both signs; odd symmetry folds them onto the positive
     half-axis. The fit is separable (variable projection, Golub & Pereyra
     1973): for each candidate shape the two linear coefficients, the peak and
-    plateau moments, are solved exactly by linear least squares, and the two
-    nonlinear shape parameters, the logs of the peak and decay angles, are
-    fitted by a numpy Levenberg-Marquardt loop (``_levenberg_marquardt``).
-    It runs from three decay-angle starts, keeps the fit with the lowest
-    cost, and finishes with a 1-D pass over the decay angle.
+    plateau moments, are solved exactly by linear least squares
+    (``_moment_solver``), and the two nonlinear shape parameters, the logs of
+    the peak and decay angles, are fitted by a numpy Levenberg-Marquardt loop
+    (``_levenberg_marquardt``). It runs from three decay-angle starts, keeps
+    the fit with the lowest cost, and finishes with a 1-D pass over the decay
+    angle.
 
     Raises CalibrationError for degenerate data: fewer than 4 samples, a
     non-finite sample, all samples at one angle, no sample past the torque
@@ -292,18 +376,10 @@ def calibrate_unpinched(samples) -> CalibrationResult:
     if peak_guess <= 0.0:
         raise CalibrationError("torque peak at zero angle; the ramp is unconstrained")
 
-    def solve_linear(log_shape):
-        """Moment coefficients and residuals at (log peak, log decay) angles."""
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            peak_angle, decay_angle = np.exp(log_shape)
-            design = _design_matrix(angles, peak_angle, decay_angle)
-        if not np.all(np.isfinite(design)):
-            return None, np.full(moments.shape, math.inf)
-        coeffs, *_ = np.linalg.lstsq(design, moments, rcond=None)
-        return coeffs, design @ coeffs - moments
+    solve = _moment_solver(angles, moments)
 
     def residuals(log_shape):
-        return solve_linear(log_shape)[1]
+        return solve(log_shape)[1]
 
     fits = [_levenberg_marquardt(residuals, np.log([peak_guess, decay_guess]))
             for decay_guess in (0.5 * peak_guess, peak_guess, 2.0 * peak_guess)]
@@ -314,14 +390,12 @@ def calibrate_unpinched(samples) -> CalibrationResult:
     # last 1-D pass fits the decay angle with the peak angle held.
     (log_decay,), _ = _levenberg_marquardt(
         lambda v: residuals(np.array([log_peak, v[0]])), np.array([log_decay]))
-    best = np.array([log_peak, log_decay])
-    with np.errstate(over="ignore"):
-        peak_angle, decay_angle = np.exp(best).tolist()
-    coeffs, residual = solve_linear(best)
+    peak_angle, decay_angle = _exp(log_peak), _exp(log_decay)
+    coeffs, residual = solve(np.array([log_peak, log_decay]))
     if coeffs is None or not (0.0 < peak_angle < math.inf and 0.0 < decay_angle < math.inf):
         raise CalibrationError("fit converged to a degenerate shape "
                                f"(peak angle={peak_angle:.6g}, decay angle={decay_angle:.6g})")
-    peak_moment, propagation_moment = float(coeffs[0]), float(coeffs[1])
+    peak_moment, propagation_moment = coeffs
     if not (math.isfinite(peak_moment) and math.isfinite(propagation_moment)
             and 0.0 < propagation_moment < peak_moment):
         raise CalibrationError("fit converged to a degenerate model "

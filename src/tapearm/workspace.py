@@ -238,8 +238,11 @@ def _map_math(function, *arrays) -> np.ndarray:
     math.atan2 on about 2 % of grid cells, and np.sin and np.cos may differ
     from math.sin and math.cos, depending on the build.
     """
-    shape = np.broadcast_shapes(*(a.shape for a in arrays))
-    lists = [np.broadcast_to(a, shape).ravel().tolist() for a in arrays]
+    shape = arrays[0].shape
+    if any(a.shape != shape for a in arrays):
+        shape = np.broadcast_shapes(*(a.shape for a in arrays))
+        arrays = [np.broadcast_to(a, shape) for a in arrays]
+    lists = [a.ravel().tolist() for a in arrays]
     return np.fromiter(map(function, *lists), float, math.prod(shape)).reshape(shape)
 
 

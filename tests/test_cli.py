@@ -299,6 +299,8 @@ _EXIT_CODE_TABLE = [
     ("cables-nan-offset", None, ["cables", "0.5", "0.5", "0", "--d", "nan"], 2),
     ("theta-from-cables-nan", None, ["theta-from-cables", "nan", "1"], 2),
     ("theta-from-cables-infinite-offset", None, ["theta-from-cables", "1", "1", "--d", "inf"], 2),
+    ("theta-from-cables-zero-length", None, ["theta-from-cables", "0", "1"], 2),
+    ("theta-from-cables-negative-offset", None, ["theta-from-cables", "1", "1", "--d", "-1"], 2),
     ("params-file-missing", None, ["--params", "{dir}/absent.json", "fk", "0.4", "0.3", "10"], 3),
     ("params-path-is-a-directory", None, ["--params", "{dir}", "fk", "0.4", "0.3", "10"], 3),
     ("scenario-file-missing", None, ["simulate", "{dir}/absent.json"], 3),

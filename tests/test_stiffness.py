@@ -13,6 +13,7 @@ from tapearm.stiffness import (
     PinchJointModel,
     UnpinchedPairModel,
     _levenberg_marquardt,
+    _moment_solver,
     calibrate_unpinched,
     default_models,
     flattened_moment,
@@ -268,3 +269,134 @@ def test_calibration_holds_anchors_under_noise(truth, seed):
     assert fitted.peak_moment == pytest.approx(truth.peak_moment, rel=0.02)
     assert fitted.peak_angle == pytest.approx(truth.peak_angle, rel=0.05)
     assert fitted.propagation_moment == pytest.approx(truth.propagation_moment, rel=0.10)
+
+
+def _reference_solve(angles, moments, log_shape):
+    """The lstsq kernel calibrate_unpinched replaced: the whole (n, 2) design
+    and np.linalg.lstsq at every shape."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        peak_angle, decay_angle = np.exp(log_shape)
+        ramp = angles <= peak_angle
+        decay = np.exp(np.where(ramp, 0.0, -(angles - peak_angle) / decay_angle))
+        design = np.column_stack([np.where(ramp, angles / peak_angle, decay),
+                                  np.where(ramp, 0.0, 1.0 - decay)])
+    if not np.all(np.isfinite(design)):
+        return None, np.full(moments.shape, math.inf)
+    coeffs, *_ = np.linalg.lstsq(design, moments, rcond=None)
+    return coeffs, design @ coeffs - moments
+
+
+def _reference_calibration(samples):
+    """calibrate_unpinched with the lstsq kernel: the same checks, starts,
+    1-D pass and shared _levenberg_marquardt."""
+    points = [(float(a), float(m)) for a, m in samples]
+    if len(points) < 4:
+        raise CalibrationError(f"need at least 4 samples, got {len(points)}")
+    angles = np.array([abs(a) for a, _ in points])
+    moments = np.array([m if a >= 0 else -m for a, m in points])
+    if not (np.all(np.isfinite(angles)) and np.all(np.isfinite(moments))):
+        raise CalibrationError("samples must be finite")
+    if np.ptp(angles) == 0.0:
+        raise CalibrationError("all samples share one angle; the curve shape is unconstrained")
+    peak_guess = float(angles[int(np.argmax(moments))])
+    if peak_guess >= float(np.max(angles)):
+        raise CalibrationError("no sample past the torque peak; the plateau is unconstrained")
+    if peak_guess <= 0.0:
+        raise CalibrationError("torque peak at zero angle; the ramp is unconstrained")
+
+    def residuals(log_shape):
+        return _reference_solve(angles, moments, log_shape)[1]
+
+    fits = [_levenberg_marquardt(residuals, np.log([peak_guess, decay_guess]))
+            for decay_guess in (0.5 * peak_guess, peak_guess, 2.0 * peak_guess)]
+    log_peak, log_decay = min(fits, key=lambda fit: fit[1])[0]
+    (log_decay,), _ = _levenberg_marquardt(
+        lambda v: residuals(np.array([log_peak, v[0]])), np.array([log_decay]))
+    best = np.array([log_peak, log_decay])
+    with np.errstate(over="ignore"):
+        peak_angle, decay_angle = np.exp(best).tolist()
+    coeffs, residual = _reference_solve(angles, moments, best)
+    if coeffs is None or not (0.0 < peak_angle < math.inf and 0.0 < decay_angle < math.inf):
+        raise CalibrationError("fit converged to a degenerate shape "
+                               f"(peak angle={peak_angle:.6g}, decay angle={decay_angle:.6g})")
+    peak_moment, propagation_moment = float(coeffs[0]), float(coeffs[1])
+    if not (math.isfinite(peak_moment) and math.isfinite(propagation_moment)
+            and 0.0 < propagation_moment < peak_moment):
+        raise CalibrationError("fit converged to a degenerate model "
+                               f"(peak={peak_moment:.6g}, plateau={propagation_moment:.6g})")
+    model = UnpinchedPairModel(peak_moment=peak_moment, peak_angle=peak_angle,
+                               propagation_moment=propagation_moment,
+                               decay_angle=decay_angle)
+    return model, float(np.linalg.norm(residual))
+
+
+_SAMPLE_ANGLES = np.array([0.0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.45, 0.6])
+
+
+@pytest.mark.parametrize("angles", [_SAMPLE_ANGLES, _SAMPLE_ANGLES[1:]],
+                         ids=["with-zero-angle", "without-zero-angle"])
+@pytest.mark.parametrize("log_peak, log_decay", [
+    (math.log(0.12), math.log(0.1)),  # an ordinary shape
+    (math.log(0.6), math.log(0.1)),  # the ramp holds every sample: plateau column zero
+    (800.0, 0.0),                    # the peak angle overflows: both columns zero
+    (-400.0, math.log(0.1)),         # peak * peak underflows, the peak angle does not
+    (-800.0, math.log(0.1)),         # the peak angle underflows to zero
+    (math.log(0.12), -800.0),        # the decay angle underflows: fall is 0
+    (math.log(0.12), -720.0),        # (peak - angle) / decay overflows
+    (math.log(0.12), 800.0),         # the decay angle overflows: plateau column zero
+    (math.nan, 0.0),
+    (math.log(0.12), math.nan),
+    (math.log(0.6), math.nan),       # a NaN decay angle with nothing past the peak
+])
+def test_moment_solver_matches_lstsq_on_degenerate_shapes(angles, log_peak, log_decay):
+    _, model = default_models()
+    moments = np.array([model.moment(a) for a in angles]) + 0.01 * np.sin(40.0 * angles)
+    shape = np.array([log_peak, log_decay])
+    coeffs, residual = _moment_solver(angles, moments)(shape)
+    expected_coeffs, expected_residual = _reference_solve(angles, moments, shape)
+    if expected_coeffs is None:
+        assert coeffs is None and np.all(residual == math.inf)
+        return
+    assert coeffs == pytest.approx(expected_coeffs, rel=1e-9, abs=1e-12)
+    assert residual == pytest.approx(expected_residual, rel=1e-9, abs=1e-12)
+
+
+@st.composite
+def _measured_curves(draw):
+    """Samples of a random pair model that pin all four parameters: 1-40
+    angles inside the ramp and 3-150 past the peak, within four decay angles.
+    Some angles repeat, the moments may carry noise, and each sample may be
+    mirrored to the negative side; the order is shuffled."""
+    truth = draw(_pair_models(peak=(0.7, 1.3), angle=(0.6, 1.5), plateau=(0.05, 0.3),
+                              decay=(0.4, 2.5)))
+    ramp_count, tail_count = draw(st.integers(1, 40)), draw(st.integers(3, 150))
+    repeats = draw(st.integers(0, 200 - ramp_count - tail_count))
+    noise = draw(st.sampled_from([0.0, 0.0005, 0.002]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    angles = np.concatenate([
+        truth.peak_angle * np.linspace(0.0, 1.0, ramp_count + 1, endpoint=False)[1:],
+        truth.peak_angle + truth.decay_angle * np.linspace(0.1, 4.0, tail_count)])
+    angles = np.concatenate([angles, rng.choice(angles, repeats)])
+    moments = np.array([truth.moment(a) for a in angles]) + rng.normal(0.0, noise, angles.size)
+    signs = rng.choice([-1.0, 1.0], angles.size) if draw(st.booleans()) else 1.0
+    return rng.permutation(np.column_stack([signs * angles, signs * moments]))
+
+
+def _outcome(calibrate, samples):
+    try:
+        return calibrate(samples)
+    except CalibrationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_measured_curves())
+def test_calibration_agrees_with_lstsq_reference(samples):
+    reference = _outcome(_reference_calibration, samples)
+    result = _outcome(calibrate_unpinched, samples)
+    if isinstance(reference, str) or isinstance(result, str):
+        assert result == reference
+        return
+    model, residual_norm = reference
+    assert _params(result.model) == pytest.approx(_params(model), rel=1e-6)
+    assert result.residual_norm <= residual_norm * (1 + 1e-9) + 1e-12
