@@ -191,19 +191,6 @@ class CablePair:
         _require_positive(self, "c_L", "c_R")
 
 
-def _length_violations(l1: float, l2: float, params: ManipulatorParams) -> list[Violation]:
-    violations = []
-    if l1 < params.l1_min - BOUND_EPS:
-        violations.append(Violation("l1_min", l1, params.l1_min, l1 - params.l1_min))
-    if l2 < params.l2_min - BOUND_EPS:
-        violations.append(Violation("l2_min", l2, params.l2_min, l2 - params.l2_min))
-    total = l1 + l2
-    if total > params.max_total_length + BOUND_EPS:
-        violations.append(Violation("max_total_length", total, params.max_total_length,
-                                    params.max_total_length - total))
-    return violations
-
-
 def within_bounds(l1, l2, theta, params: ManipulatorParams, length_tol: float = 0.0,
                   angle_tol: float = BOUND_EPS):
     """True where a state lies inside every bound of ``params``.
@@ -226,7 +213,16 @@ def validate_state(state: JointState, params: ManipulatorParams) -> list[Violati
     Violations are returned (one entry per failed bound, naming the bound and
     the negative margin), never raised.
     """
-    violations = _length_violations(state.l1, state.l2, params)
+    l1, l2 = state.l1, state.l2
+    violations = []
+    if l1 < params.l1_min - BOUND_EPS:
+        violations.append(Violation("l1_min", l1, params.l1_min, l1 - params.l1_min))
+    if l2 < params.l2_min - BOUND_EPS:
+        violations.append(Violation("l2_min", l2, params.l2_min, l2 - params.l2_min))
+    total = l1 + l2
+    if total > params.max_total_length + BOUND_EPS:
+        violations.append(Violation("max_total_length", total, params.max_total_length,
+                                    params.max_total_length - total))
     if abs(state.theta) > params.theta_limit + BOUND_EPS:
         violations.append(Violation("theta_limit", state.theta, params.theta_limit,
                                     params.theta_limit - abs(state.theta)))
@@ -251,21 +247,14 @@ def forward_kinematics(state: JointState, params: ManipulatorParams | None = Non
     )
 
 
-def link_lengths(control: ControlState, params: ManipulatorParams | None = None) -> tuple[float, float]:
+def link_lengths(control: ControlState) -> tuple[float, float]:
     """Link lengths produced by actuator coordinates.
 
     l1 = q1 + q2 + l1(0) and l2 = -q2 + l2(0): extension feeds link 1 only,
     node motion trades length between the links, so the total l1 + l2 changes
-    only through q1. With ``params`` given, out-of-bound lengths raise a
-    ConstraintViolationError.
+    only through q1.
     """
-    l1 = control.q1 + control.q2 + control.l1_0
-    l2 = -control.q2 + control.l2_0
-    if params is not None:
-        violations = _length_violations(l1, l2, params)
-        if violations:
-            raise ConstraintViolationError(violations)
-    return l1, l2
+    return control.q1 + control.q2 + control.l1_0, -control.q2 + control.l2_0
 
 
 def cable_lengths(state: JointState, d: float) -> CablePair:
@@ -301,11 +290,10 @@ class MassBudget:
     base: float      # kg, housing + reels + spools
     node: float      # kg, pinching node
     per_tape: float  # kg, one tape at the deployed length
-    tape_count: int = TAPE_COUNT
 
     @property
     def total(self) -> float:
-        return self.base + self.node + self.tape_count * self.per_tape
+        return self.base + self.node + TAPE_COUNT * self.per_tape
 
 
 def mass_budget(params: ManipulatorParams, deployed_length: float) -> MassBudget:

@@ -45,7 +45,7 @@ from .model import (
     TapeProperties,
 )
 from .planner import ControlProfile, RateCommand
-from .simulator import Scenario, ScenarioError, initial_state, make_state
+from .simulator import Scenario, ScenarioError, SimState, initial_state
 
 _TAPE = {
     "elastic_modulus_pa": "elastic_modulus",
@@ -156,8 +156,7 @@ def scenario_from_dict(data) -> Scenario:
     control = ControlState(**_fields(_get(initial, "control", "initial"), _CONTROL,
                                      "control state", {"q1": 0.0, "q2": 0.0}))
     if "cables" in initial:
-        cables = CablePair(**_fields(initial["cables"], _CABLES, "cables", {}))
-        state = make_state(control, cables, params)
+        state = SimState(control, CablePair(**_fields(initial["cables"], _CABLES, "cables", {})))
     else:
         theta = _number(initial.get("theta_rad", 0.0), "theta_rad", "initial")
         state = initial_state(control, theta, params)

@@ -28,11 +28,9 @@ from .model import (
     CABLE_RANGE_SLACK,
     DEFAULT_PARAMS,
     CablePair,
-    CableRangeError,
     ControlState,
     JointState,
     ManipulatorParams,
-    Pose,
     cable_lengths,
     forward_kinematics,
     link_lengths,
@@ -79,34 +77,16 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class SimState:
-    """Snapshot of actuator and derived kinematic state at one instant."""
+    """The start of a run at t = 0: actuator coordinates and cable lengths."""
 
-    time: float
     control: ControlState
     cables: CablePair
-    joint: JointState
-    pose: Pose
 
 
-def make_state(control: ControlState, cables: CablePair, params: ManipulatorParams,
-               time: float = 0.0) -> SimState:
-    """Derive the joint state and pose from actuator coordinates and cables.
-
-    Raises CableRangeError when the cable differential exceeds what any bend
-    angle can produce.
-    """
-    l1, l2 = link_lengths(control)
-    joint = JointState(l1, l2, theta_from_cables(cables, params.cable_offset))
-    return SimState(time=time, control=control, cables=cables, joint=joint,
-                    pose=forward_kinematics(joint))
-
-
-def initial_state(control: ControlState, theta: float, params: ManipulatorParams,
-                  time: float = 0.0) -> SimState:
+def initial_state(control: ControlState, theta: float, params: ManipulatorParams) -> SimState:
     """Consistent starting state with cable lengths derived from the angle."""
-    l1, l2 = link_lengths(control)
-    cables = cable_lengths(JointState(l1, l2, theta), params.cable_offset)
-    return make_state(control, cables, params, time)
+    joint = JointState(*link_lengths(control), theta)
+    return SimState(control, cable_lengths(joint, params.cable_offset))
 
 
 # --- scenarios -------------------------------------------------------------
@@ -123,6 +103,10 @@ class Scenario:
     checks: tuple = ()
 
     def __post_init__(self):
+        # The start needs a kinematic state: finite link lengths, and a bend
+        # angle for its cable differential (else CableRangeError).
+        JointState(*link_lengths(self.initial.control),
+                   theta_from_cables(self.initial.cables, self.params.cable_offset))
         # The CLI writes <out>/<name>_log.csv, so a name must not leave --out.
         if self.name in ("", ".", "..") or any(
                 sep and sep in self.name for sep in ("/", os.sep, os.altsep)):
@@ -329,17 +313,16 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
                 for duration, command in scenario.profile.segments]
     values = np.empty((len(LOG_COLUMNS), 1 + sum(n for n, _, _ in segments)))
     violations = {}
-    start = (initial.time, initial.control.q1, initial.control.q2,
+    start = (0.0, initial.control.q1, initial.control.q2,
              initial.cables.c_L, initial.cables.c_R)
     boundary_indices = []
     abort = None
     with np.errstate(all="ignore"):  # overflow is reported as a ScenarioError below
         # Zero rates at t_rel = -0.0 add -0.0 to every start value, which
-        # leaves each float unchanged, negative zeros included.
-        _, reason = _evaluate_rows(values, 0, start, (0.0,) * 4, np.array([-0.0]), datum,
-                                   params, violations)
-        if reason is not None:
-            raise CableRangeError(reason)
+        # leaves each float unchanged, negative zeros included, and t at 0.0.
+        # Scenario has checked that the start's cable differential is in range.
+        _evaluate_rows(values, 0, start, (0.0,) * 4, np.array([-0.0]), datum, params,
+                       violations)
         if values[LOG_COLUMNS.index("eq3_residual"), 0] > INITIAL_CONSISTENCY_TOL:
             raise ScenarioError("initial state is inconsistent: cable sum does not "
                                 "match the link lengths")

@@ -9,6 +9,14 @@ import math
 
 import numpy as np
 
+# Layout: canvas widths and the padding around the plot in pixels, the heat
+# map's contour levels in radians, and the most configurations an overlay draws.
+_WORKSPACE_WIDTH = 640
+_OVERLAY_WIDTH = 480
+_PAD = 20
+_CONTOUR_LEVELS = tuple(math.radians(v) for v in (10, 20, 30, 40, 50))
+_MAX_OVERLAY_CONFIGS = 9
+
 # Marching-squares case table, corner bits: 1=BL, 2=BR, 4=TR, 8=TL.
 # Values are (edge, edge) pairs; edges are "b", "r", "t", "l".
 _CASES = {
@@ -156,17 +164,16 @@ def _colors(values) -> list[str]:
 class _Canvas:
     """Minimal SVG document with a y-up data coordinate system."""
 
-    def __init__(self, x_min, x_max, y_min, y_max, width=640, pad=20):
-        self.scale = (width - 2 * pad) / max(x_max - x_min, 1e-9)
+    def __init__(self, x_min, x_max, y_min, y_max, width):
+        self.scale = (width - 2 * _PAD) / max(x_max - x_min, 1e-9)
         self.width = width
-        self.height = int(round((y_max - y_min) * self.scale)) + 2 * pad
-        self.pad = pad
+        self.height = int(round((y_max - y_min) * self.scale)) + 2 * _PAD
         self.x_min, self.y_max = x_min, y_max
         self.parts = []
 
     def px(self, x, y):
-        return (self.pad + (x - self.x_min) * self.scale,
-                self.pad + (self.y_max - y) * self.scale)
+        return (_PAD + (x - self.x_min) * self.scale,
+                _PAD + (self.y_max - y) * self.scale)
 
     def rect(self, x, y, w, h, fill):
         px, py = self.px(x, y + h)
@@ -184,6 +191,8 @@ class _Canvas:
 
     def text(self, x, y, message):
         px, py = self.px(x, y)
+        # xml.sax.saxutils.escape, whose module imports urllib.request (~40 ms)
+        message = message.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         self.parts.append(f'<text x="{px:.2f}" y="{py:.2f}" font-size="12" '
                           f'font-family="sans-serif">{message}</text>')
 
@@ -194,15 +203,10 @@ class _Canvas:
                 f'{body}\n</svg>\n')
 
 
-def workspace_svg(grid, levels=None, width=640) -> str:
-    """Heat map of |minimum angle| over reachable cells, with contour lines.
-
-    ``levels`` are contour values in radians; defaults to 10..50 deg.
-    """
-    if levels is None:
-        levels = [math.radians(v) for v in (10, 20, 30, 40, 50)]
+def workspace_svg(grid) -> str:
+    """Heat map of |minimum angle| over reachable cells, with contour lines at 10-50 deg."""
     x_min, x_max, y_min, y_max = grid.bounds
-    canvas = _Canvas(x_min, x_max, y_min, y_max, width=width)
+    canvas = _Canvas(x_min, x_max, y_min, y_max, _WORKSPACE_WIDTH)
     if grid.reachable.size == 0:
         return canvas.render()
     magnitude = np.abs(grid.min_angle)
@@ -213,8 +217,8 @@ def workspace_svg(grid, levels=None, width=640) -> str:
     # coordinate computed once per column or row in the same operation order.
     half = 0.5 * grid.resolution
     size = grid.resolution * canvas.scale
-    px = canvas.pad + ((grid.xs - half) - canvas.x_min) * canvas.scale
-    py = canvas.pad + (canvas.y_max - ((grid.ys - half) + grid.resolution)) * canvas.scale
+    px = _PAD + ((grid.xs - half) - canvas.x_min) * canvas.scale
+    py = _PAD + (canvas.y_max - ((grid.ys - half) + grid.resolution)) * canvas.scale
     px_text = [f'<rect x="{v:.2f}" y="' for v in px.tolist()]
     size_text = f'" width="{size:.2f}" height="{size:.2f}" fill="'
     py_text = [f"{v:.2f}{size_text}" for v in py.tolist()]
@@ -222,29 +226,30 @@ def workspace_svg(grid, levels=None, width=640) -> str:
     fills = _colors(magnitude[rows, columns] / vmax)
     canvas.parts.extend(f'{px_text[ix]}{py_text[iy]}{fill}"/>'
                         for iy, ix, fill in zip(rows.tolist(), columns.tolist(), fills))
-    for level in levels:
+    for level in _CONTOUR_LEVELS:
         for chain in marching_squares(grid.xs, grid.ys, magnitude, level):
             canvas.polyline(chain, stroke="black", stroke_width=1.0)
     return canvas.render()
 
 
-def overlay_svg(log, title=None, width=480, max_configs=9) -> str:
+def overlay_svg(log, title=None) -> str:
     """Schematic overlay of sampled configurations from a trajectory log.
 
     Links are drawn as segments along the tape midline, the pinching node as
     a circle, the tip as a dot. Samples are the initial row, the segment
-    boundaries, and the final row, thinned to ``max_configs``.
+    boundaries, and the final row, thinned to _MAX_OVERLAY_CONFIGS. The title
+    is escaped as XML character data (XML 1.0, section 2.4).
     """
     indices = sorted(set([0] + list(log.boundary_indices) + [len(log.rows) - 1]))
-    if len(indices) > max_configs:
-        picks = np.linspace(0, len(indices) - 1, max_configs)
+    if len(indices) > _MAX_OVERLAY_CONFIGS:
+        picks = np.linspace(0, len(indices) - 1, _MAX_OVERLAY_CONFIGS)
         indices = [indices[int(round(p))] for p in picks]
     rows = [log.rows[i] for i in indices]
     xs = [0.0] + [r.x for r in rows]
     ys = [0.0] + [r.y for r in rows] + [r.l1 for r in rows]
     margin = 0.05 * max(max(xs) - min(xs), max(ys) - min(ys), 0.1)
     canvas = _Canvas(min(xs) - margin, max(xs) + margin,
-                     min(ys) - margin, max(ys) + margin, width=width)
+                     min(ys) - margin, max(ys) + margin, _OVERLAY_WIDTH)
     last = len(rows) - 1
     shares = [order / max(last, 1) for order in range(len(rows))]
     colors = _colors([0.2 + 0.6 * f for f in shares])

@@ -68,8 +68,7 @@ class AngleInterval:
         return self.hi - self.lo
 
 
-def ik_at_theta(point, theta: float, params: ManipulatorParams,
-                length_tol: float = LENGTH_TOL) -> JointState | None:
+def ik_at_theta(point, theta: float, params: ManipulatorParams) -> JointState | None:
     """Joint state reaching ``point`` at bend angle ``theta``, or None.
 
     Infeasibility is a value, not an error. A target within STRAIGHT_X_TOL
@@ -89,17 +88,16 @@ def ik_at_theta(point, theta: float, params: ManipulatorParams,
         l1 = y - x / math.tan(theta)
     elif theta == 0.0:
         l1 = min(max(params.l1_min, y - params.max_total_length + params.l1_min),
-                 y - max(params.l2_min - length_tol, 0.0))
+                 y - max(params.l2_min - LENGTH_TOL, 0.0))
         l2 = y - l1
     else:
         l1, l2 = y, 0.0
-    if not within_bounds(l1, l2, theta, params, length_tol, ANGLE_TOL):
+    if not within_bounds(l1, l2, theta, params, LENGTH_TOL, ANGLE_TOL):
         return None
     return JointState(l1 if l1 > 0.0 else 0.0, l2, theta)
 
 
-def feasibility_mask(point, thetas, params: ManipulatorParams,
-                     length_tol: float = LENGTH_TOL) -> np.ndarray:
+def feasibility_mask(point, thetas, params: ManipulatorParams) -> np.ndarray:
     """Vectorized ik_at_theta feasibility over an array of bend angles."""
     x, y = point
     if abs(x) <= STRAIGHT_X_TOL:
@@ -108,16 +106,15 @@ def feasibility_mask(point, thetas, params: ManipulatorParams,
     with np.errstate(divide="ignore", invalid="ignore"):
         l2 = x / np.sin(thetas)
         l1 = y - x / np.tan(thetas)
-        mask = within_bounds(l1, l2, thetas, params, length_tol, ANGLE_TOL)
+        mask = within_bounds(l1, l2, thetas, params, LENGTH_TOL, ANGLE_TOL)
     zero = thetas == 0.0
     if np.any(zero):
-        mask[zero] = ik_at_theta(point, 0.0, params, length_tol) is not None
+        mask[zero] = ik_at_theta(point, 0.0, params) is not None
     return mask
 
 
 def sweep_feasible_intervals(point, params: ManipulatorParams,
-                             step: float = math.radians(0.01),
-                             length_tol: float = LENGTH_TOL) -> list[AngleInterval]:
+                             step: float = math.radians(0.01)) -> list[AngleInterval]:
     """Brute-force oracle: sweep the hinge range and collect feasible runs.
 
     Interval endpoints are resolved to the sweep step.
@@ -126,7 +123,7 @@ def sweep_feasible_intervals(point, params: ManipulatorParams,
         raise ValueError("sweep step must be positive")
     n = int(params.theta_limit / step + 1e-9)
     thetas = np.arange(-n, n + 1) * step
-    mask = feasibility_mask(point, thetas, params, length_tol)
+    mask = feasibility_mask(point, thetas, params)
     intervals = []
     indices = np.flatnonzero(mask)
     if indices.size == 0:
@@ -142,8 +139,7 @@ def sweep_feasible_intervals(point, params: ManipulatorParams,
     return intervals
 
 
-def feasible_theta_interval(point, params: ManipulatorParams,
-                            length_tol: float = LENGTH_TOL) -> AngleInterval | None:
+def feasible_theta_interval(point, params: ManipulatorParams) -> AngleInterval | None:
     """The interval of bend angles from which ``point`` is reachable, or None.
 
     Uses the closed-form bounds from the module docstring, with the same
@@ -156,19 +152,19 @@ def feasible_theta_interval(point, params: ManipulatorParams,
         # On the midline l1 = y and l2 = 0 at every bent angle, so the probe
         # at the hinge limit stands for all of them; it passes only where
         # the straight split does too.
-        if ik_at_theta(point, 0.0, params, length_tol) is None:
+        if ik_at_theta(point, 0.0, params) is None:
             return None
         limit = params.theta_limit
-        if ik_at_theta(point, limit, params, length_tol) is None:
+        if ik_at_theta(point, limit, params) is None:
             return AngleInterval(0.0, 0.0)
         return AngleInterval(-limit, limit)
 
     ax = abs(x)
-    l1_floor = params.l1_min - length_tol
+    l1_floor = params.l1_min - LENGTH_TOL
     lo = math.atan2(ax, y - (l1_floor if l1_floor > 0.0 else 0.0))
     hi = min(params.theta_limit,
-             2.0 * math.atan2(params.max_total_length + length_tol - y, ax))
-    l2_floor = params.l2_min - length_tol
+             2.0 * math.atan2(params.max_total_length + LENGTH_TOL - y, ax))
+    l2_floor = params.l2_min - LENGTH_TOL
     if l2_floor > 0.0:
         ratio = ax / l2_floor
         if ratio < 1.0:
@@ -178,10 +174,9 @@ def feasible_theta_interval(point, params: ManipulatorParams,
     return AngleInterval(lo, hi) if x > 0 else AngleInterval(-hi, -lo)
 
 
-def min_end_effector_angle(point, params: ManipulatorParams,
-                           length_tol: float = LENGTH_TOL) -> float | None:
+def min_end_effector_angle(point, params: ManipulatorParams) -> float | None:
     """Smallest-magnitude feasible bend angle, signed like x; None if unreachable."""
-    interval = feasible_theta_interval(point, params, length_tol)
+    interval = feasible_theta_interval(point, params)
     if interval is None:
         return None
     if interval.lo > 0.0:
@@ -246,8 +241,7 @@ def _map_math(function, *arrays) -> np.ndarray:
     return np.fromiter(map(function, *lists), float, math.prod(shape)).reshape(shape)
 
 
-def compute_grid(params: ManipulatorParams, bounds, resolution: float,
-                 length_tol: float = LENGTH_TOL) -> WorkspaceGrid:
+def compute_grid(params: ManipulatorParams, bounds, resolution: float) -> WorkspaceGrid:
     """Evaluate reachability and minimum angle on square cells over ``bounds``.
 
     bounds = (x_min, x_max, y_min, y_max). Off the midline a cell's minimum
@@ -282,14 +276,14 @@ def compute_grid(params: ManipulatorParams, bounds, resolution: float,
     ax = np.abs(xs)
     # hi's bounds that do not depend on y: the hinge limit and the l2 floor
     hi_cap = np.full(nx, params.theta_limit)
-    l2_floor = params.l2_min - length_tol
+    l2_floor = params.l2_min - LENGTH_TOL
     if l2_floor > 0.0:
         ratio = ax / l2_floor
         capped = ratio < 1.0
         hi_cap[capped] = np.minimum(hi_cap[capped], _map_math(math.asin, ratio[capped]))
-    l1_floor = params.l1_min - length_tol
+    l1_floor = params.l1_min - LENGTH_TOL
     l1_floor = l1_floor if l1_floor > 0.0 else 0.0
-    total = params.max_total_length + length_tol
+    total = params.max_total_length + LENGTH_TOL
     cols = max(1, min(nx, _BLOCK_CELLS))
     rows = max(1, _BLOCK_CELLS // cols)
     for r0 in range(0, ny, rows):
@@ -305,7 +299,7 @@ def compute_grid(params: ManipulatorParams, bounds, resolution: float,
     for ix in np.flatnonzero(ax <= STRAIGHT_X_TOL).tolist():
         x = float(xs[ix])
         for iy, y in enumerate(ys.tolist()):
-            minimum = min_end_effector_angle((x, y), params, length_tol)
+            minimum = min_end_effector_angle((x, y), params)
             reach[iy, ix] = minimum is not None
             angle[iy, ix] = math.nan if minimum is None else minimum
     return WorkspaceGrid(xs=xs, ys=ys, reachable=reach, min_angle=angle,

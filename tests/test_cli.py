@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from tapearm import stiffness
 from tapearm.cli import main
 from tapearm.model import (
     DEFAULT_PARAMS,
@@ -266,6 +267,9 @@ _SCENARIO = ('{"initial": {"control": {"l1_0_m": 0.3, "l2_0_m": 0.4}}, "dt_s": %
 # the cable differential grows 0.12 m/s past the 0.06 m that d = 15 mm allows
 _ABORTING_SCENARIO = _SCENARIO % ("0.01", "1.0", '{"cL": 0.06, "cR": -0.06}', '["l1_constant"]')
 
+_START_CABLES = ('{"initial": {"control": {"l1_0_m": 0.3, "l2_0_m": 0.4}, '
+                 '"cables": {"cL_m": %s, "cR_m": %s}}}')
+
 # (case, text of DIR/input.json or None, argv with {dir} expanded, exit code):
 # 0 success, 1 failed checks or invalid states, 2 usage or input errors,
 # 3 I/O errors
@@ -337,12 +341,29 @@ _EXIT_CODE_TABLE = [
     ("scenario-name-not-utf8",
      '{"name": "\\udc80", ' + _SCENARIO[1:] % ("0.01", "1.0", "{}", "[]"),
      ["simulate", "{dir}/input.json"], 2),
+    # refused before any sample is allocated
+    ("curve-over-sample-limit", None,
+     ["stiffness", "--curve", "0", "40", str(stiffness.MAX_CURVE_SAMPLES + 1)], 2),
+    # explicit start cables: a differential no bend angle gives, and a sum
+    # that does not match the link lengths
+    ("start-cables-out-of-range", _START_CABLES % ("0.8", "0.6"),
+     ["simulate", "{dir}/input.json"], 2),
+    ("start-cables-inconsistent", _START_CABLES % ("0.75", "0.74"),
+     ["simulate", "{dir}/input.json"], 2),
 ]
 
+# The start of the stderr line of some rows.
+_EXIT_STDERR = {
+    "curve-over-sample-limit": "error: 100001 samples exceed the 100000 sample limit",
+    "start-cables-out-of-range": "error: bad scenario file: cable differential 0.2 m is "
+                                 "outside the +/-0.06 m range",
+    "start-cables-inconsistent": "error: initial state is inconsistent: ",
+}
 
-@pytest.mark.parametrize("text, argv, expected", [row[1:] for row in _EXIT_CODE_TABLE],
+
+@pytest.mark.parametrize("case, text, argv, expected", _EXIT_CODE_TABLE,
                          ids=[row[0] for row in _EXIT_CODE_TABLE])
-def test_exit_code_taxonomy(capsys, tmp_path, text, argv, expected):
+def test_exit_code_taxonomy(capsys, tmp_path, case, text, argv, expected):
     if text is not None:
         (tmp_path / "input.json").write_text(text)
     argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
@@ -350,6 +371,7 @@ def test_exit_code_taxonomy(capsys, tmp_path, text, argv, expected):
     err = capsys.readouterr().err
     assert code == expected, err
     assert len(err.splitlines()) == (1 if expected in (2, 3) else 0), err
+    assert err.startswith(_EXIT_STDERR.get(case, "")), err
     # nothing is written outside --out, and nothing at all on a usage error
     assert {path.name for path in tmp_path.iterdir()} <= {"input.json", "out"}
     if expected == 2:

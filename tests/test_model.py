@@ -76,11 +76,6 @@ def test_link_lengths_total_length_conservation():
         assert l1 + l2 == pytest.approx(q1 + l1_0 + l2_0, abs=1e-12)
 
 
-def test_link_lengths_validates_against_params():
-    with pytest.raises(ConstraintViolationError):
-        link_lengths(ControlState(0.0, 0.5, 0.076, 0.3), DEFAULT_PARAMS)  # l2 < 0
-
-
 def fk_from_controls(control, theta):
     """Pose directly from actuator coordinates as one combined linear map.
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tapearm.model import DEFAULT_PARAMS, JointState, ManipulatorParams
+from tapearm.model import DEFAULT_PARAMS, JointState, ManipulatorParams, theta_from_cables
 from tapearm.serialization import (
     load_params,
     load_scenario,
@@ -56,8 +56,7 @@ def test_scenario_file_roundtrip(tmp_path):
     path = tmp_path / "scenario.json"
     save_scenario(scenario, path)
     loaded = load_scenario(path)
-    assert loaded.name == scenario.name
-    assert loaded.checks == scenario.checks
+    assert loaded == scenario
     assert run_scenario(loaded).all_passed
 
 
@@ -83,7 +82,9 @@ def test_scenario_initial_from_explicit_cables():
                     "cables": {"cL_m": cables.c_L, "cR_m": cables.c_R}},
         "segments": [],
     })
-    assert scenario.initial.joint.theta == pytest.approx(state.theta, abs=1e-12)
+    assert scenario.initial.cables == cables
+    assert (theta_from_cables(scenario.initial.cables, DEFAULT_PARAMS.cable_offset)
+            == pytest.approx(state.theta, abs=1e-12))
 
 
 def test_scenario_rejects_malformed_input():

@@ -33,7 +33,6 @@ from tapearm.simulator import (
     evaluate_check,
     initial_state,
     log_to_csv,
-    make_state,
     parse_check,
     run_scenario,
 )
@@ -131,7 +130,7 @@ def _run_scenario_loop(scenario):
     params = scenario.params
     initial = scenario.initial
     datum = (initial.control.l1_0, initial.control.l2_0)
-    start = (initial.time, initial.control.q1, initial.control.q2,
+    start = (0.0, initial.control.q1, initial.control.q2,
              initial.cables.c_L, initial.cables.c_R)
     rows = list(_evaluate_segment_loop(start, (0.0,) * 4, (-0.0,), datum, params))
     if rows[0].eq3_residual > INITIAL_CONSISTENCY_TOL:
@@ -241,13 +240,12 @@ def test_check_consistency_fresh_state():
 
 def test_check_consistency_corrupted_cable():
     state = _start(theta=math.radians(10.0))
-    corrupted = make_state(state.control,
-                           CablePair(state.cables.c_L + 1e-3, state.cables.c_R), PARAMS)
+    corrupted = SimState(state.control, CablePair(state.cables.c_L + 1e-3, state.cables.c_R))
     with pytest.raises(ScenarioError, match="inconsistent"):
         _run(corrupted)
     # within the initial tolerance the run proceeds and the check sees it
-    drifted = make_state(state.control,
-                         CablePair(state.cables.c_L + 4e-10, state.cables.c_R + 4e-10), PARAMS)
+    drifted = SimState(state.control,
+                       CablePair(state.cables.c_L + 4e-10, state.cables.c_R + 4e-10))
     log = _run(drifted, (1.0, RateCommand()), checks=("eq3_residual:1e-10",))
     assert log.checks[0].observed == pytest.approx(4e-10, rel=1e-3)
     assert not log.all_passed
@@ -272,9 +270,8 @@ def test_run_scenario_empty_profile():
 
 def test_run_scenario_rejects_inconsistent_initial_state():
     state = _start()
-    broken = SimState(time=0.0, control=state.control,
-                      cables=CablePair(state.cables.c_L + 0.01, state.cables.c_R + 0.01),
-                      joint=state.joint, pose=state.pose)
+    broken = SimState(state.control,
+                      CablePair(state.cables.c_L + 0.01, state.cables.c_R + 0.01))
     scenario = Scenario("broken", PARAMS, broken, ControlProfile(()))
     with pytest.raises(ScenarioError, match="inconsistent"):
         run_scenario(scenario)
@@ -402,14 +399,25 @@ def test_log_csv_format(tmp_path):
     assert float(first[0]) == 0.0
 
 
-def test_make_state_derives_joint_from_cables():
+def test_explicit_cables_set_the_start_angle():
     control = ControlState(0.0, 0.0, 0.4, 0.4)
     joint = JointState(0.4, 0.4, math.radians(15.0))
     from tapearm.model import cable_lengths
-    cables = cable_lengths(joint, PARAMS.cable_offset)
-    state = make_state(control, cables, PARAMS)
-    assert state.joint.theta == pytest.approx(joint.theta, abs=1e-12)
-    assert _run(state).final.eq3_residual <= 1e-12
+    row = _run(SimState(control, cable_lengths(joint, PARAMS.cable_offset))).final
+    assert row.theta == pytest.approx(joint.theta, abs=1e-12)
+    assert row.eq3_residual <= 1e-12
+    assert row.t == 0.0 and math.copysign(1.0, row.t) == 1.0
+
+
+def test_scenario_rejects_a_start_without_a_kinematic_state():
+    state = _start()
+    with pytest.raises(CableRangeError, match="cable differential"):
+        Scenario("bad", PARAMS, SimState(state.control, CablePair(0.8, 0.6)),
+                 ControlProfile(()))
+    # +inf and -inf link lengths, whose sum is NaN
+    control = ControlState(1e308, 1e308, 0.0, -1e308)
+    with pytest.raises(ValueError, match="JointState.l1 must be finite"):
+        Scenario("bad", PARAMS, SimState(control, state.cables), ControlProfile(()))
 
 
 def test_rows_view_behaves_like_the_row_list():
@@ -495,12 +503,10 @@ def _scenarios(draw):
     q1, q2 = draw(st.floats(-0.3, 0.3)), draw(st.floats(-0.3, 0.3))
     l1, l2 = draw(st.floats(0.1, 1.0)), draw(st.floats(0.1, 1.0))
     control = ControlState(q1, q2, l1 - q1 - q2, l2 + q2)
-    start = initial_state(control, draw(st.floats(-1.5, 1.5)), params,
-                          time=draw(st.floats(0.0, 100.0)))
+    start = initial_state(control, draw(st.floats(-1.5, 1.5)), params)
     drift = draw(st.sampled_from([0.0, 0.0, 0.0, 4e-10, 1e-3]))  # 1e-3: inconsistent
     if drift:
-        start = make_state(control, CablePair(start.cables.c_L + drift, start.cables.c_R),
-                           params, start.time)
+        start = SimState(control, CablePair(start.cables.c_L + drift, start.cables.c_R))
     dt = draw(st.sampled_from([0.001, 0.01, 0.02, 0.05, 0.1, 0.3]))
     legs = draw(st.lists(st.tuples(st.integers(1, 300), _RATE, _RATE, _RATE, _RATE),
                          max_size=3))
@@ -536,7 +542,7 @@ _BEND = 4.0 * PARAMS.cable_offset
 def test_columnar_log_matches_reference_loop(tmp_path_factory, scenario):
     try:
         rows, checks, boundary_indices, abort = _run_scenario_loop(scenario)
-    except ValueError as exc:  # ScenarioError, or CableRangeError at the initial row
+    except ScenarioError as exc:  # an inconsistent start or an overflowing segment
         with pytest.raises(ValueError) as raised:
             run_scenario(scenario)
         assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from tapearm.model import DEFAULT_TAPE
 from tapearm.stiffness import (
+    MAX_CURVE_SAMPLES,
     CalibrationError,
     FlattenedSection,
     PinchJointModel,
@@ -129,6 +130,10 @@ def test_moment_angle_curve_endpoints():
     assert table[0, 1] == 0.0
     with pytest.raises(ValueError):
         moment_angle_curve(unpinched, 0.0, 0.3, 1)
+    # refused before anything is allocated
+    with pytest.raises(ValueError, match="sample limit"):
+        moment_angle_curve(unpinched, 0.0, 0.3, 10**18)
+    assert len(moment_angle_curve(unpinched, 0.0, 0.3, MAX_CURVE_SAMPLES)) == MAX_CURVE_SAMPLES
 
 
 def test_moment_csv_roundtrip(tmp_path):
@@ -200,9 +205,23 @@ def test_calibration_degenerate_data():
         # those steps are rejected and the fit ends at a degenerate model.
         with pytest.raises(CalibrationError, match="degenerate model"):
             calibrate_unpinched([(0.0, 1.0), (0.1, -1.0), (0.2, 1.5), (0.3, 1.5)])
-        # this fit ends with the decay angle underflowed to zero
+        # No monotone tail follows the dip after the peak, so the fit drops to
+        # the plateau at once: the decay angle underflows to zero. This
+        # outcome held under 500 random 1-ulp perturbations of the samples
+        # or of the residuals.
         with pytest.raises(CalibrationError, match="degenerate shape"):
-            calibrate_unpinched([(0.1, -1.0), (0.2, 0.5), (0.3, 2.0), (0.4, 2.0), (0.5, 0.0)])
+            calibrate_unpinched([(0.1, 0.5), (0.2, 1.5), (0.3, -1.0), (0.4, 0.5)])
+
+
+def test_calibration_needs_a_sample_inside_the_ramp():
+    # every peak angle in (0, 0.3] fits these noiseless samples alike
+    truth = UnpinchedPairModel(0.654, 0.17, 0.0654, 0.2)
+    angles = [0.0, *np.linspace(0.3, 1.0, 12)]
+    with pytest.raises(CalibrationError, match="no sample inside the ramp"):
+        calibrate_unpinched([(a, truth.moment(a)) for a in angles])
+    # one sample inside the ramp fixes it
+    fitted = calibrate_unpinched([(a, truth.moment(a)) for a in [0.1, *angles]]).model
+    assert fitted.peak_angle == pytest.approx(truth.peak_angle, rel=1e-6)
 
 
 def test_levenberg_marquardt_accepts_only_finite_descent():

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -257,3 +259,12 @@ def test_overlay_svg_structure():
     # one polyline and node/tip circles per drawn configuration
     assert text.count("<polyline") >= 4
     assert text.count("<circle") == 2 * text.count("<polyline")
+
+
+def test_overlay_title_is_escaped():
+    # "&" and "<" must be escaped in XML character data (XML 1.0, section 2.4)
+    scenario = dataclasses.replace(builtin_scenarios()["stationary-bend"], name="a&b<c>")
+    text = overlay_svg(run_scenario(scenario), title=scenario.name)
+    assert "a&amp;b&lt;c&gt;" in text
+    root = ElementTree.fromstring(text)
+    assert root.find("{http://www.w3.org/2000/svg}text").text == "a&b<c>"

@@ -13,6 +13,7 @@ from tapearm.model import (
     JointState,
     ManipulatorParams,
     forward_kinematics,
+    within_bounds,
 )
 from tapearm.workspace import (
     ANGLE_TOL,
@@ -132,11 +133,11 @@ def test_interval_endpoints_match_sweep_oracle():
 
 @st.composite
 def _params_and_points(draw):
-    bound = st.one_of(st.just(0.0), st.floats(0.0, 0.5))
-    # l2_min within the length slack lets link 2 shrink to zero length
-    l2_bound = st.one_of(bound, st.floats(0.0, LENGTH_TOL, exclude_min=True))
+    # minimum lengths within the length slack let a link shrink to zero length
+    bound = st.one_of(st.just(0.0), st.floats(0.0, LENGTH_TOL, exclude_min=True),
+                      st.floats(0.0, 0.5))
     params = ManipulatorParams(theta_limit=draw(st.floats(0.05, math.pi / 2)),
-                               l1_min=draw(bound), l2_min=draw(l2_bound),
+                               l1_min=draw(bound), l2_min=draw(bound),
                                max_total_length=draw(st.floats(0.05, 7.62)))
     # off the midline, where the closed form applies; x spans the length
     # budget or one of the minimum link lengths, so every bound gets active
@@ -156,7 +157,7 @@ def _params_and_points(draw):
         edge.map(lambda d: params.max_total_length + d))
     offset = st.one_of(st.just(0.0), st.floats(-STRAIGHT_X_TOL, STRAIGHT_X_TOL))
     points += draw(st.lists(st.tuples(offset, height), max_size=4))
-    return params, draw(st.sampled_from([0.0, 1e-3])), points
+    return params, points
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -164,29 +165,37 @@ def _params_and_points(draw):
 # within STRAIGHT_X_TOL of the midline with l2_min at the slack: the far
 # side holds because the point counts as on the midline, where link 2 has
 # zero length at every bent angle, not a negative one
-@example((ManipulatorParams(l2_min=0.001), LENGTH_TOL, [(1e-10, 1.0), (-1e-10, 1.0)]))
+@example((ManipulatorParams(l2_min=0.001), [(1e-10, 1.0), (-1e-10, 1.0)]))
+# lo rounds one ulp above the lattice angle 0.1749 rad, which the sweep
+# accepts, so the two disagree there and the tightness assertions run
+@example((ManipulatorParams(), [(0.0521975789509446, 0.3704241235100138)]))
 def test_closed_form_interval_matches_sweep_oracle(case):
-    params, length_tol, points = case
+    params, points = case
     step = math.radians(0.01)
     n = int(params.theta_limit / step + 1e-9)
     thetas = np.arange(-n, n + 1) * step  # the sweep's lattice
     for point in points:
-        closed = feasible_theta_interval(point, params, length_tol)
+        closed = feasible_theta_interval(point, params)
         in_closed = np.zeros(thetas.shape, dtype=bool)
         if closed is not None:
             for theta in (closed.lo, 0.5 * (closed.lo + closed.hi), closed.hi):
-                assert ik_at_theta(point, theta, params, length_tol) is not None
+                assert ik_at_theta(point, theta, params) is not None
             in_closed = (thetas >= closed.lo) & (thetas <= closed.hi)
         in_sweep = np.zeros(thetas.shape, dtype=bool)
-        for s in sweep_feasible_intervals(point, params, step, length_tol):
+        for s in sweep_feasible_intervals(point, params, step):
             in_sweep |= (thetas >= s.lo) & (thetas <= s.hi)
         # The two may disagree only where a bound holds to within its slack:
-        # ANGLE_TOL on the hinge limit, BOUND_EPS on the lengths.
-        for theta in thetas[in_closed != in_sweep]:
+        # ANGLE_TOL on the hinge limit, BOUND_EPS on the lengths. They agree at
+        # theta = 0, so these are the lengths ik_at_theta tests at a bent angle.
+        x = point[0] if abs(point[0]) > STRAIGHT_X_TOL else 0.0
+        for theta in thetas[in_closed != in_sweep].tolist():
             if abs(abs(theta) - params.theta_limit) <= ANGLE_TOL:
                 continue
-            assert ik_at_theta(point, theta, params, length_tol - 2 * BOUND_EPS) is None
-            assert ik_at_theta(point, theta, params, length_tol + 2 * BOUND_EPS) is not None
+            lengths = (point[1] - x / math.tan(theta), x / math.sin(theta))
+            assert not within_bounds(*lengths, theta, params, LENGTH_TOL - 2 * BOUND_EPS,
+                                     ANGLE_TOL)
+            assert within_bounds(*lengths, theta, params, LENGTH_TOL + 2 * BOUND_EPS,
+                                 ANGLE_TOL)
 
 
 def test_feasibility_mask_matches_scalar_predicate():
@@ -296,9 +305,9 @@ def test_compute_grid_cell_limit(monkeypatch):
 
 @st.composite
 def _grid_cases(draw):
-    bound = st.one_of(st.just(0.0), st.floats(0.0, 0.5))
-    # l2_min inside the length slack, or past it so the asin bound is active
-    l2_bound = st.one_of(bound, st.floats(0.0, LENGTH_TOL), st.floats(LENGTH_TOL, 0.05))
+    bound = st.one_of(st.just(0.0), st.floats(0.0, LENGTH_TOL), st.floats(0.0, 0.5))
+    # l2_min also just past the length slack, so the asin bound is active
+    l2_bound = st.one_of(bound, st.floats(LENGTH_TOL, 0.05))
     params = ManipulatorParams(theta_limit=draw(st.floats(0.05, math.pi / 2)),
                                l1_min=draw(bound), l2_min=draw(l2_bound),
                                max_total_length=draw(st.floats(0.05, 7.62)))
@@ -313,23 +322,22 @@ def _grid_cases(draw):
     half = 0.5 * nx * resolution
     bounds = (cx - half, cx + half, y0, y0 + ny * resolution)
     block = draw(st.sampled_from([1, 7, 64, workspace._BLOCK_CELLS]))
-    return params, draw(st.sampled_from([0.0, LENGTH_TOL])), bounds, resolution, block
+    return params, bounds, resolution, block
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_grid_cases())
 # 21 columns, one at x = 0 or 5e-10 off it, in 13 blocks of 20 cells, with
 # the asin bound active for |x| < l2_min - LENGTH_TOL
-@example((ManipulatorParams(l2_min=0.05), LENGTH_TOL, (-0.21, 0.21, 0.0, 0.24), 0.02, 20))
-@example((ManipulatorParams(l2_min=0.05), LENGTH_TOL,
-          (5e-10 - 0.21, 5e-10 + 0.21, 0.0, 0.24), 0.02, 20))
+@example((ManipulatorParams(l2_min=0.05), (-0.21, 0.21, 0.0, 0.24), 0.02, 20))
+@example((ManipulatorParams(l2_min=0.05), (5e-10 - 0.21, 5e-10 + 0.21, 0.0, 0.24), 0.02, 20))
 def test_compute_grid_matches_per_cell_min_angle(case):
-    params, length_tol, bounds, resolution, block = case
+    params, bounds, resolution, block = case
     with mock.patch.object(workspace, "_BLOCK_CELLS", block):
-        grid = compute_grid(params, bounds, resolution, length_tol)
+        grid = compute_grid(params, bounds, resolution)
     for iy, y in enumerate(grid.ys.tolist()):
         for ix, x in enumerate(grid.xs.tolist()):
-            expected = min_end_effector_angle((x, y), params, length_tol)
+            expected = min_end_effector_angle((x, y), params)
             assert grid.reachable[iy, ix] == (expected is not None)
             got = float(grid.min_angle[iy, ix])
             assert got.hex() == (math.nan if expected is None else expected).hex()
