@@ -125,10 +125,23 @@ def _print_violations(violations) -> None:
         print(f"violation: {violation}")
 
 
-def _out_dir(args) -> Path:
+def _write_outputs(args, table, figure=None) -> None:
+    """Write the outputs that --format selects into --out, creating it.
+
+    ``table`` (CSV) and ``figure`` (SVG) are (file name, renderer) pairs; a
+    renderer writes to an open text file. A table with no figure is written
+    under every --format. Each path is printed once its file is closed.
+    """
+    outputs = {"csv": [table], "svg": [figure], "both": [table, figure]}[args.format]
+    if figure is None:
+        outputs = [table]
     directory = Path(args.out)
     directory.mkdir(parents=True, exist_ok=True)
-    return directory
+    for name, render in outputs:
+        path = directory / name
+        with open(path, "w", newline="") as fh:
+            render(fh)
+        print(f"wrote {path}")
 
 
 def cmd_fk(args, params) -> int:
@@ -189,17 +202,10 @@ def cmd_theta_from_cables(args, params) -> int:
 
 def cmd_workspace(args, params) -> int:
     grid = workspace.compute_grid(params, tuple(args.bounds), args.resolution)
-    directory = _out_dir(args)
     if grid.reachable.size == 0:
         print("warning: bounds enclose no grid cells; outputs are empty")
-    if args.format in ("csv", "both"):
-        csv_path = directory / "workspace.csv"
-        workspace.grid_to_csv(grid, csv_path)
-        print(f"wrote {csv_path}")
-    if args.format in ("svg", "both"):
-        svg_path = directory / "workspace.svg"
-        svg_path.write_text(svg.workspace_svg(grid))
-        print(f"wrote {svg_path}")
+    _write_outputs(args, ("workspace.csv", lambda fh: workspace.grid_to_csv(grid, fh)),
+                   ("workspace.svg", lambda fh: svg.workspace_svg(grid, fh)))
     print(f"cells={grid.reachable.size}")
     print(f"reachable_fraction={_fmt(grid.reachable_fraction)}")
     return EXIT_OK
@@ -222,9 +228,8 @@ def cmd_stiffness(args, params) -> int:
         hi = _parse_cli_angle(args.curve[1], args)
         n = int(args.curve[2])
         samples = stiffness.moment_angle_curve(model, lo, hi, n)
-        path = _out_dir(args) / f"stiffness_{args.model}.csv"
-        stiffness.write_moment_csv(path, samples)
-        print(f"wrote {path}")
+        _write_outputs(args, (f"stiffness_{args.model}.csv",
+                              lambda fh: stiffness.write_moment_csv(samples, fh)))
         did_something = True
     if not did_something:
         raise _UsageError("stiffness needs one of --kappa, --theta, --curve")
@@ -233,15 +238,9 @@ def cmd_stiffness(args, params) -> int:
 
 def _run_and_report(scenario, args) -> int:
     log = simulator.run_scenario(scenario)
-    directory = _out_dir(args)
-    if args.format in ("csv", "both"):
-        csv_path = directory / f"{scenario.name}_log.csv"
-        simulator.log_to_csv(log, csv_path)
-        print(f"wrote {csv_path}")
-    if args.format in ("svg", "both"):
-        svg_path = directory / f"{scenario.name}_overlay.svg"
-        svg_path.write_text(svg.overlay_svg(log, title=scenario.name))
-        print(f"wrote {svg_path}")
+    _write_outputs(args, (f"{scenario.name}_log.csv", lambda fh: simulator.log_to_csv(log, fh)),
+                   (f"{scenario.name}_overlay.svg",
+                    lambda fh: svg.overlay_svg(log, fh, title=scenario.name)))
     if log.abort is not None:
         print(f"aborted at t={log.abort.time:.9g} s: {log.abort.reason}")
     for result in log.checks:
@@ -263,10 +262,7 @@ def cmd_simulate(args, params) -> int:
 def cmd_demo(args, params) -> int:
     scenarios = simulator.builtin_scenarios(params)
     if args.name not in scenarios:
-        print(f"unknown demo {args.name!r}; available demos:")
-        for name in scenarios:
-            print(f"  {name}")
-        return EXIT_USAGE
+        raise _UsageError(f"unknown demo {args.name!r}; available demos: {', '.join(scenarios)}")
     return _run_and_report(scenarios[args.name], args)
 
 

@@ -358,31 +358,30 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
                          boundary_indices=boundary_indices, abort=abort)
 
 
-def log_to_csv(log: TrajectoryLog, path) -> None:
-    """Write the run log with the standard column header.
+def log_to_csv(log: TrajectoryLog, fh) -> None:
+    """Write the run log, with the standard column header, to the open text file ``fh``.
 
     Every float is its shortest round-trip ``repr`` (Steele & White 1990; Gay
     1990), which is most of the cost. Rows are formatted column by column,
     _BLOCK_ROWS at a time with one write per block, so memory stays bounded.
     """
     rows = log.rows
-    with open(path, "w", newline="") as fh:
-        fh.write(LOG_CSV_HEADER + "\n")
-        for first in range(0, len(rows), _BLOCK_ROWS):
-            block = rows.values[:, first:first + _BLOCK_ROWS].tolist()
-            residual = block.pop()
-            # A handful of distinct residuals, so each is formatted once. They
-            # are abs(...), never -0.0, so no key stands for two reprs.
-            texts = {value: repr(value) for value in set(residual)}
-            fields = [list(map(repr, column)) for column in block]
-            fields.append(list(map(texts.__getitem__, residual)))
-            if rows.violations:
-                found = map(rows.violations.get, range(first, first + len(residual)),
-                            repeat(()))
-                fields.append([";".join(map(str, violations)) for violations in found])
-            else:
-                fields.append(repeat("", len(residual)))
-            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+    fh.write(LOG_CSV_HEADER + "\n")
+    for first in range(0, len(rows), _BLOCK_ROWS):
+        block = rows.values[:, first:first + _BLOCK_ROWS].tolist()
+        residual = block.pop()
+        # A handful of distinct residuals, so each is formatted once. They
+        # are abs(...), never -0.0, so no key stands for two reprs.
+        texts = {value: repr(value) for value in set(residual)}
+        fields = [list(map(repr, column)) for column in block]
+        fields.append(list(map(texts.__getitem__, residual)))
+        if rows.violations:
+            found = map(rows.violations.get, range(first, first + len(residual)),
+                        repeat(()))
+            fields.append([";".join(map(str, violations)) for violations in found])
+        else:
+            fields.append(repeat("", len(residual)))
+        fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 # --- named checks ----------------------------------------------------------

@@ -173,12 +173,11 @@ def moment_angle_curve(model, theta_min: float, theta_max: float, n: int) -> np.
     return np.column_stack([thetas, [model.moment(t) for t in thetas]])
 
 
-def write_moment_csv(path, samples) -> None:
-    """Write a (theta, moment) table with the standard two-column header."""
-    with open(path, "w", newline="") as fh:
-        fh.write(MOMENT_CSV_HEADER + "\n")
-        for theta, moment in samples:
-            fh.write(f"{float(theta)!r},{float(moment)!r}\n")
+def write_moment_csv(samples, fh) -> None:
+    """Write a (theta, moment) table, with the standard header, to the open text file ``fh``."""
+    fh.write(MOMENT_CSV_HEADER + "\n")
+    for theta, moment in samples:
+        fh.write(f"{float(theta)!r},{float(moment)!r}\n")
 
 
 def read_moment_csv(path) -> np.ndarray:

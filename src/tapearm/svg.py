@@ -162,78 +162,82 @@ def _colors(values) -> list[str]:
 
 
 class _Canvas:
-    """Minimal SVG document with a y-up data coordinate system."""
+    """SVG document with a y-up data coordinate system, written to ``fh`` as it
+    is drawn: the header when built, then whole lines, then the end tag."""
 
-    def __init__(self, x_min, x_max, y_min, y_max, width):
+    def __init__(self, fh, x_min, x_max, y_min, y_max, width):
+        self.fh = fh
         self.scale = (width - 2 * _PAD) / max(x_max - x_min, 1e-9)
-        self.width = width
-        self.height = int(round((y_max - y_min) * self.scale)) + 2 * _PAD
         self.x_min, self.y_max = x_min, y_max
-        self.parts = []
+        self.drawn = False
+        height = int(round((y_max - y_min) * self.scale)) + 2 * _PAD
+        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+                 f'height="{height}">\n<rect width="100%" height="100%" fill="white"/>\n')
 
     def px(self, x, y):
         return (_PAD + (x - self.x_min) * self.scale,
                 _PAD + (self.y_max - y) * self.scale)
 
-    def rect(self, x, y, w, h, fill):
-        px, py = self.px(x, y + h)
-        self.parts.append(f'<rect x="{px:.2f}" y="{py:.2f}" width="{w * self.scale:.2f}" '
-                          f'height="{h * self.scale:.2f}" fill="{fill}"/>')
+    def write(self, elements):
+        self.fh.write(elements)
+        self.drawn = True
 
     def polyline(self, points, stroke, stroke_width=1.5, opacity=1.0):
         text = " ".join(f"{px:.2f},{py:.2f}" for px, py in (self.px(x, y) for x, y in points))
-        self.parts.append(f'<polyline points="{text}" fill="none" stroke="{stroke}" '
-                          f'stroke-width="{stroke_width}" opacity="{opacity:.3f}"/>')
+        self.write(f'<polyline points="{text}" fill="none" stroke="{stroke}" '
+                   f'stroke-width="{stroke_width}" opacity="{opacity:.3f}"/>\n')
 
     def circle(self, x, y, radius_px, fill):
         px, py = self.px(x, y)
-        self.parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{radius_px}" fill="{fill}"/>')
+        self.write(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{radius_px}" fill="{fill}"/>\n')
 
     def text(self, x, y, message):
         px, py = self.px(x, y)
         # xml.sax.saxutils.escape, whose module imports urllib.request (~40 ms)
         message = message.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        self.parts.append(f'<text x="{px:.2f}" y="{py:.2f}" font-size="12" '
-                          f'font-family="sans-serif">{message}</text>')
+        self.write(f'<text x="{px:.2f}" y="{py:.2f}" font-size="12" '
+                   f'font-family="sans-serif">{message}</text>\n')
 
-    def render(self) -> str:
-        body = "\n".join(self.parts)
-        return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-                f'height="{self.height}">\n<rect width="100%" height="100%" fill="white"/>\n'
-                f'{body}\n</svg>\n')
+    def close(self):
+        # A document with no elements keeps a blank line before the end tag.
+        self.fh.write("</svg>\n" if self.drawn else "\n</svg>\n")
 
 
-def workspace_svg(grid) -> str:
-    """Heat map of |minimum angle| over reachable cells, with contour lines at 10-50 deg."""
+def workspace_svg(grid, fh) -> None:
+    """Write a heat map of |minimum angle| over reachable cells, with contour
+    lines at 10-50 deg, to the open text file ``fh`` one grid row at a time."""
+    if grid.reachable.size == 0:  # the frame of a zero-height plot, whatever the bounds
+        _Canvas(fh, 0.0, 1.0, 0.0, 0.0, _WORKSPACE_WIDTH).close()
+        return
     x_min, x_max, y_min, y_max = grid.bounds
-    canvas = _Canvas(x_min, x_max, y_min, y_max, _WORKSPACE_WIDTH)
-    if grid.reachable.size == 0:
-        return canvas.render()
+    canvas = _Canvas(fh, x_min, x_max, y_min, y_max, _WORKSPACE_WIDTH)
     magnitude = np.abs(grid.min_angle)
     vmax = np.nanmax(magnitude) if grid.reachable.any() else 1.0
     if not (vmax > 0):
         vmax = 1.0
-    # The cell rects as _Canvas.rect would draw them, with each pixel
-    # coordinate computed once per column or row in the same operation order.
+    # The pixel coordinates of each cell's top-left corner, computed once per
+    # column or row in the same operation order as _Canvas.px.
     half = 0.5 * grid.resolution
     size = grid.resolution * canvas.scale
     px = _PAD + ((grid.xs - half) - canvas.x_min) * canvas.scale
     py = _PAD + (canvas.y_max - ((grid.ys - half) + grid.resolution)) * canvas.scale
     px_text = [f'<rect x="{v:.2f}" y="' for v in px.tolist()]
     size_text = f'" width="{size:.2f}" height="{size:.2f}" fill="'
-    py_text = [f"{v:.2f}{size_text}" for v in py.tolist()]
-    rows, columns = np.nonzero(grid.reachable)  # row-major, like the old cell loop
-    fills = _colors(magnitude[rows, columns] / vmax)
-    canvas.parts.extend(f'{px_text[ix]}{py_text[iy]}{fill}"/>'
-                        for iy, ix, fill in zip(rows.tolist(), columns.tolist(), fills))
+    for py_value, reach, row in zip(py.tolist(), grid.reachable, magnitude):
+        columns = np.flatnonzero(reach)
+        if columns.size:
+            py_text = f"{py_value:.2f}{size_text}"
+            fills = _colors(row[columns] / vmax)
+            canvas.write("".join(f'{px_text[ix]}{py_text}{fill}"/>\n'
+                                 for ix, fill in zip(columns.tolist(), fills)))
     for level in _CONTOUR_LEVELS:
         for chain in marching_squares(grid.xs, grid.ys, magnitude, level):
             canvas.polyline(chain, stroke="black", stroke_width=1.0)
-    return canvas.render()
+    canvas.close()
 
 
-def overlay_svg(log, title=None) -> str:
-    """Schematic overlay of sampled configurations from a trajectory log.
+def overlay_svg(log, fh, title=None) -> None:
+    """Write a schematic overlay of sampled configurations from a trajectory log to ``fh``.
 
     Links are drawn as segments along the tape midline, the pinching node as
     a circle, the tip as a dot. Samples are the initial row, the segment
@@ -248,7 +252,7 @@ def overlay_svg(log, title=None) -> str:
     xs = [0.0] + [r.x for r in rows]
     ys = [0.0] + [r.y for r in rows] + [r.l1 for r in rows]
     margin = 0.05 * max(max(xs) - min(xs), max(ys) - min(ys), 0.1)
-    canvas = _Canvas(min(xs) - margin, max(xs) + margin,
+    canvas = _Canvas(fh, min(xs) - margin, max(xs) + margin,
                      min(ys) - margin, max(ys) + margin, _OVERLAY_WIDTH)
     last = len(rows) - 1
     shares = [order / max(last, 1) for order in range(len(rows))]
@@ -262,4 +266,4 @@ def overlay_svg(log, title=None) -> str:
         canvas.circle(row.x, row.y, 2.5, color)
     if title:
         canvas.text(min(xs) - 0.5 * margin, max(ys) + 0.5 * margin, title)
-    return canvas.render()
+    canvas.close()

@@ -306,12 +306,11 @@ def compute_grid(params: ManipulatorParams, bounds, resolution: float) -> Worksp
                          resolution=resolution, bounds=tuple(bounds))
 
 
-def grid_to_csv(grid: WorkspaceGrid, path) -> None:
-    """Write the grid as CSV; min_angle is left empty on unreachable cells."""
+def grid_to_csv(grid: WorkspaceGrid, fh) -> None:
+    """Write the grid as CSV to the open text file ``fh``, with no angle on unreachable cells."""
     x_text = [f"{x!r}," for x in grid.xs.tolist()]
-    with open(path, "w", newline="") as fh:
-        fh.write(GRID_CSV_HEADER + "\n")
-        for y, reach, angle in zip(grid.ys.tolist(), grid.reachable, grid.min_angle):
-            y_text = f"{y!r},"
-            fh.write("".join(f"{x}{y_text}1,{a!r}\n" if r else f"{x}{y_text}0,\n"
-                             for x, r, a in zip(x_text, reach.tolist(), angle.tolist())))
+    fh.write(GRID_CSV_HEADER + "\n")
+    for y, reach, angle in zip(grid.ys.tolist(), grid.reachable, grid.min_angle):
+        y_text = f"{y!r},"
+        fh.write("".join(f"{x}{y_text}1,{a!r}\n" if r else f"{x}{y_text}0,\n"
+                         for x, r, a in zip(x_text, reach.tolist(), angle.tolist())))

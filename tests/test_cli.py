@@ -195,10 +195,12 @@ def test_demo_expected_fail_reported_as_pass(capsys, tmp_path):
 
 
 def test_demo_unknown_name_lists_demos(capsys):
-    code, out = _run(capsys, ["demo", "nosuch"])
+    code = main(["demo", "nosuch"])
+    captured = capsys.readouterr()
     assert code == 2
-    for name in builtin_scenarios():
-        assert name in out
+    assert captured.out == ""
+    assert captured.err == ("error: unknown demo 'nosuch'; available demos: "
+                            + ", ".join(builtin_scenarios()) + "\n")
 
 
 def test_simulate_scenario_file(capsys, tmp_path):
@@ -290,6 +292,9 @@ _EXIT_CODE_TABLE = [
     ("infinite-workspace-bound", None,
      ["workspace", "--bounds", "0", "inf", "0", "1", "--resolution", "0.1"], 2),
     ("workspace-grid-too-large", None, ["workspace", "--resolution", "1e-300"], 2),
+    # no cells, under bounds whose height overflows a pixel count
+    ("workspace-empty-tall-bounds", None,
+     ["workspace", "--bounds", "0", "0", "0", "1e308", "--resolution", "1e305"], 0),
     ("rates-overflow-the-state", _SCENARIO % ("1e10", "1e10", '{"cL": 1e300, "cR": 1e300}', "[]"),
      ["simulate", "{dir}/input.json"], 2),
     ("rates-overflow-a-length", _SCENARIO % ("1e10", "1e10", '{"q1": 1e300}', "[]"),
@@ -305,6 +310,7 @@ _EXIT_CODE_TABLE = [
     ("theta-from-cables-infinite-offset", None, ["theta-from-cables", "1", "1", "--d", "inf"], 2),
     ("theta-from-cables-zero-length", None, ["theta-from-cables", "0", "1"], 2),
     ("theta-from-cables-negative-offset", None, ["theta-from-cables", "1", "1", "--d", "-1"], 2),
+    ("demo-unknown-name", None, ["demo", "nosuch"], 2),
     ("params-file-missing", None, ["--params", "{dir}/absent.json", "fk", "0.4", "0.3", "10"], 3),
     ("params-path-is-a-directory", None, ["--params", "{dir}", "fk", "0.4", "0.3", "10"], 3),
     ("scenario-file-missing", None, ["simulate", "{dir}/absent.json"], 3),
@@ -355,6 +361,7 @@ _EXIT_CODE_TABLE = [
 # The start of the stderr line of some rows.
 _EXIT_STDERR = {
     "curve-over-sample-limit": "error: 100001 samples exceed the 100000 sample limit",
+    "demo-unknown-name": "error: unknown demo 'nosuch'; available demos: deploy-and-bend, ",
     "start-cables-out-of-range": "error: bad scenario file: cable differential 0.2 m is "
                                  "outside the +/-0.06 m range",
     "start-cables-inconsistent": "error: initial state is inconsistent: ",

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -387,11 +388,11 @@ def test_expect_fail_wrapping():
     assert not plain.passed
 
 
-def test_log_csv_format(tmp_path):
+def test_log_csv_format():
     log = run_scenario(builtin_scenarios()["constant-angle-retraction"])
-    path = tmp_path / "log.csv"
-    log_to_csv(log, path)
-    lines = path.read_text().splitlines()
+    fh = io.StringIO()
+    log_to_csv(log, fh)
+    lines = fh.getvalue().splitlines()
     assert lines[0] == LOG_CSV_HEADER
     assert len(lines) == 1 + len(log.rows)
     first = lines[1].split(",")
@@ -539,7 +540,7 @@ _BEND = 4.0 * PARAMS.cable_offset
 # the rates overflow the state to inf
 @example(_example((1e10, RateCommand(q1_rate=1e300)), dt=1e10))
 @example(_example((1e10, RateCommand(cL_rate=1e300, cR_rate=1e300)), dt=1e10))
-def test_columnar_log_matches_reference_loop(tmp_path_factory, scenario):
+def test_columnar_log_matches_reference_loop(scenario):
     try:
         rows, checks, boundary_indices, abort = _run_scenario_loop(scenario)
     except ScenarioError as exc:  # an inconsistent start or an overflowing segment
@@ -557,6 +558,6 @@ def test_columnar_log_matches_reference_loop(tmp_path_factory, scenario):
     assert log.abort == abort and (abort is None or log.abort.time.hex() == abort.time.hex())
     assert ([(c.check, c.passed, c.observed.hex(), c.threshold, c.detail) for c in log.checks]
             == [(c.check, c.passed, c.observed.hex(), c.threshold, c.detail) for c in checks])
-    path = tmp_path_factory.mktemp("log") / "log.csv"
-    log_to_csv(log, path)
-    assert path.read_bytes() == _log_csv_loop(rows).encode()
+    fh = io.StringIO()
+    log_to_csv(log, fh)
+    assert fh.getvalue() == _log_csv_loop(rows)

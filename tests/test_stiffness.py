@@ -140,7 +140,8 @@ def test_moment_csv_roundtrip(tmp_path):
     _, unpinched = default_models()
     table = moment_angle_curve(unpinched, 0.0, 0.6, 25)
     path = tmp_path / "curve.csv"
-    write_moment_csv(path, table)
+    with open(path, "w", newline="") as fh:
+        write_moment_csv(table, fh)
     assert path.read_text().splitlines()[0] == "theta_rad,moment_Nm"
     loaded = read_moment_csv(path)
     assert np.array_equal(loaded, table)
@@ -151,7 +152,8 @@ def test_calibration_recovers_known_model(tmp_path):
                                propagation_moment=0.0654, decay_angle=math.radians(14.0))
     # go through the CSV export so the whole table pipeline is exercised
     path = tmp_path / "samples.csv"
-    write_moment_csv(path, moment_angle_curve(truth, 0.0, math.radians(45.0), 40))
+    with open(path, "w", newline="") as fh:
+        write_moment_csv(moment_angle_curve(truth, 0.0, math.radians(45.0), 40), fh)
     result = calibrate_unpinched(read_moment_csv(path))
     fitted = result.model
     assert fitted.peak_moment == pytest.approx(truth.peak_moment, rel=1e-6)
@@ -200,11 +202,11 @@ def test_calibration_degenerate_data():
         calibrate_unpinched([(0.1, 0.2), (0.2, math.nan), (0.3, 0.1), (0.4, 0.1)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # Fitting this one tries angles that overflow exp, and peak angles
-        # that underflow to zero, where the 0-angle sample's ramp is 0/0;
-        # those steps are rejected and the fit ends at a degenerate model.
+        # One clear peak, then a tail that decays exactly toward -1: the fit
+        # is exact, with a negative plateau. This outcome held under 500
+        # random 1-ulp perturbations of the samples or of the residuals.
         with pytest.raises(CalibrationError, match="degenerate model"):
-            calibrate_unpinched([(0.0, 1.0), (0.1, -1.0), (0.2, 1.5), (0.3, 1.5)])
+            calibrate_unpinched([(0.1, 0.5), (0.2, 1.0), (0.3, 0.0), (0.4, -0.5), (0.5, -0.75)])
         # No monotone tail follows the dip after the peak, so the fit drops to
         # the plateau at once: the decay angle underflows to zero. This
         # outcome held under 500 random 1-ulp perturbations of the samples

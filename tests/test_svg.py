@@ -1,6 +1,9 @@
 import dataclasses
+import io
 import math
+import tracemalloc
 from xml.etree import ElementTree
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -82,12 +85,58 @@ def _color(t):
     return "#ffffff"
 
 
+class _Canvas:
+    """An SVG document collected as a list of elements and joined at the end."""
+
+    def __init__(self, x_min, x_max, y_min, y_max, width):
+        self.scale = (width - 40) / max(x_max - x_min, 1e-9)
+        self.width = width
+        self.height = int(round((y_max - y_min) * self.scale)) + 40
+        self.x_min, self.y_max = x_min, y_max
+        self.parts = []
+
+    def px(self, x, y):
+        return 20 + (x - self.x_min) * self.scale, 20 + (self.y_max - y) * self.scale
+
+    def rect(self, x, y, w, h, fill):
+        px, py = self.px(x, y + h)
+        self.parts.append(f'<rect x="{px:.2f}" y="{py:.2f}" width="{w * self.scale:.2f}" '
+                          f'height="{h * self.scale:.2f}" fill="{fill}"/>')
+
+    def polyline(self, points, stroke, stroke_width=1.5, opacity=1.0):
+        text = " ".join(f"{px:.2f},{py:.2f}" for px, py in (self.px(x, y) for x, y in points))
+        self.parts.append(f'<polyline points="{text}" fill="none" stroke="{stroke}" '
+                          f'stroke-width="{stroke_width}" opacity="{opacity:.3f}"/>')
+
+    def circle(self, x, y, radius_px, fill):
+        px, py = self.px(x, y)
+        self.parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{radius_px}" fill="{fill}"/>')
+
+    def text(self, x, y, message):
+        px, py = self.px(x, y)
+        self.parts.append(f'<text x="{px:.2f}" y="{py:.2f}" font-size="12" '
+                          f'font-family="sans-serif">{escape(message)}</text>')
+
+    def render(self):
+        body = "\n".join(self.parts)
+        return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
+                f'height="{self.height}">\n<rect width="100%" height="100%" fill="white"/>\n'
+                f'{body}\n</svg>\n')
+
+
+def _render(renderer, obj, **kwargs):
+    fh = io.StringIO()
+    renderer(obj, fh, **kwargs)
+    return fh.getvalue()
+
+
 def _workspace_svg_loop(grid, width=640):
     levels = [math.radians(v) for v in (10, 20, 30, 40, 50)]
-    x_min, x_max, y_min, y_max = grid.bounds
-    canvas = svg._Canvas(x_min, x_max, y_min, y_max, width=width)
     if grid.reachable.size == 0:
-        return canvas.render()
+        # the frame of a zero-height plot
+        return _Canvas(0.0, 1.0, 0.0, 0.0, width).render()
+    x_min, x_max, y_min, y_max = grid.bounds
+    canvas = _Canvas(x_min, x_max, y_min, y_max, width=width)
     magnitude = np.abs(grid.min_angle)
     vmax = np.nanmax(magnitude) if grid.reachable.any() else 1.0
     if not (vmax > 0):
@@ -102,6 +151,29 @@ def _workspace_svg_loop(grid, width=640):
     for level in levels:
         for chain in _marching_squares_loop(grid.xs, grid.ys, magnitude, level):
             canvas.polyline(chain, stroke="black", stroke_width=1.0)
+    return canvas.render()
+
+
+def _overlay_svg_loop(log, title=None, width=480):
+    indices = sorted(set([0] + list(log.boundary_indices) + [len(log.rows) - 1]))
+    if len(indices) > 9:
+        indices = [indices[int(round(p))] for p in np.linspace(0, len(indices) - 1, 9)]
+    rows = [log.rows[i] for i in indices]
+    xs = [0.0] + [r.x for r in rows]
+    ys = [0.0] + [r.y for r in rows] + [r.l1 for r in rows]
+    margin = 0.05 * max(max(xs) - min(xs), max(ys) - min(ys), 0.1)
+    canvas = _Canvas(min(xs) - margin, max(xs) + margin,
+                     min(ys) - margin, max(ys) + margin, width=width)
+    last = len(rows) - 1
+    for order, row in enumerate(rows):
+        f = order / max(last, 1)
+        color = "#d62728" if order == last else _color(0.2 + 0.6 * f)
+        canvas.polyline([(0.0, 0.0), (0.0, row.l1), (row.x, row.y)],
+                        stroke=color, stroke_width=2.5, opacity=0.35 + 0.65 * f)
+        canvas.circle(0.0, row.l1, 4, color)
+        canvas.circle(row.x, row.y, 2.5, color)
+    if title:
+        canvas.text(min(xs) - 0.5 * margin, max(ys) + 0.5 * margin, title)
     return canvas.render()
 
 
@@ -195,11 +267,43 @@ _ALT_PARAMS = ManipulatorParams(theta_limit=0.7, l1_min=0.2, l2_min=0.05, max_to
     (DEFAULT_PARAMS, (0.0, 0.0, 0.0, 1.0), 0.1),         # empty bounds
 ], ids=["mixed", "mixed-other-params", "rect-y-rounding", "rect-x-rounding",
         "unreachable", "empty"])
-def test_workspace_outputs_match_reference_loops(tmp_path, params, bounds, resolution):
+def test_workspace_outputs_match_reference_loops(params, bounds, resolution):
     grid = compute_grid(params, bounds, resolution)
-    assert workspace_svg(grid) == _workspace_svg_loop(grid)
-    grid_to_csv(grid, tmp_path / "grid.csv")
-    assert (tmp_path / "grid.csv").read_text() == _grid_csv_loop(grid)
+    assert _render(workspace_svg, grid) == _workspace_svg_loop(grid)
+    assert _render(grid_to_csv, grid) == _grid_csv_loop(grid)
+
+
+def test_overlay_svg_matches_reference_loop():
+    for name, scenario in builtin_scenarios().items():
+        log = run_scenario(scenario)
+        assert _render(overlay_svg, log, title=name) == _overlay_svg_loop(log, title=name), name
+    for title in ("a&b<c>", None):
+        assert _render(overlay_svg, log, title=title) == _overlay_svg_loop(log, title=title)
+
+
+class _CountingSink:
+    """A text file that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+
+def test_workspace_svg_streams_its_output():
+    # 125k cells; a document built in memory and then written peaks at about
+    # five times its own size
+    grid = compute_grid(DEFAULT_PARAMS, (-2.0, 2.0, 0.0, 2.0), 0.008)
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        workspace_svg(grid, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 4_000_000
+    assert peak <= sink.size, (peak, sink.size)
 
 
 def test_marching_squares_circle_level():
@@ -238,7 +342,7 @@ def test_marching_squares_no_contour_when_level_outside_range():
 
 def test_workspace_svg_structure():
     grid = compute_grid(DEFAULT_PARAMS, (-1.0, 1.0, 0.0, 1.0), 0.1)
-    text = workspace_svg(grid)
+    text = _render(workspace_svg, grid)
     assert text.startswith("<svg")
     assert text.rstrip().endswith("</svg>")
     assert text.count("<rect") > grid.reachable.sum()  # cells + background
@@ -246,14 +350,20 @@ def test_workspace_svg_structure():
 
 
 def test_workspace_svg_empty_grid():
-    grid = compute_grid(DEFAULT_PARAMS, (0.0, 0.0, 0.0, 1.0), 0.1)
-    text = workspace_svg(grid)
-    assert text.startswith("<svg")
+    # a grid with no cells gets the padded frame of a zero-height plot, the
+    # same as bounds (0, 4, 0, 0), however tall or wide its bounds are
+    frame = ('<svg xmlns="http://www.w3.org/2000/svg" width="640" height="40">\n'
+             '<rect width="100%" height="100%" fill="white"/>\n\n</svg>\n')
+    for bounds in [(0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 2.0), (0.0, 4.0, 0.0, 0.0),
+                   (0.0, 0.0, 0.0, 1e308)]:
+        grid = compute_grid(DEFAULT_PARAMS, bounds, 1e305 if bounds[3] > 2 else 0.1)
+        assert grid.reachable.size == 0
+        assert _render(workspace_svg, grid) == frame, bounds
 
 
 def test_overlay_svg_structure():
     log = run_scenario(builtin_scenarios()["deploy-and-bend"])
-    text = overlay_svg(log, title="deploy-and-bend")
+    text = _render(overlay_svg, log, title="deploy-and-bend")
     assert text.startswith("<svg")
     assert "deploy-and-bend" in text
     # one polyline and node/tip circles per drawn configuration
@@ -264,7 +374,7 @@ def test_overlay_svg_structure():
 def test_overlay_title_is_escaped():
     # "&" and "<" must be escaped in XML character data (XML 1.0, section 2.4)
     scenario = dataclasses.replace(builtin_scenarios()["stationary-bend"], name="a&b<c>")
-    text = overlay_svg(run_scenario(scenario), title=scenario.name)
+    text = _render(overlay_svg, run_scenario(scenario), title=scenario.name)
     assert "a&amp;b&lt;c&gt;" in text
     root = ElementTree.fromstring(text)
     assert root.find("{http://www.w3.org/2000/svg}text").text == "a&b<c>"

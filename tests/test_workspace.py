@@ -1,3 +1,4 @@
+import io
 import math
 from unittest import mock
 
@@ -354,11 +355,11 @@ def test_grid_sector_and_disk_shape():
             assert math.hypot(x, y) <= PARAMS.max_total_length + 2e-3
 
 
-def test_grid_csv(tmp_path):
+def test_grid_csv():
     grid = compute_grid(PARAMS, (-0.4, 0.4, 0.0, 0.4), 0.2)
-    path = tmp_path / "grid.csv"
-    grid_to_csv(grid, path)
-    lines = path.read_text().splitlines()
+    fh = io.StringIO()
+    grid_to_csv(grid, fh)
+    lines = fh.getvalue().splitlines()
     assert lines[0] == "x_m,y_m,reachable,min_angle_rad"
     assert len(lines) == 1 + grid.nx * grid.ny
     for line in lines[1:]:
