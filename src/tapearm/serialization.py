@@ -189,9 +189,9 @@ def _read_json(path):
 
 
 def save_scenario(scenario: Scenario, path) -> None:
+    # One write of the whole document: json.dump writes each token separately.
     with open(path, "w") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(scenario_to_dict(scenario), indent=2) + "\n")
 
 
 def load_scenario(path) -> Scenario:
@@ -200,8 +200,7 @@ def load_scenario(path) -> Scenario:
 
 def save_params(params: ManipulatorParams, path) -> None:
     with open(path, "w") as fh:
-        json.dump(params_to_dict(params), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(params_to_dict(params), indent=2) + "\n")
 
 
 def load_params(path) -> ManipulatorParams:

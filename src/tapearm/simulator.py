@@ -243,11 +243,11 @@ class TrajectoryLog:
 
 def _evaluate_rows(out, row0, start, rates, t_rels, datum, params: ManipulatorParams,
                    violations: dict):
-    """Fill ``out[:, row0:]`` with the rows of one constant-rate segment.
+    """Fill ``out[:, row0:]`` with rows of constant-rate segments.
 
-    ``start`` is the segment's first row as (t, q1, q2, cL, cR), ``rates`` the
-    (q1, q2, cL, cR) rates in m/s, ``t_rels`` the float64 array of relative
-    times to log and ``datum`` the (l1_0, l2_0) link lengths at q1 = q2 = 0.
+    For each row, ``start`` holds its segment's start as (t, q1, q2, cL, cR),
+    ``rates`` the (q1, q2, cL, cR) rates in m/s and ``t_rels`` the time since
+    that start; ``datum`` is the (l1_0, l2_0) link lengths at q1 = q2 = 0.
     Each row is computed in closed form from the start, elementwise in the
     operation order of link_lengths, theta_from_cables, forward_kinematics
     and cable_lengths, so every value is bit-identical to what those
@@ -274,6 +274,7 @@ def _evaluate_rows(out, row0, start, rates, t_rels, datum, params: ManipulatorPa
         reason = (f"cable differential {float(cL[count] - cR[count]):.9g} m is outside "
                   f"the +/-{four_d:.9g} m range reachable at offset d={d:.9g} m")
         t_rels, cL, cR, ratio = t_rels[:count], cL[:count], cR[:count], ratio[:count]
+        t0, q1_0, q2_0, q1_rate, q2_rate = (v[:count] for v in (t0, q1_0, q2_0, q1_rate, q2_rate))
     q1 = q1_0 + q1_rate * t_rels
     q2 = q2_0 + q2_rate * t_rels
     l1 = q1 + q2 + l1_0
@@ -302,60 +303,66 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     consistency residual and any bound violations; checks are evaluated over
     the whole series after stepping. A cable differential no bend angle can
     produce ends the run early with ``abort`` set and the rows before it kept.
-    Segments are evaluated _BLOCK_ROWS rows at a time, so temporaries stay
-    bounded; the log itself is allocated once, at its full length.
+    Rows are evaluated _BLOCK_ROWS at a time, each from its segment's start and
+    rates, so temporaries stay bounded; the log is allocated once, at full length.
     """
     params = scenario.params
     initial = scenario.initial
     dt = scenario.dt
     datum = (initial.control.l1_0, initial.control.l2_0)
-    segments = [(round(duration / dt), duration, command)
-                for duration, command in scenario.profile.segments]
-    values = np.empty((len(LOG_COLUMNS), 1 + sum(n for n, _, _ in segments)))
-    violations = {}
-    start = (0.0, initial.control.q1, initial.control.q2,
-             initial.cables.c_L, initial.cables.c_R)
-    boundary_indices = []
-    abort = None
+    profile = scenario.profile.segments
+    steps = np.fromiter((round(duration / dt) for duration, _ in profile), np.int64, len(profile))
+    lasts = np.concatenate(([0], np.cumsum(steps)))  # the last row of each segment
+    # Rows: the rates of t, q1, q2, cL and cR, the duration, the start, the row
+    # before the first and the last row of each segment, headed by row 0 as a
+    # one-row segment of zero rates at t_rel = -0.0, which adds -0.0 to each
+    # start value and so keeps it, negative zeros included.
+    table = np.zeros((13, len(profile) + 1))
+    table[:6, 1:] = np.fromiter(((1.0, command.q1_rate, command.q2_rate, command.cL_rate,
+                                  command.cR_rate, duration) for duration, command in profile),
+                                np.dtype((float, 6)), len(profile)).T
+    table[5, 0], table[11], table[12] = -0.0, lasts - np.concatenate(([1], steps)), lasts
+    values = np.empty((len(LOG_COLUMNS), int(lasts[-1]) + 1))
+    violations, abort = {}, None
+    checked = 1  # segments before this one have a checked, finite end
     with np.errstate(all="ignore"):  # overflow is reported as a ScenarioError below
-        # Zero rates at t_rel = -0.0 add -0.0 to every start value, which
-        # leaves each float unchanged, negative zeros included, and t at 0.0.
-        # Scenario has checked that the start's cable differential is in range.
-        _evaluate_rows(values, 0, start, (0.0,) * 4, np.array([-0.0]), datum, params,
-                       violations)
-        if values[LOG_COLUMNS.index("eq3_residual"), 0] > INITIAL_CONSISTENCY_TOL:
-            raise ScenarioError("initial state is inconsistent: cable sum does not "
-                                "match the link lengths")
-        count = 1
-        for index, (n, duration, command) in enumerate(segments):
-            start = tuple(values[:5, count - 1].tolist())  # the last row's t, q1, q2, cL, cR
-            rates = (command.q1_rate, command.q2_rate, command.cL_rate, command.cR_rate)
+        # A segment starts where the one before ends, start + rate * duration,
+        # or with -0.0 added if it had no steps: bit for bit that last row.
+        reach = np.where(table[12] == table[11], -0.0, table[:5] * table[5])[:, :-1]
+        start = (0.0, initial.control.q1, initial.control.q2,
+                 initial.cables.c_L, initial.cables.c_R)
+        table[6:11] = np.add.accumulate(np.column_stack((start, reach)), axis=1)
+        for first in range(0, values.shape[1], _BLOCK_ROWS):
+            index = np.arange(first, min(first + _BLOCK_ROWS, values.shape[1]))
+            block = table[:, np.searchsorted(lasts, index)]
             # Constant rates integrate exactly; evaluating from the segment
             # start keeps boundary states independent of dt.
-            for k in range(0, n, _BLOCK_ROWS):
-                t_rels = np.arange(k + 1, min(k + _BLOCK_ROWS, n) + 1, dtype=float) * dt
-                if k + _BLOCK_ROWS >= n:
-                    t_rels[-1] = duration
-                filled, reason = _evaluate_rows(values, count, start, rates, t_rels, datum,
-                                                params, violations)
-                count += filled
-                if reason is not None:
-                    abort = Abort(start[0] + float(t_rels[filled]), reason)
-                    break
-            if abort is not None:
-                break
+            t_rels = (index - block[11]) * dt
+            np.copyto(t_rels, block[5], where=index == block[12])
+            filled, reason = _evaluate_rows(values, first, block[6:11], block[1:5], t_rels,
+                                            datum, params, violations)
+            # Scenario has checked that the start's cable differential is in range.
+            if not first and values[LOG_COLUMNS.index("eq3_residual"), 0] > INITIAL_CONSISTENCY_TOL:
+                raise ScenarioError("initial state is inconsistent: cable sum does not "
+                                    "match the link lengths")
             # Every coordinate is affine in t, so a finite segment end bounds
             # the whole segment.
-            if not np.isfinite(values[_STATE_COLUMNS, count - 1]).all():
-                raise ScenarioError(f"segment {index} drives the state to non-finite values")
-            boundary_indices.append(count - 1)
-    values = values[:, :count]
+            done = int(np.searchsorted(lasts, first + filled))
+            finite = np.isfinite(values[np.ix_(_STATE_COLUMNS, lasts[checked:done])]).all(axis=0)
+            if not finite.all():
+                raise ScenarioError(f"segment {checked + int(np.argmin(finite)) - 1} drives "
+                                    "the state to non-finite values")
+            checked = done
+            if reason is not None:
+                abort = Abort(float(block[6, filled]) + float(t_rels[filled]), reason)
+                break
+    values = values[:, :first + filled]
     values.flags.writeable = False
     rows = LogRows(values, violations)
     checks = ([evaluate_check(check, rows) for check in scenario.checks]
               if abort is None else [])
     return TrajectoryLog(scenario=scenario.name, rows=rows, checks=checks,
-                         boundary_indices=boundary_indices, abort=abort)
+                         boundary_indices=lasts[1:checked].tolist(), abort=abort)
 
 
 def log_to_csv(log: TrajectoryLog, fh) -> None:

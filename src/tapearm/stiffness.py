@@ -8,7 +8,7 @@ that curve odd-symmetric in the bending angle.
 
 ``calibrate_unpinched`` fits that curve to measured samples with numpy alone:
 the peak and plateau moments come from linear least squares, and the peak and
-decay angles from a small Levenberg-Marquardt loop.
+decay angles from a small Levenberg-Marquardt loop on the exact Jacobian.
 """
 
 from __future__ import annotations
@@ -199,10 +199,8 @@ class CalibrationResult:
     residual_norm: float  # N*m, sqrt of the squared-residual sum
 
 
-# Levenberg-Marquardt settings: forward-difference step relative to the
-# parameter, damping range, stopping tolerances on the relative step and the
-# relative cost decrease, and the iteration cap.
-_LM_DIFF_STEP = math.sqrt(np.finfo(float).eps)
+# Levenberg-Marquardt settings: damping range, stopping tolerances on the
+# relative step and the relative cost decrease, and the iteration cap.
 _LM_DAMPING_START = 1e-3
 _LM_DAMPING_MIN = 1e-12
 _LM_DAMPING_MAX = 1e16
@@ -211,46 +209,51 @@ _LM_COST_TOL = 1e-12
 _LM_MAX_ITERATIONS = 100
 
 
-def _levenberg_marquardt(residuals, u: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimize the squared norm of ``residuals(u)``, starting from ``u``.
+def _damped_step(normal, gradient, damping: float, scale):
+    """Cramer's rule for (normal + damping * diag(scale)) step = -gradient; None if singular."""
+    if len(gradient) == 1:
+        a = normal[0][0] + damping * scale[0]
+        return (-gradient[0] / a,) if a else None
+    (h11, h12), (_, h22) = normal
+    (g1, g2), a, d = gradient, h11 + damping * scale[0], h22 + damping * scale[1]
+    det = a * d - h12 * h12
+    return ((h12 * g2 - d * g1) / det, (h12 * g1 - a * g2) / det) if det else None
 
-    Marquardt's (1963) damped Gauss-Newton iteration with a forward-difference
-    Jacobian J. The damping is scaled by diag(J^T J), so it does not depend on
-    the units of ``u``. A step is accepted only if its cost is finite and
-    lower; otherwise the damping grows tenfold and the step is retried. The
-    loop stops on a small relative step or cost decrease, when no damping up
-    to _LM_DAMPING_MAX lowers the cost, when the Jacobian is not finite, or
-    after _LM_MAX_ITERATIONS. Returns the last accepted point and its cost.
+
+def _levenberg_marquardt(evaluate, u: tuple) -> tuple[tuple, float]:
+    """Marquardt's (1963) damped Gauss-Newton loop over one or two plain floats.
+
+    ``evaluate(u)`` returns the cost and a function, called only at accepted points,
+    that returns J^T J (a tuple of rows) and J^T r. The damping, scaled by diag(J^T J),
+    grows tenfold per rejected trial; a step is accepted only if its cost is finite
+    and lower. Stops on a small relative step or gain, a non-finite J^T J or J^T r, a
+    retried step already small or no damping up to _LM_DAMPING_MAX helping, or after
+    _LM_MAX_ITERATIONS. Returns the last accepted point and its cost.
     """
-    r = residuals(u)
-    cost = float(r @ r)
+    cost, normal = evaluate(u)
     damping = _LM_DAMPING_START
     for _ in range(_LM_MAX_ITERATIONS):
-        jac = np.empty((r.size, u.size))
-        for k in range(u.size):
-            shifted = u.copy()
-            shifted[k] += _LM_DIFF_STEP * max(1.0, abs(u[k]))
-            jac[:, k] = (residuals(shifted) - r) / (shifted[k] - u[k])
-        with np.errstate(over="ignore", invalid="ignore"):
-            normal = jac.T @ jac
-            gradient = jac.T @ r
-        if not (np.all(np.isfinite(normal)) and np.all(np.isfinite(gradient))):
+        jtj, jtr = normal()
+        if not all(map(math.isfinite, (*jtr, *(h for row in jtj for h in row)))):
             break
-        diagonal = np.diag(normal)
-        scale = np.diag(np.where(diagonal > 0.0, diagonal, 1.0))
+        scale = [d if d > 0.0 else 1.0 for d in (row[k] for k, row in enumerate(jtj))]
+        step_tol, retried = _LM_STEP_TOL * (_LM_STEP_TOL + math.hypot(*u)), False
         while damping <= _LM_DAMPING_MAX:
-            step = np.linalg.solve(normal + damping * scale, -gradient)
-            trial = u + step
-            r_trial = residuals(trial)
-            cost_trial = float(r_trial @ r_trial)
-            if cost_trial < cost:  # False for NaN and inf
-                break
+            step = _damped_step(jtj, jtr, damping, scale)
+            if step is not None:
+                small_step = math.hypot(*step) <= step_tol
+                if small_step and retried:
+                    return u, cost
+                trial = tuple(x + dx for x, dx in zip(u, step))
+                cost_trial, normal_trial = evaluate(trial)
+                if cost_trial < cost:  # False for NaN and inf
+                    break
             damping *= 10.0
+            retried = True
         else:
             break
-        small_step = np.linalg.norm(step) <= _LM_STEP_TOL * (_LM_STEP_TOL + np.linalg.norm(u))
         small_gain = cost - cost_trial <= _LM_COST_TOL * cost
-        u, r, cost = trial, r_trial, cost_trial
+        u, cost, normal = trial, cost_trial, normal_trial
         damping = max(0.1 * damping, _LM_DAMPING_MIN)
         if small_step or small_gain:
             break
@@ -290,61 +293,91 @@ def _solve_normal_2x2(g11: float, g12: float, g22: float, b1: float, b2: float):
 def _moment_solver(angles: np.ndarray, moments: np.ndarray):
     """The separable fit's inner solve for folded samples (angles >= 0).
 
-    Returns ``solve(log_shape) -> (coeffs, residuals)``: at the shape's peak
-    and decay angles, exp(log_shape), the least-squares peak and plateau
-    moments and the residual of every sample, in ascending angle order. On
-    the ramp (angle <= peak) the peak column is a / peak and the plateau
-    column 0; past it they are fall = exp((peak - a) / decay) and
-    rise = 1 - fall. A shape whose columns are not finite (a NaN angle, or a
-    zero peak angle over a sample at angle 0) is unfit: coeffs is None and
-    the residuals are infinite.
+    Returns ``solve(log_shape) -> (coeffs, residuals, normal)``: at the
+    shape's peak and decay angles, exp(log_shape), the least-squares peak and
+    plateau moments, the residual of every sample in ascending angle order,
+    and a function for J^T J and J^T r of that residual. On the ramp (angle
+    <= peak) the peak column is a / peak and the plateau column 0; past it
+    they are fall = exp((peak - a) / decay) and rise = 1 - fall. A shape
+    whose columns are not finite (a NaN angle, or a zero peak angle over a
+    sample at angle 0) is unfit: coeffs is None and the rest is not finite.
 
     Sorted by angle, every ramp is a prefix, so its sums of a*a and a*m come
     from running totals and only the samples past the peak are evaluated per
-    shape. Rows 0 and 1 of ``work`` take their basis columns; row 2 holds the
+    shape. Rows 0 and 1 of ``work`` take their basis columns and row 2 the
     moments, so one product gives all five tail sums of the normal equations.
     """
     order = np.argsort(angles, kind="stable")
     angles, moments = angles[order], moments[order]
     sorted_angles = angles.tolist()
-    ramp_aa = [0.0] + np.cumsum(angles * angles).tolist()
-    ramp_am = [0.0] + np.cumsum(angles * moments).tolist()
     n, last = len(sorted_angles), sorted_angles[-1]
-    work = np.empty((3, n))
-    work[2] = moments
+    # Ramp sums over a / last <= 1, which tiny or huge angles cannot under- or overflow.
+    scaled = angles / last
+    ramp_aa = [0.0] + np.cumsum(scaled * scaled).tolist()
+    ramp_am = [0.0] + np.cumsum(scaled * moments).tolist()
 
     def solve(log_shape):
-        log_peak, log_decay = log_shape.tolist()
+        log_peak, log_decay = log_shape
         peak, decay = _exp(log_peak), _exp(log_decay)
         j = bisect.bisect_right(sorted_angles, peak)
         if math.isnan(peak) or (j and peak == 0.0) or (j < n and math.isnan(decay)):
-            return None, np.full(n, math.inf)
-        fall, rise = work[0, j:], work[1, j:]
-        np.subtract(peak, angles[j:], out=fall)
+            return None, np.full(n, math.inf), lambda: (((math.nan,) * 2,) * 2, (math.nan,) * 2)
+        work = np.zeros((6, n - j))
+        fall, rise, exponent = work[0], work[1], work[5]
+        work[2] = moments[j:]
+        np.subtract(peak, angles[j:], out=exponent)
         if last - peak > decay * 2.0 ** 1000:  # the quotient may overflow to -inf
             with np.errstate(divide="ignore", over="ignore"):
-                np.divide(fall, decay, out=fall)
+                np.divide(exponent, decay, out=exponent)
         else:
-            np.divide(fall, decay, out=fall)
-        np.exp(fall, out=fall)
+            np.divide(exponent, decay, out=exponent)
+        np.exp(exponent, out=fall)
         np.subtract(1.0, fall, out=rise)
-        (g11, g12, b1), (_, g22, b2) = (work[:2, j:] @ work[:, j:].T).tolist()
-        # Divided by peak twice, as peak * peak underflows for a tiny peak
-        # angle; a ramp of angle-0 samples adds nothing.
+        (g11, g12, b1), (_, g22, b2) = (work[:2] @ work[:3].T).tolist()
+        # Divided by peak / last twice, as its square underflows for a tiny
+        # peak angle; a ramp of angle-0 samples adds nothing.
+        ratio = peak / last
+        ramp_gram = ramp_aa[j] / ratio / ratio if ramp_aa[j] else 0.0
         if ramp_aa[j]:
-            g11 += ramp_aa[j] / peak / peak
-            b1 += ramp_am[j] / peak
+            g11 += ramp_gram
+            b1 += ramp_am[j] / ratio
         c0, c1 = _solve_normal_2x2(g11, g12, g22, b1, b2)
         # The residual is c0 * column 0 + c1 * column 1 - moments, term by term.
         residual = np.empty(n)
-        ramp, tail = residual[:j], residual[j:]
-        np.divide(angles[:j], peak, out=ramp)
-        ramp *= c0
+        rho, tail = angles[:j] / peak, residual[j:]
+        np.multiply(rho, c0, out=residual[:j])
         np.multiply(fall, c0, out=tail)
-        rise *= c1
-        tail += rise
+        tail += rise * c1
         residual -= moments
-        return (c0, c1), residual
+
+        def normal():
+            """J^T J and J^T r of the Golub-Pereyra (1973) Jacobian J_k = P D_k c - A G^+ D_k^T r,
+            with A the columns, G = A^T A, D_k their ln-peak or ln-decay derivative and P the
+            projector off A's span. The first term (Kaufman's 1975 approximation) is orthogonal
+            to the second and r to A, so with Dc = [D_k c], B = A^T Dc and W = [D_k^T r],
+            J^T J = Dc^T Dc - B^T G^+ B + W^T G^+ W and J^T r = Dc^T r."""
+            # Rows 3 and 4 of ``work`` take the ln-peak and negated ln-decay derivatives of fall
+            # (0 where it underflows, never 0 * inf) and row 2 r. On the ramp only column 0,
+            # a / peak, and its ln-peak derivative, -a / peak, are not 0. So with d = c0 - c1,
+            # D_p c is d * row 3 past the peak and -c0 * a / peak on it, and D_d c -d * row 4.
+            work[2] = residual[j:]
+            past = fall > 0.0
+            np.multiply(fall, peak / decay if decay else math.inf, out=work[3], where=past)
+            np.multiply(fall, exponent, out=work[4], where=past)
+            m = (work[:5] @ work[:5].T).tolist()
+            ramp_r = float(rho @ residual[:j])
+            d = c0 - c1
+            dc = ((c0 * c0 * ramp_gram + d * d * m[3][3], -d * d * m[3][4]),
+                  (-d * d * m[3][4], d * d * m[4][4]))
+            b = ((d * m[0][3] - c0 * ramp_gram, d * m[1][3]), (-d * m[0][4], -d * m[1][4]))
+            w = ((m[3][2] - ramp_r, -m[3][2]), (-m[4][2], m[4][2]))
+            gb, gw = ([_solve_normal_2x2(g11, g12, g22, *v) for v in x] for x in (b, w))
+            jtj = tuple(tuple(dc[k][i] - b[k][0] * gb[i][0] - b[k][1] * gb[i][1]
+                              + w[k][0] * gw[i][0] + w[k][1] * gw[i][1] for i in range(2))
+                        for k in range(2))
+            return jtj, (d * m[3][2] - c0 * ramp_r, -d * m[4][2])
+
+        return (c0, c1), residual, normal
 
     return solve
 
@@ -357,17 +390,17 @@ def calibrate_unpinched(samples) -> CalibrationResult:
     1973): for each candidate shape the two linear coefficients, the peak and
     plateau moments, are solved exactly by linear least squares
     (``_moment_solver``), and the two nonlinear shape parameters, the logs of
-    the peak and decay angles, are fitted by a numpy Levenberg-Marquardt loop
-    (``_levenberg_marquardt``). It runs from three decay-angle starts, keeps
-    the fit with the lowest cost, and finishes with a 1-D pass over the decay
-    angle.
+    the peak and decay angles, are fitted by a plain-float Levenberg-Marquardt
+    loop (``_levenberg_marquardt``) on the exact Jacobian of that projected
+    residual. It runs from three decay-angle starts, keeps the fit with the
+    lowest cost, and finishes with a 1-D pass over the decay angle.
 
     Raises CalibrationError for degenerate data: fewer than 4 samples, a
     non-finite sample, all samples at one angle, no sample past the torque
     peak, or a fit that ends at a shape that is not finite and positive, at
     moments without 0 < plateau < peak, or at a peak angle with no sample
-    strictly between it and angle 0 (every peak angle up to the first sample
-    past it then fits alike).
+    strictly between it and angle 0, beyond rounding of the peak angle (every
+    peak angle up to the first sample past it then fits alike).
     """
     points = [(float(a), float(m)) for a, m in samples]
     if len(points) < 4:
@@ -386,20 +419,29 @@ def calibrate_unpinched(samples) -> CalibrationResult:
 
     solve = _moment_solver(angles, moments)
 
-    def residuals(log_shape):
-        return solve(log_shape)[1]
+    def evaluate(log_shape):
+        _, residual, normal = solve(log_shape)
+        return float(residual @ residual), normal
 
-    fits = [_levenberg_marquardt(residuals, np.log([peak_guess, decay_guess]))
+    fits = [_levenberg_marquardt(evaluate, tuple(np.log([peak_guess, decay_guess]).tolist()))
             for decay_guess in (0.5 * peak_guess, peak_guess, 2.0 * peak_guess)]
     log_peak, log_decay = min(fits, key=lambda fit: fit[1])[0]
+
     # The residual has a kink in the peak angle wherever the peak passes a
     # sample angle, and the optimum often sits on one. The 2-D steps then keep
     # crossing the kink and the decay angle stalls short of its optimum, so a
     # last 1-D pass fits the decay angle with the peak angle held.
-    (log_decay,), _ = _levenberg_marquardt(
-        lambda v: residuals(np.array([log_peak, v[0]])), np.array([log_decay]))
+    def evaluate_decay(v):
+        cost, normal = evaluate((log_peak, v[0]))
+
+        def decay_normal():
+            (_, (_, h)), (_, g) = normal()
+            return ((h,),), (g,)
+        return cost, decay_normal
+
+    (log_decay,), _ = _levenberg_marquardt(evaluate_decay, (log_decay,))
     peak_angle, decay_angle = _exp(log_peak), _exp(log_decay)
-    coeffs, residual = solve(np.array([log_peak, log_decay]))
+    coeffs, residual, _ = solve((log_peak, log_decay))
     if coeffs is None or not (0.0 < peak_angle < math.inf and 0.0 < decay_angle < math.inf):
         raise CalibrationError("fit converged to a degenerate shape "
                                f"(peak angle={peak_angle:.6g}, decay angle={decay_angle:.6g})")
@@ -408,7 +450,9 @@ def calibrate_unpinched(samples) -> CalibrationResult:
             and 0.0 < propagation_moment < peak_moment):
         raise CalibrationError("fit converged to a degenerate model "
                                f"(peak={peak_moment:.6g}, plateau={propagation_moment:.6g})")
-    if not np.any((angles > 0.0) & (angles < peak_angle)):
+    # A fit whose optimum sits on a sample angle's kink lands a few ulps either
+    # side of it, so a sample within _LM_STEP_TOL below the peak is at it.
+    if not np.any((angles > 0.0) & (angles < peak_angle * (1.0 - _LM_STEP_TOL))):
         raise CalibrationError("no sample inside the ramp; the peak angle is unconstrained")
     model = UnpinchedPairModel(peak_moment=peak_moment, peak_angle=peak_angle,
                                propagation_moment=propagation_moment,

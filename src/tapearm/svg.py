@@ -162,12 +162,12 @@ def _colors(values) -> list[str]:
 
 
 class _Canvas:
-    """SVG document with a y-up data coordinate system, written to ``fh`` as it
-    is drawn: the header when built, then whole lines, then the end tag."""
+    """SVG document with a y-up data coordinate system scaled by its larger span, written
+    to ``fh`` as it is drawn: the header when built, then whole lines, then the end tag."""
 
     def __init__(self, fh, x_min, x_max, y_min, y_max, width):
         self.fh = fh
-        self.scale = (width - 2 * _PAD) / max(x_max - x_min, 1e-9)
+        self.scale = (width - 2 * _PAD) / max(x_max - x_min, y_max - y_min, 1e-9)
         self.x_min, self.y_max = x_min, y_max
         self.drawn = False
         height = int(round((y_max - y_min) * self.scale)) + 2 * _PAD

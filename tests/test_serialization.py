@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -43,6 +44,22 @@ def test_params_file_roundtrip(tmp_path):
     params = ManipulatorParams(l2_min=0.01)
     save_params(params, path)
     assert load_params(path) == params
+
+
+def test_saved_files_are_the_indented_json_document(tmp_path):
+    # One write of json.dumps(..., indent=2) plus a newline: the bytes that
+    # json.dump's many small writes produced.
+    params = ManipulatorParams(l2_min=0.01)
+    documents = [(save_params, params, params_to_dict(params))]
+    documents += [(save_scenario, scenario, scenario_to_dict(scenario))
+                  for scenario in builtin_scenarios().values()]
+    for save, obj, document in documents:
+        path = tmp_path / "saved.json"
+        save(obj, path)
+        streamed = io.StringIO()
+        json.dump(document, streamed, indent=2)
+        assert path.read_text() == json.dumps(document, indent=2) + "\n"
+        assert path.read_text() == streamed.getvalue() + "\n"
 
 
 def test_scenario_dict_roundtrip_runs_identically():

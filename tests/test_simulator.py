@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from tapearm.simulator import (
     Scenario,
     ScenarioError,
     SimState,
+    _BLOCK_ROWS,
     builtin_scenarios,
     evaluate_check,
     initial_state,
@@ -473,6 +475,24 @@ def test_rates_that_overflow_a_length_reject_the_segment():
         _run(_start(), (1e10, RateCommand(q1_rate=1e300)), dt=1e10)
 
 
+def test_run_scenario_memory_is_the_log_plus_a_few_blocks():
+    # 200k rows in three segments: the log is 17.6 MB, and every temporary is
+    # per block of _BLOCK_ROWS rows, so a gather of segment data over the
+    # whole run (1.6 MB for one index column) does not fit under the bound
+    profile = ControlProfile(((800.0, RateCommand(q1_rate=1e-4)),
+                              (800.0, RateCommand(q2_rate=1e-4)),
+                              (400.0, RateCommand(cL_rate=1e-6, cR_rate=-1e-6))))
+    scenario = Scenario("long", PARAMS, _start(theta=0.2), profile, 0.01)
+    tracemalloc.start()
+    try:
+        log = run_scenario(scenario)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(log.rows) == 200_001 and log.abort is None
+    assert peak <= log.rows.values.nbytes + 64 * _BLOCK_ROWS * 8
+
+
 # --- the columnar log against the reference loop ----------------------------
 
 _ANGLE_CHECKS = ("theta_constant", "final_theta", "theta_visits")
@@ -540,6 +560,20 @@ _BEND = 4.0 * PARAMS.cable_offset
 # the rates overflow the state to inf
 @example(_example((1e10, RateCommand(q1_rate=1e300)), dt=1e10))
 @example(_example((1e10, RateCommand(cL_rate=1e300, cR_rate=1e300)), dt=1e10))
+# 3000 + 2500 + 10 steps: blocks span segments, and boundaries fall inside them
+@example(_example((30.0, RateCommand(q1_rate=0.001, cL_rate=0.001, cR_rate=0.001)),
+                  (25.0, RateCommand(cL_rate=1e-4, cR_rate=-1e-4)),
+                  (0.1, RateCommand(q2_rate=-0.01))))
+# the cable differential leaves the +/-4d range in the second of three segments
+@example(_example((1.0, RateCommand()), (1.0, RateCommand(cL_rate=_BEND, cR_rate=-_BEND)),
+                  (1.0, RateCommand())))
+# the first segment overflows the state and the second would abort at once: the
+# overflow is reported
+@example(_example((1e10, RateCommand(q1_rate=1e300)),
+                  (1e10, RateCommand(cL_rate=1e300, cR_rate=-1e300)), dt=1e10))
+# segments too short for a step add no rows and leave the next start as it is
+@example(_example((1e-12, RateCommand(q1_rate=1.0)), (1.0, RateCommand(q1_rate=0.05)),
+                  (1e-12, RateCommand(cL_rate=0.5)), (1.0, RateCommand(cR_rate=0.01))))
 def test_columnar_log_matches_reference_loop(scenario):
     try:
         rows, checks, boundary_indices, abort = _run_scenario_loop(scenario)

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tapearm.model import DEFAULT_TAPE
@@ -226,26 +226,40 @@ def test_calibration_needs_a_sample_inside_the_ramp():
     assert fitted.peak_angle == pytest.approx(truth.peak_angle, rel=1e-6)
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-100, 1.0, 1e100, 1e300])
+def test_calibration_does_not_depend_on_the_angle_unit(scale):
+    # Four samples that the model fits exactly, with plateau 11/28 and
+    # exp(-scale / decay angle) = 1/15, at any angle unit: the ramp sums of
+    # a * a neither underflow for tiny angles nor overflow for huge ones.
+    samples = [(scale, 1.0), (2.0 * scale, 2.0), (3.0 * scale, 0.5), (4.0 * scale, 0.4)]
+    fitted = calibrate_unpinched(samples).model
+    expected = [2.0, 2.0 * scale, 11.0 / 28.0, scale / math.log(15.0)]
+    assert _params(fitted) == pytest.approx(np.array(expected), rel=1e-9)
+
+
 def test_levenberg_marquardt_accepts_only_finite_descent():
     # Undamped Gauss-Newton diverges on arctan from |u| > 1.39; its first
     # step from 3 lands at about -9.5, where this residual is infinite.
-    def residuals(u):
-        return np.arctan(u) if abs(u[0]) < 5.0 else np.full(1, math.inf)
+    def evaluate(u):
+        if abs(u[0]) >= 5.0:
+            return math.inf, None
+        r, slope = math.atan(u[0]), 1.0 / (1.0 + u[0] * u[0])
+        return r * r, lambda: (((slope * slope,),), (slope * r,))
 
-    u, cost = _levenberg_marquardt(residuals, np.array([3.0]))
+    u, cost = _levenberg_marquardt(evaluate, (3.0,))
     assert abs(u[0]) < 1e-8 and cost < 1e-16
 
 
 def test_levenberg_marquardt_stops_on_non_finite_jacobian():
     calls = []
 
-    def residuals(u):
+    def evaluate(u):
         calls.append(u[0])
-        return np.array([u[0] - 2.0]) if u[0] < 1.0 else np.full(1, math.inf)
+        return (u[0] - 2.0) ** 2, lambda: (((math.inf,),), (u[0] - 2.0,))
 
-    start = 1.0 - 1e-9  # the difference step crosses into the infinite region
-    u, cost = _levenberg_marquardt(residuals, np.array([start]))
-    assert u[0] == start and cost == (start - 2.0) ** 2 and len(calls) == 2
+    start = 1.0 - 1e-9
+    u, cost = _levenberg_marquardt(evaluate, (start,))
+    assert u == (start,) and cost == (start - 2.0) ** 2 and calls == [start]
 
 
 def _pair_models(peak, angle, plateau, decay):
@@ -307,9 +321,51 @@ def _reference_solve(angles, moments, log_shape):
     return coeffs, design @ coeffs - moments
 
 
+# A numpy Levenberg-Marquardt loop on a forward-difference Jacobian, with the
+# same rules and tolerances, so the reference calibration shares no code with
+# calibrate_unpinched's loop.
+_REFERENCE_DIFF_STEP = math.sqrt(np.finfo(float).eps)
+
+
+def _reference_levenberg_marquardt(residuals, u):
+    r = residuals(u)
+    cost = float(r @ r)
+    damping = 1e-3
+    for _ in range(100):
+        jac = np.empty((r.size, u.size))
+        for k in range(u.size):
+            shifted = u.copy()
+            shifted[k] += _REFERENCE_DIFF_STEP * max(1.0, abs(u[k]))
+            jac[:, k] = (residuals(shifted) - r) / (shifted[k] - u[k])
+        with np.errstate(over="ignore", invalid="ignore"):
+            normal = jac.T @ jac
+            gradient = jac.T @ r
+        if not (np.all(np.isfinite(normal)) and np.all(np.isfinite(gradient))):
+            break
+        diagonal = np.diag(normal)
+        scale = np.diag(np.where(diagonal > 0.0, diagonal, 1.0))
+        while damping <= 1e16:
+            step = np.linalg.solve(normal + damping * scale, -gradient)
+            trial = u + step
+            r_trial = residuals(trial)
+            cost_trial = float(r_trial @ r_trial)
+            if cost_trial < cost:
+                break
+            damping *= 10.0
+        else:
+            break
+        small_step = np.linalg.norm(step) <= 1e-10 * (1e-10 + np.linalg.norm(u))
+        small_gain = cost - cost_trial <= 1e-12 * cost
+        u, r, cost = trial, r_trial, cost_trial
+        damping = max(0.1 * damping, 1e-12)
+        if small_step or small_gain:
+            break
+    return u, cost
+
+
 def _reference_calibration(samples):
-    """calibrate_unpinched with the lstsq kernel: the same checks, starts,
-    1-D pass and shared _levenberg_marquardt."""
+    """calibrate_unpinched with the lstsq kernel and the forward-difference
+    numpy LM loop: the same checks, starts and 1-D pass."""
     points = [(float(a), float(m)) for a, m in samples]
     if len(points) < 4:
         raise CalibrationError(f"need at least 4 samples, got {len(points)}")
@@ -328,10 +384,10 @@ def _reference_calibration(samples):
     def residuals(log_shape):
         return _reference_solve(angles, moments, log_shape)[1]
 
-    fits = [_levenberg_marquardt(residuals, np.log([peak_guess, decay_guess]))
+    fits = [_reference_levenberg_marquardt(residuals, np.log([peak_guess, decay_guess]))
             for decay_guess in (0.5 * peak_guess, peak_guess, 2.0 * peak_guess)]
     log_peak, log_decay = min(fits, key=lambda fit: fit[1])[0]
-    (log_decay,), _ = _levenberg_marquardt(
+    (log_decay,), _ = _reference_levenberg_marquardt(
         lambda v: residuals(np.array([log_peak, v[0]])), np.array([log_decay]))
     best = np.array([log_peak, log_decay])
     with np.errstate(over="ignore"):
@@ -373,7 +429,7 @@ def test_moment_solver_matches_lstsq_on_degenerate_shapes(angles, log_peak, log_
     _, model = default_models()
     moments = np.array([model.moment(a) for a in angles]) + 0.01 * np.sin(40.0 * angles)
     shape = np.array([log_peak, log_decay])
-    coeffs, residual = _moment_solver(angles, moments)(shape)
+    coeffs, residual, _ = _moment_solver(angles, moments)(shape)
     expected_coeffs, expected_residual = _reference_solve(angles, moments, shape)
     if expected_coeffs is None:
         assert coeffs is None and np.all(residual == math.inf)
@@ -421,3 +477,68 @@ def test_calibration_agrees_with_lstsq_reference(samples):
     model, residual_norm = reference
     assert _params(result.model) == pytest.approx(_params(model), rel=1e-6)
     assert result.residual_norm <= residual_norm * (1 + 1e-9) + 1e-12
+
+
+@st.composite
+def _shapes_away_from_kinks(draw):
+    """Folded samples of a random pair model, with noise, and a log shape near
+    the model's. The peak angle is at least 1e-3 rad from every sample angle,
+    so the residual is smooth around the shape; one or more samples lie inside
+    the ramp and three or more, spread over a decay angle, past the peak, so
+    the two basis columns are far from parallel."""
+    truth = draw(_pair_models(peak=(0.7, 1.3), angle=(0.6, 1.5), plateau=(0.05, 0.3),
+                              decay=(0.4, 2.5)))
+    peak = truth.peak_angle * draw(st.floats(0.7, 1.4))
+    decay = truth.decay_angle * draw(st.floats(0.7, 1.4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ramp = rng.uniform(0.0, peak - 1e-3, draw(st.integers(1, 20)))
+    tail = rng.uniform(peak + 1e-3, peak + 4.0 * decay, draw(st.integers(3, 60)))
+    assume(np.ptp(tail) >= decay)
+    angles = np.concatenate([[0.0] * draw(st.integers(0, 2)), ramp, tail])
+    noise = draw(st.sampled_from([0.0, 0.002, 0.01]))
+    moments = np.array([truth.moment(a) for a in angles]) + rng.normal(0.0, noise, angles.size)
+    return angles, moments, (math.log(peak), math.log(decay))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_shapes_away_from_kinks())
+def test_jacobian_normal_equations_match_finite_differences(case):
+    # Central differences, whose error here stays below 1e-8 relative; forward
+    # differences at a 1e-8 step reach 1.6e-6 on these curves.
+    angles, moments, shape = case
+    solve = _moment_solver(angles, moments)
+    _, residual, normal = solve(shape)
+    step = 1e-5
+    columns = []
+    for k in range(2):
+        up, down = list(shape), list(shape)
+        up[k] += step
+        down[k] -= step
+        columns.append((solve(up)[1] - solve(down)[1]) / (2.0 * step))
+    jac = np.column_stack(columns)
+    jtj, jtr = normal()
+    # Each entry relative to its Cauchy-Schwarz bound; the residual of an
+    # exact fit is rounding, about 1e-16 of the moments.
+    norms = np.linalg.norm(jac, axis=0)
+    assert np.all(np.abs(np.array(jtj) - jac.T @ jac) <= 1e-6 * np.outer(norms, norms))
+    size = np.linalg.norm(residual) + 1e-6 * np.linalg.norm(moments)
+    assert np.all(np.abs(np.array(jtr) - jac.T @ residual) <= 1e-6 * norms * size)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)), min_size=4,
+                max_size=40))
+def test_calibration_returns_a_model_or_raises_calibration_error(samples):
+    angles = np.abs([a for a, _ in samples])
+    moments = np.array([m if a >= 0 else -m for a, m in samples])
+    peak_guess = angles[int(np.argmax(moments))]
+    assume(np.any((angles > 0.0) & (angles < peak_guess)))
+    try:
+        result = calibrate_unpinched(samples)
+    except CalibrationError:
+        return
+    model = result.model
+    assert 0.0 < model.propagation_moment < model.peak_moment
+    assert 0.0 < model.peak_angle < math.inf and 0.0 < model.decay_angle < math.inf
+    assert math.isfinite(result.residual_norm)

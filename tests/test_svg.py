@@ -89,7 +89,7 @@ class _Canvas:
     """An SVG document collected as a list of elements and joined at the end."""
 
     def __init__(self, x_min, x_max, y_min, y_max, width):
-        self.scale = (width - 40) / max(x_max - x_min, 1e-9)
+        self.scale = (width - 40) / max(x_max - x_min, y_max - y_min, 1e-9)
         self.width = width
         self.height = int(round((y_max - y_min) * self.scale)) + 40
         self.x_min, self.y_max = x_min, y_max
@@ -359,6 +359,22 @@ def test_workspace_svg_empty_grid():
         grid = compute_grid(DEFAULT_PARAMS, bounds, 1e305 if bounds[3] > 2 else 0.1)
         assert grid.reachable.size == 0
         assert _render(workspace_svg, grid) == frame, bounds
+
+
+def _canvas_size(text):
+    root = ElementTree.fromstring(text)
+    return int(root.get("width")), int(root.get("height"))
+
+
+def test_tall_drawings_are_no_taller_than_wide():
+    # The larger span sets the scale of both axes: a 1 mm x 2 m grid gets a
+    # 640x640 canvas, not 640x1200040, and each demo overlay, taller than
+    # wide, a 480x480 one.
+    grid = compute_grid(DEFAULT_PARAMS, (0.0, 0.001, 0.0, 2.0), 0.001)
+    assert _canvas_size(_render(workspace_svg, grid)) == (640, 640)
+    for name, scenario in builtin_scenarios().items():
+        text = _render(overlay_svg, run_scenario(scenario), title=name)
+        assert _canvas_size(text) == (480, 480), name
 
 
 def test_overlay_svg_structure():
