@@ -20,10 +20,10 @@ import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
+from .csvtext import BLOCK_FLOATS, float_cells, join_cells
 from .model import (
     CABLE_RANGE_SLACK,
     DEFAULT_PARAMS,
@@ -67,8 +67,10 @@ MAX_LOG_ROWS = 1_000_000
 # Longest file name, in bytes, that common file systems accept.
 _NAME_MAX = 255
 
-# Rows evaluated, and written to CSV, per block.
+# Rows evaluated per block.
 _BLOCK_ROWS = 4096
+
+_NEWLINE = np.frombuffer(b"\n", np.uint8)
 
 
 class ScenarioError(ValueError):
@@ -368,27 +370,22 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
 def log_to_csv(log: TrajectoryLog, fh) -> None:
     """Write the run log, with the standard column header, to the open text file ``fh``.
 
-    Every float is its shortest round-trip ``repr`` (Steele & White 1990; Gay
-    1990), which is most of the cost. Rows are formatted column by column,
-    _BLOCK_ROWS at a time with one write per block, so memory stays bounded.
+    Every float is its shortest round-trip ``repr``, byte for byte, from
+    ``csvtext.float_cells``, BLOCK_FLOATS floats and one write per block.
     """
     rows = log.rows
     fh.write(LOG_CSV_HEADER + "\n")
-    for first in range(0, len(rows), _BLOCK_ROWS):
-        block = rows.values[:, first:first + _BLOCK_ROWS].tolist()
-        residual = block.pop()
-        # A handful of distinct residuals, so each is formatted once. They
-        # are abs(...), never -0.0, so no key stands for two reprs.
-        texts = {value: repr(value) for value in set(residual)}
-        fields = [list(map(repr, column)) for column in block]
-        fields.append(list(map(texts.__getitem__, residual)))
-        if rows.violations:
-            found = map(rows.violations.get, range(first, first + len(residual)),
-                        repeat(()))
-            fields.append([";".join(map(str, violations)) for violations in found])
-        else:
-            fields.append(repeat("", len(residual)))
-        fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+    marked = np.sort(np.fromiter(rows.violations, np.int64, len(rows.violations)))
+    block_rows = BLOCK_FLOATS // len(LOG_COLUMNS)
+    for first in range(0, len(rows), block_rows):
+        block = rows.values[:, first:first + block_rows]
+        count = block.shape[1]
+        texts = [b""] * count
+        for row in marked[np.searchsorted(marked, first):
+                          np.searchsorted(marked, first + count)].tolist():
+            texts[row - first] = ";".join(map(str, rows.violations[row])).encode()
+        violations = np.array(texts, dtype=bytes).view(np.uint8).reshape(count, -1)
+        fh.write(join_cells(float_cells(block.T).reshape(count, -1), violations, _NEWLINE))
 
 
 # --- named checks ----------------------------------------------------------

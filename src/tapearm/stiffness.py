@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvtext import BLOCK_FLOATS, float_cells, join_cells
 from .model import DEFAULT_TAPE, TAPE_COUNT, TapeProperties
 
 #: Reference pair calibration: the bench pair peaks at 0.654 N*m while the
@@ -175,9 +176,11 @@ def moment_angle_curve(model, theta_min: float, theta_max: float, n: int) -> np.
 
 def write_moment_csv(samples, fh) -> None:
     """Write a (theta, moment) table, with the standard header, to the open text file ``fh``."""
+    table = np.asarray(samples, dtype=np.float64).reshape(len(samples), 2)
     fh.write(MOMENT_CSV_HEADER + "\n")
-    for theta, moment in samples:
-        fh.write(f"{float(theta)!r},{float(moment)!r}\n")
+    for first in range(0, len(table), BLOCK_FLOATS // 2):
+        block = table[first:first + BLOCK_FLOATS // 2]
+        fh.write(join_cells(float_cells(block[:, :1]), float_cells(block[:, 1:], "\n")))
 
 
 def read_moment_csv(path) -> np.ndarray:
@@ -417,31 +420,34 @@ def calibrate_unpinched(samples) -> CalibrationResult:
     if peak_guess <= 0.0:
         raise CalibrationError("torque peak at zero angle; the ramp is unconstrained")
 
-    solve = _moment_solver(angles, moments)
+    # Extreme finite samples overflow in the fit; the checks below decide.
+    with np.errstate(all="ignore"):
+        solve = _moment_solver(angles, moments)
 
-    def evaluate(log_shape):
-        _, residual, normal = solve(log_shape)
-        return float(residual @ residual), normal
+        def evaluate(log_shape):
+            _, residual, normal = solve(log_shape)
+            return float(residual @ residual), normal
 
-    fits = [_levenberg_marquardt(evaluate, tuple(np.log([peak_guess, decay_guess]).tolist()))
-            for decay_guess in (0.5 * peak_guess, peak_guess, 2.0 * peak_guess)]
-    log_peak, log_decay = min(fits, key=lambda fit: fit[1])[0]
+        fits = [_levenberg_marquardt(evaluate, tuple(np.log([peak_guess, decay_guess]).tolist()))
+                for decay_guess in (0.5 * peak_guess, peak_guess, 2.0 * peak_guess)]
+        log_peak, log_decay = min(fits, key=lambda fit: fit[1])[0]
 
-    # The residual has a kink in the peak angle wherever the peak passes a
-    # sample angle, and the optimum often sits on one. The 2-D steps then keep
-    # crossing the kink and the decay angle stalls short of its optimum, so a
-    # last 1-D pass fits the decay angle with the peak angle held.
-    def evaluate_decay(v):
-        cost, normal = evaluate((log_peak, v[0]))
+        # The residual has a kink in the peak angle wherever the peak passes a
+        # sample angle, and the optimum often sits on one. The 2-D steps then keep
+        # crossing the kink and the decay angle stalls short of its optimum, so a
+        # last 1-D pass fits the decay angle with the peak angle held.
+        def evaluate_decay(v):
+            cost, normal = evaluate((log_peak, v[0]))
 
-        def decay_normal():
-            (_, (_, h)), (_, g) = normal()
-            return ((h,),), (g,)
-        return cost, decay_normal
+            def decay_normal():
+                (_, (_, h)), (_, g) = normal()
+                return ((h,),), (g,)
+            return cost, decay_normal
 
-    (log_decay,), _ = _levenberg_marquardt(evaluate_decay, (log_decay,))
-    peak_angle, decay_angle = _exp(log_peak), _exp(log_decay)
-    coeffs, residual, _ = solve((log_peak, log_decay))
+        (log_decay,), _ = _levenberg_marquardt(evaluate_decay, (log_decay,))
+        peak_angle, decay_angle = _exp(log_peak), _exp(log_decay)
+        coeffs, residual, _ = solve((log_peak, log_decay))
+        residual_norm = float(np.linalg.norm(residual))
     if coeffs is None or not (0.0 < peak_angle < math.inf and 0.0 < decay_angle < math.inf):
         raise CalibrationError("fit converged to a degenerate shape "
                                f"(peak angle={peak_angle:.6g}, decay angle={decay_angle:.6g})")
@@ -457,7 +463,7 @@ def calibrate_unpinched(samples) -> CalibrationResult:
     model = UnpinchedPairModel(peak_moment=peak_moment, peak_angle=peak_angle,
                                propagation_moment=propagation_moment,
                                decay_angle=decay_angle)
-    return CalibrationResult(model=model, residual_norm=float(np.linalg.norm(residual)))
+    return CalibrationResult(model=model, residual_norm=residual_norm)
 
 
 def default_models(tape: TapeProperties = DEFAULT_TAPE) -> tuple[PinchJointModel, UnpinchedPairModel]:

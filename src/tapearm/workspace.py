@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvtext import BLOCK_FLOATS, float_cells, join_cells
 from .model import JointState, ManipulatorParams, within_bounds
 
 # Targets with |x| at or below this count as on the midline: they ride the
@@ -308,9 +309,20 @@ def compute_grid(params: ManipulatorParams, bounds, resolution: float) -> Worksp
 
 def grid_to_csv(grid: WorkspaceGrid, fh) -> None:
     """Write the grid as CSV to the open text file ``fh``, with no angle on unreachable cells."""
-    x_text = [f"{x!r}," for x in grid.xs.tolist()]
     fh.write(GRID_CSV_HEADER + "\n")
-    for y, reach, angle in zip(grid.ys.tolist(), grid.reachable, grid.min_angle):
-        y_text = f"{y!r},"
-        fh.write("".join(f"{x}{y_text}1,{a!r}\n" if r else f"{x}{y_text}0,\n"
-                         for x, r, a in zip(x_text, reach.tolist(), angle.tolist())))
+    flags = np.frombuffer(b"0,1,", np.uint8).reshape(2, 2)
+    cols = max(1, min(grid.nx, BLOCK_FLOATS))
+    rows = max(1, BLOCK_FLOATS // cols)
+    # x cells are the same in every row; y cells are made BLOCK_FLOATS rows at a time
+    x_cells = [float_cells(grid.xs[c0:c0 + cols]) for c0 in range(0, grid.nx, cols)]
+    y_rows = rows * max(1, BLOCK_FLOATS // rows)
+    for r0 in range(0, grid.ny, rows):
+        y_cells = y_cells if r0 % y_rows else float_cells(grid.ys[r0:r0 + y_rows, None])
+        for c0, x in zip(range(0, grid.nx, cols), x_cells):
+            reach = grid.reachable[r0:r0 + rows, c0:c0 + cols]
+            found = float_cells(grid.min_angle[r0:r0 + rows, c0:c0 + cols][reach], "\n")
+            angle = np.zeros(reach.shape + found.shape[1:], np.uint8)  # unreachable: "\n"
+            angle[..., -1] = ord("\n")
+            angle[reach] = found
+            fh.write(join_cells(x, y_cells[r0 % y_rows:][:rows],
+                                np.take(flags, reach.view(np.uint8), axis=0), angle))

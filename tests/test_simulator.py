@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from tapearm.csvtext import BLOCK_FLOATS
 from tapearm.model import (
     BOUND_EPS,
     CABLE_RANGE_SLACK,
@@ -493,6 +495,23 @@ def test_run_scenario_memory_is_the_log_plus_a_few_blocks():
     assert peak <= log.rows.values.nbytes + 64 * _BLOCK_ROWS * 8
 
 
+def test_log_to_csv_memory_is_a_few_blocks():
+    # the same 200k rows: every temporary is per block of BLOCK_FLOATS floats,
+    # about 4 MB, where one frame over the whole log would take hundreds of MB
+    profile = ControlProfile(((800.0, RateCommand(q1_rate=1e-4)),
+                              (800.0, RateCommand(q2_rate=1e-4)),
+                              (400.0, RateCommand(cL_rate=1e-6, cR_rate=-1e-6))))
+    log = run_scenario(Scenario("long", PARAMS, _start(theta=0.2), profile, 0.01))
+    with open(os.devnull, "w") as fh:
+        tracemalloc.start()
+        try:
+            log_to_csv(log, fh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= 1024 * BLOCK_FLOATS
+
+
 # --- the columnar log against the reference loop ----------------------------
 
 _ANGLE_CHECKS = ("theta_constant", "final_theta", "theta_visits")
@@ -552,6 +571,8 @@ _BEND = 4.0 * PARAMS.cable_offset
 @given(_scenarios())
 # retracts past zero length: every late row breaks l1_min
 @example(_example((12.0, RateCommand(q1_rate=-0.1, cL_rate=-0.1, cR_rate=-0.1))))
+# rows 561-2000 break l1_min, across the CSV writer's 744-row blocks
+@example(_example((20.0, RateCommand(q1_rate=-0.04, cL_rate=-0.04, cR_rate=-0.04))))
 # the cable differential leaves the +/-4d range mid-segment
 @example(_example((1.0, RateCommand()), (1.0, RateCommand(cL_rate=_BEND, cR_rate=-_BEND))))
 # a distance whose last bit math.hypot and np.hypot round differently

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tapearm.model import DEFAULT_TAPE
@@ -147,6 +147,19 @@ def test_moment_csv_roundtrip(tmp_path):
     assert np.array_equal(loaded, table)
 
 
+def test_moment_csv_matches_reference_loop_and_roundtrips(tmp_path):
+    # more rows than one block, and values off the kernel's fast path
+    _, unpinched = default_models()
+    table = moment_angle_curve(unpinched, -0.6, 0.6, 10_001)
+    table[:4] = [[0.0, -0.0], [0.5, 1e-9], [-1e300, math.inf], [5e-324, 2.0**-20]]
+    path = tmp_path / "curve.csv"
+    with open(path, "w", newline="") as fh:
+        write_moment_csv(table, fh)
+    assert path.read_text() == "theta_rad,moment_Nm\n" + "".join(
+        f"{theta!r},{moment!r}\n" for theta, moment in table.tolist())
+    assert np.array_equal(read_moment_csv(path), table)
+
+
 def test_calibration_recovers_known_model(tmp_path):
     truth = UnpinchedPairModel(peak_moment=0.654, peak_angle=math.radians(10.0),
                                propagation_moment=0.0654, decay_angle=math.radians(14.0))
@@ -207,12 +220,16 @@ def test_calibration_degenerate_data():
         # random 1-ulp perturbations of the samples or of the residuals.
         with pytest.raises(CalibrationError, match="degenerate model"):
             calibrate_unpinched([(0.1, 0.5), (0.2, 1.0), (0.3, 0.0), (0.4, -0.5), (0.5, -0.75)])
-        # No monotone tail follows the dip after the peak, so the fit drops to
-        # the plateau at once: the decay angle underflows to zero. This
-        # outcome held under 500 random 1-ulp perturbations of the samples
-        # or of the residuals.
-        with pytest.raises(CalibrationError, match="degenerate shape"):
-            calibrate_unpinched([(0.1, 0.5), (0.2, 1.5), (0.3, -1.0), (0.4, 0.5)])
+        # The tail falls past the peak and then rises again, so no decay fits
+        # it better than a drop to the plateau at once: the decay angle
+        # underflows to zero, here and under 300 random 1-ulp perturbations
+        # of the samples.
+        samples = np.array([(0.5, 0.0), (0.6, 1.5), (0.7, -0.25), (0.8, -0.5), (0.9, 0.5)])
+        steps = np.random.default_rng(0).integers(0, 3, (300,) + samples.shape)
+        for nudged in [samples, *np.nextafter(samples, np.choose(steps, (-math.inf, samples,
+                                                                         math.inf)))]:
+            with pytest.raises(CalibrationError, match="degenerate shape"):
+                calibrate_unpinched(nudged.tolist())
 
 
 def test_calibration_needs_a_sample_inside_the_ramp():
@@ -542,3 +559,25 @@ def test_calibration_returns_a_model_or_raises_calibration_error(samples):
     assert 0.0 < model.propagation_moment < model.peak_moment
     assert 0.0 < model.peak_angle < math.inf and 0.0 < model.decay_angle < math.inf
     assert math.isfinite(result.residual_norm)
+
+
+def _extreme(sign):
+    magnitude = st.one_of(st.floats(1e-300, 1e-200), st.floats(1e-3, 1e3),
+                          st.floats(1e200, 1e308), st.sampled_from([1e-300, 1.0, 1e308]))
+    return magnitude.map(lambda v: sign * v) if sign else st.one_of(magnitude, magnitude.map(
+        lambda v: -v))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_extreme(0), _extreme(0)), min_size=4, max_size=12))
+@example([(0.1, 1.0), (0.2, 2.0), (1e300, 0.5), (2e300, 0.4)])
+@example([(0.1, 1e308), (0.2, 1.7e308), (0.3, 1e308), (0.4, -1e308)])
+def test_calibration_on_extreme_samples_returns_a_model_or_raises(samples):
+    # numpy warnings are errors here: an overflow inside the fit must end in
+    # a model or a CalibrationError, never in a RuntimeWarning
+    try:
+        result = calibrate_unpinched(samples)
+    except CalibrationError:
+        return
+    assert 0.0 < result.model.propagation_moment < result.model.peak_moment

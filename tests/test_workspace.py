@@ -1,5 +1,7 @@
 import io
 import math
+import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tapearm import workspace
+from tapearm.csvtext import BLOCK_FLOATS
 from tapearm.model import (
     BOUND_EPS,
     DEFAULT_PARAMS,
@@ -20,7 +23,9 @@ from tapearm.workspace import (
     ANGLE_TOL,
     LENGTH_TOL,
     STRAIGHT_X_TOL,
+    GRID_CSV_HEADER,
     AngleInterval,
+    WorkspaceGrid,
     compute_grid,
     feasibility_mask,
     feasible_theta_interval,
@@ -369,3 +374,54 @@ def test_grid_csv():
             assert fields[3] == ""
         else:
             float(fields[3])
+
+
+def _grid_csv_loop(grid):
+    lines = [GRID_CSV_HEADER + "\n"]
+    for iy, y in enumerate(grid.ys.tolist()):
+        for ix, x in enumerate(grid.xs.tolist()):
+            if grid.reachable[iy, ix]:
+                lines.append(f"{x!r},{y!r},1,{float(grid.min_angle[iy, ix])!r}\n")
+            else:
+                lines.append(f"{x!r},{y!r},0,\n")
+    return "".join(lines)
+
+
+def _random_grid(nx, ny, seed=0):
+    rng = np.random.default_rng(seed)
+    reach = rng.random((ny, nx)) < 0.5
+    angle = rng.choice([rng.uniform(-1.5, 1.5), 0.0, -0.0, 0.5, 1e-7, 0.1], (ny, nx))
+    angle[:, ::3] = rng.uniform(-1.5, 1.5, (ny, len(range(0, nx, 3))))
+    return WorkspaceGrid(xs=np.linspace(-2.0, 2.0, nx), ys=np.linspace(0.0, 2.0, ny),
+                         reachable=reach, min_angle=np.where(reach, angle, math.nan),
+                         resolution=0.01, bounds=(-2.0, 2.0, 0.0, 2.0))
+
+
+@pytest.mark.parametrize("grid", [
+    # a midline column of cells at x = 0.0, whose minimum angle is 0.0
+    compute_grid(PARAMS, (-0.55, 0.55, 0.0, 1.2), 0.1),
+    compute_grid(PARAMS, (-2.0, 2.0, 0.0, 2.0), 0.05),
+    compute_grid(PARAMS, (0.0, 1.0, 0.0, 0.0), 0.1),  # no rows
+    _random_grid(0, 3),
+    _random_grid(BLOCK_FLOATS + 5, 3),  # rows span two blocks of columns
+    _random_grid(1, BLOCK_FLOATS + 5),  # more rows than one block of y cells
+    _random_grid(7, 2000, seed=1),
+], ids=["midline", "default-bounds", "no-rows", "no-columns", "wide", "tall", "narrow"])
+def test_grid_csv_matches_reference_loop(grid):
+    fh = io.StringIO()
+    grid_to_csv(grid, fh)
+    assert fh.getvalue() == _grid_csv_loop(grid)
+
+
+def test_grid_to_csv_memory_is_a_few_blocks():
+    # a 1M-cell grid: every temporary is per block of BLOCK_FLOATS cells,
+    # where one frame over the grid would take hundreds of MB
+    grid = _random_grid(1000, 1000)
+    with open(os.devnull, "w") as fh:
+        tracemalloc.start()
+        try:
+            grid_to_csv(grid, fh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= 1024 * BLOCK_FLOATS
