@@ -9,6 +9,7 @@ codes: 0 success, 1 failed checks or invalid states, 2 usage/parse errors,
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -125,6 +126,16 @@ def _print_violations(violations) -> None:
         print(f"violation: {violation}")
 
 
+def _check_out(args) -> None:
+    """Fail before any work if --out cannot become a directory, because its
+    nearest existing ancestor is not one. Creates nothing."""
+    path = Path(args.out).absolute()
+    while not path.exists():
+        path = path.parent
+    if not path.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
+
+
 def _write_outputs(args, table, figure=None) -> None:
     """Write the outputs that --format selects into --out, creating it.
 
@@ -201,6 +212,7 @@ def cmd_theta_from_cables(args, params) -> int:
 
 
 def cmd_workspace(args, params) -> int:
+    _check_out(args)
     grid = workspace.compute_grid(params, tuple(args.bounds), args.resolution)
     if grid.reachable.size == 0:
         print("warning: bounds enclose no grid cells; outputs are empty")
@@ -212,6 +224,8 @@ def cmd_workspace(args, params) -> int:
 
 
 def cmd_stiffness(args, params) -> int:
+    if args.curve is not None:
+        _check_out(args)
     section = stiffness.FlattenedSection.from_tape(params.tape)
     pinched, unpinched = stiffness.default_models(params.tape)
     model = pinched if args.model == "pinched" else unpinched
@@ -252,6 +266,7 @@ def _run_and_report(scenario, args) -> int:
 
 def cmd_simulate(args, params) -> int:
     del params  # scenario files carry their own parameters
+    _check_out(args)
     try:
         scenario = serialization.load_scenario(args.scenario)
     except ValueError as exc:
@@ -260,6 +275,7 @@ def cmd_simulate(args, params) -> int:
 
 
 def cmd_demo(args, params) -> int:
+    _check_out(args)
     scenarios = simulator.builtin_scenarios(params)
     if args.name not in scenarios:
         raise _UsageError(f"unknown demo {args.name!r}; available demos: {', '.join(scenarios)}")

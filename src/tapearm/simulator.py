@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvtext import BLOCK_FLOATS, float_cells, join_cells
+from .csvtext import BLOCK_FLOATS, BlockText
 from .model import (
     CABLE_RANGE_SLACK,
     DEFAULT_PARAMS,
@@ -371,9 +371,10 @@ def log_to_csv(log: TrajectoryLog, fh) -> None:
     """Write the run log, with the standard column header, to the open text file ``fh``.
 
     Every float is its shortest round-trip ``repr``, byte for byte, from
-    ``csvtext.float_cells``, BLOCK_FLOATS floats and one write per block.
+    ``csvtext.BlockText``, BLOCK_FLOATS floats and one write per block.
     """
     rows = log.rows
+    text = BlockText()
     fh.write(LOG_CSV_HEADER + "\n")
     marked = np.sort(np.fromiter(rows.violations, np.int64, len(rows.violations)))
     block_rows = BLOCK_FLOATS // len(LOG_COLUMNS)
@@ -385,7 +386,8 @@ def log_to_csv(log: TrajectoryLog, fh) -> None:
                           np.searchsorted(marked, first + count)].tolist():
             texts[row - first] = ";".join(map(str, rows.violations[row])).encode()
         violations = np.array(texts, dtype=bytes).view(np.uint8).reshape(count, -1)
-        fh.write(join_cells(float_cells(block.T).reshape(count, -1), violations, _NEWLINE))
+        fh.write(text.join_cells(text.float_cells(block.T).reshape(count, -1), violations,
+                                 _NEWLINE))
 
 
 # --- named checks ----------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvtext import BLOCK_FLOATS, float_cells, join_cells
+from .csvtext import BLOCK_FLOATS, BlockText
 from .model import DEFAULT_TAPE, TAPE_COUNT, TapeProperties
 
 #: Reference pair calibration: the bench pair peaks at 0.654 N*m while the
@@ -178,9 +178,10 @@ def write_moment_csv(samples, fh) -> None:
     """Write a (theta, moment) table, with the standard header, to the open text file ``fh``."""
     table = np.asarray(samples, dtype=np.float64).reshape(len(samples), 2)
     fh.write(MOMENT_CSV_HEADER + "\n")
+    text = BlockText()
     for first in range(0, len(table), BLOCK_FLOATS // 2):
         block = table[first:first + BLOCK_FLOATS // 2]
-        fh.write(join_cells(float_cells(block[:, :1]), float_cells(block[:, 1:], "\n")))
+        fh.write(text.join_cells(text.float_cells(block, ",\n").reshape(len(block), -1)))
 
 
 def read_moment_csv(path) -> np.ndarray:

@@ -1,11 +1,13 @@
+import errno
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
-from tapearm import stiffness
+from tapearm import simulator, stiffness, workspace
 from tapearm.cli import main
 from tapearm.model import (
     DEFAULT_PARAMS,
@@ -316,6 +318,8 @@ _EXIT_CODE_TABLE = [
     ("scenario-file-missing", None, ["simulate", "{dir}/absent.json"], 3),
     # this --out overrides the one the test passes first
     ("output-directory-is-a-file", "{}", ["--out", "{dir}/input.json", "demo", "stationary-bend"], 3),
+    ("output-directory-below-a-file", "{}",
+     ["--out", "{dir}/input.json/sub", "workspace", "--resolution", "0.1"], 3),
     ("scenario-int-overflow", _SCENARIO % ("1" + "0" * 400, "1.0", "{}", "[]"),
      ["simulate", "{dir}/input.json"], 2),
     ("params-int-overflow", '{"l1_min_m": 1%s}' % ("0" * 400),
@@ -368,9 +372,23 @@ _EXIT_STDERR = {
 }
 
 
+# rows that must fail before any run or grid is computed
+_NOTHING_COMPUTED = {"output-directory-is-a-file", "output-directory-below-a-file"}
+
+
+def _forbid_the_run(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("computed before the output directory was checked")
+    for module, name in ((simulator, "run_scenario"), (workspace, "compute_grid"),
+                         (stiffness, "moment_angle_curve")):
+        monkeypatch.setattr(module, name, forbidden)
+
+
 @pytest.mark.parametrize("case, text, argv, expected", _EXIT_CODE_TABLE,
                          ids=[row[0] for row in _EXIT_CODE_TABLE])
-def test_exit_code_taxonomy(capsys, tmp_path, case, text, argv, expected):
+def test_exit_code_taxonomy(capsys, tmp_path, monkeypatch, case, text, argv, expected):
+    if case in _NOTHING_COMPUTED:
+        _forbid_the_run(monkeypatch)
     if text is not None:
         (tmp_path / "input.json").write_text(text)
     argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
@@ -395,3 +413,23 @@ def test_simulate_abort_keeps_partial_log(capsys, tmp_path):
     lines = (tmp_path / "scenario_log.csv").read_text().splitlines()
     assert len(lines) == 1 + 51 and lines[-1].startswith("0.5,")
     assert (tmp_path / "scenario_overlay.svg").read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo", "stationary-bend"],
+    ["simulate", "{dir}/scenario.json"],
+    ["workspace", "--resolution", "0.1"],
+    ["stiffness", "--curve", "0", "40", "81"],
+], ids=["demo", "simulate", "workspace", "stiffness-curve"])
+@pytest.mark.parametrize("out", ["{dir}/file", "{dir}/file/sub/deeper"], ids=["file", "below"])
+def test_out_below_a_file_fails_before_the_run(capsys, tmp_path, monkeypatch, argv, out):
+    save_scenario(builtin_scenarios()["stationary-bend"], tmp_path / "scenario.json")
+    (tmp_path / "file").write_text("")
+    _forbid_the_run(monkeypatch)
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in ["--out", out] + argv]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"I/O error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: "
+                            f"'{tmp_path / 'file'}'\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["file", "scenario.json"]

@@ -3,12 +3,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tapearm import csvtext
-from tapearm.csvtext import float_cells, join_cells
+from tapearm.csvtext import BlockText
+
+# one working set for every test: each call reuses what the last one left
+TEXT = BlockText()
 
 
 def _row(values):
     """One CSV row of the floats, each followed by a comma."""
-    return join_cells(float_cells(np.array(values, dtype=np.float64)[None]))
+    return TEXT.join_cells(TEXT.float_cells(np.array(values, dtype=np.float64)[None]))
 
 
 def _reference(values):
@@ -46,7 +49,7 @@ def test_float_cells_match_repr_on_edge_values():
 @example([k / 8 + 1 / 16 for k in range(2**49, 2**49 + 40)])
 def test_float_cells_match_repr(values):
     assert _row(values) == "".join(f"{value!r}," for value in values)
-    assert join_cells(float_cells(values, "\n")) == _reference(values)
+    assert TEXT.join_cells(TEXT.float_cells(values, "\n")) == _reference(values)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -54,14 +57,14 @@ def test_float_cells_match_repr(values):
 @example([0, 2**63, 0x7FF0000000000000, 0xFFF8000000000000, 1, 0x000FFFFFFFFFFFFF])
 def test_float_cells_match_repr_on_every_bit_pattern(bits):
     values = np.array(bits, dtype=np.uint64).view(np.float64)
-    assert join_cells(float_cells(values, "\n")) == _reference(values.tolist())
+    assert TEXT.join_cells(TEXT.float_cells(values, "\n")) == _reference(values.tolist())
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.lists(st.floats(1e-4, 1e15), min_size=1, max_size=40), st.booleans())
 def test_float_cells_match_repr_on_the_fast_path(values, negate):
     values = [-v for v in values] if negate else values
-    assert join_cells(float_cells(values, "\n")) == _reference(values)
+    assert TEXT.join_cells(TEXT.float_cells(values, "\n")) == _reference(values)
 
 
 def test_fast_path_calls_repr_only_off_it(monkeypatch):
@@ -70,7 +73,7 @@ def test_fast_path_calls_repr_only_off_it(monkeypatch):
                         raising=False)
     values = [0.1, -0.30000000000000004, 123.456, 0.0, 0.0, -0.0, 0.5, 1e-7, 1e-7,
               float("nan"), 1627795238560.5938]
-    assert join_cells(float_cells(values, "\n")) == _reference(values)
+    assert TEXT.join_cells(TEXT.float_cells(values, "\n")) == _reference(values)
     # each distinct value off the fast path once: a power of two, a tie, zeros,
     # exponent notation, NaN
     assert sorted(map(repr, seen)) == sorted(map(repr, [0.0, -0.0, 0.5, 1e-7, float("nan"),
@@ -79,10 +82,10 @@ def test_fast_path_calls_repr_only_off_it(monkeypatch):
 
 def test_cells_of_a_table_join_row_by_row():
     table = np.array([[0.1, -2.5, 0.0], [1e-7, 3.0, 123456.789]])
-    assert join_cells(float_cells(table)) == "0.1,-2.5,0.0,1e-07,3.0,123456.789,"
+    assert TEXT.join_cells(TEXT.float_cells(table)) == "0.1,-2.5,0.0,1e-07,3.0,123456.789,"
     texts = np.array(["a;μ".encode(), b""]).view(np.uint8).reshape(2, -1)
     newline = np.frombuffer(b"\n", np.uint8)
-    assert join_cells(float_cells(table).reshape(2, -1), texts, newline) == (
+    assert TEXT.join_cells(TEXT.float_cells(table).reshape(2, -1), texts, newline) == (
         "0.1,-2.5,0.0,a;μ\n1e-07,3.0,123456.789,\n")
-    assert float_cells(np.empty((0, 3))).shape[:2] == (0, 3)
-    assert join_cells(float_cells([])) == ""
+    assert TEXT.float_cells(np.empty((0, 3))).shape[:2] == (0, 3)
+    assert TEXT.join_cells(TEXT.float_cells([])) == ""

@@ -2,6 +2,8 @@ import dataclasses
 import io
 import math
 import os
+import resource
+import sys
 import tracemalloc
 
 import numpy as np
@@ -30,9 +32,11 @@ from tapearm.simulator import (
     Abort,
     CheckResult,
     LogRow,
+    LogRows,
     Scenario,
     ScenarioError,
     SimState,
+    TrajectoryLog,
     _BLOCK_ROWS,
     builtin_scenarios,
     evaluate_check,
@@ -510,6 +514,45 @@ def test_log_to_csv_memory_is_a_few_blocks():
         finally:
             tracemalloc.stop()
     assert peak <= 1024 * BLOCK_FLOATS
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the fault count of a freed and re-used heap is glibc's")
+def test_log_to_csv_blocks_do_not_fault_pages_in_again():
+    # the same 200k rows: one working set serves every block, where block-sized
+    # temporaries that the allocator hands back to the OS fault in again
+    profile = ControlProfile(((800.0, RateCommand(q1_rate=1e-4)),
+                              (800.0, RateCommand(q2_rate=1e-4)),
+                              (400.0, RateCommand(cL_rate=1e-6, cR_rate=-1e-6))))
+    log = run_scenario(Scenario("long", PARAMS, _start(theta=0.2), profile, 0.01))
+    with open(os.devnull, "w") as fh:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        log_to_csv(log, fh)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 5000
+
+
+def test_log_csv_blocks_of_every_kind_reuse_one_working_set():
+    # block after block of repr-only rows (zeros, residuals below 1e-4, powers of
+    # two), fast-path rows, negative rows and wide integers, then a short last
+    # block, so each block's cells differ in width from the last one's
+    rng = np.random.default_rng(5)
+    block = BLOCK_FLOATS // len(LOG_COLUMNS)
+    shape = (len(LOG_COLUMNS), block)
+    kinds = [
+        rng.choice([0.0, -0.0, 0.5, 2.0, 1e-7, -3e-9], shape) * rng.integers(1, 3, shape),
+        rng.uniform(1e-4, 10.0, shape),
+        -rng.uniform(1e-4, 1.0, shape),
+        rng.uniform(1e13, 1e14, shape).round(2),
+    ]
+    short = rng.uniform(-1.0, 1.0, (shape[0], 37))
+    values = np.concatenate(kinds + kinds[::-1] + [short], axis=1)
+    violations = {row: ("l1_min", "theta_max")[:row % 2 + 1]
+                  for row in range(0, values.shape[1], 97)}
+    rows = LogRows(values, violations)
+    fh = io.StringIO()
+    log_to_csv(TrajectoryLog("blocks", rows, [], []), fh)
+    assert fh.getvalue() == _log_csv_loop(rows)
 
 
 # --- the columnar log against the reference loop ----------------------------

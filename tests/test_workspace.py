@@ -387,9 +387,9 @@ def _grid_csv_loop(grid):
     return "".join(lines)
 
 
-def _random_grid(nx, ny, seed=0):
+def _random_grid(nx, ny, seed=0, reachable=0.5):
     rng = np.random.default_rng(seed)
-    reach = rng.random((ny, nx)) < 0.5
+    reach = rng.random((ny, nx)) < reachable
     angle = rng.choice([rng.uniform(-1.5, 1.5), 0.0, -0.0, 0.5, 1e-7, 0.1], (ny, nx))
     angle[:, ::3] = rng.uniform(-1.5, 1.5, (ny, len(range(0, nx, 3))))
     return WorkspaceGrid(xs=np.linspace(-2.0, 2.0, nx), ys=np.linspace(0.0, 2.0, ny),
@@ -408,6 +408,17 @@ def _random_grid(nx, ny, seed=0):
     _random_grid(7, 2000, seed=1),
 ], ids=["midline", "default-bounds", "no-rows", "no-columns", "wide", "tall", "narrow"])
 def test_grid_csv_matches_reference_loop(grid):
+    fh = io.StringIO()
+    grid_to_csv(grid, fh)
+    assert fh.getvalue() == _grid_csv_loop(grid)
+
+
+@pytest.mark.parametrize("reachable", [0.5, 0.015, 0.0, 1.0])
+def test_grid_csv_of_many_column_and_y_blocks_matches_reference_loop(monkeypatch, reachable):
+    # blocks of 64 floats: three blocks of columns in every row and four blocks
+    # of y cells, all kept while each block's angle cells reuse the working set
+    monkeypatch.setattr(workspace, "BLOCK_FLOATS", 64)
+    grid = _random_grid(150, 200, seed=2, reachable=reachable)
     fh = io.StringIO()
     grid_to_csv(grid, fh)
     assert fh.getvalue() == _grid_csv_loop(grid)
