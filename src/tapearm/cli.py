@@ -12,6 +12,7 @@ import argparse
 import errno
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -98,6 +99,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", help="run a built-in demonstration scenario")
     p.add_argument("name", nargs="?", default="")
 
+    # argparse reads an argument that starts with "-" as an option unless it is
+    # a plain decimal like "-1.5"; read "-16.7deg", "-1e-3" and "-.5" as values
+    # too, since no tapearm option starts with a digit.
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

@@ -268,34 +268,19 @@ class BlockText:
         index += head
         np.take(self._groups, index, out=words[:, 0], mode="clip")
 
-    def frame(self, shape):
-        """An uninitialised uint8 array of ``shape`` in the working set, for :meth:`text`."""
+    def join_cells(self, *cells) -> str:
+        """The text of rows of cells, uint8 arrays whose leading shapes broadcast
+        to one: the cells side by side in a frame of the working set, without
+        its NULs."""
+        shape = np.broadcast_shapes(*(chars.shape[:-1] for chars in cells))
+        shape += (sum(chars.shape[-1] for chars in cells),)
         size = math.prod(shape)
         if size > self._frame.size:
-            self._frame = np.empty(size, np.uint8)
-        return self._frame[:size].reshape(shape)
-
-    def text(self, frame) -> str:
-        """The text of a frame, without its NULs."""
-        if frame.size > self._keep.size:
-            self._keep = np.empty(frame.size, bool)
-        keep = np.not_equal(frame, 0, out=self._keep[:frame.size].reshape(frame.shape))
-        return str(frame[keep], "utf-8")
-
-    def join_cells(self, *cells) -> str:
-        """The text of rows of cells, uint8 arrays whose leading shapes broadcast to one."""
-        shape = np.broadcast_shapes(*(chars.shape[:-1] for chars in cells))
-        frame = self.frame(shape + (sum(chars.shape[-1] for chars in cells),))
+            self._frame, self._keep = np.empty(size, np.uint8), np.empty(size, bool)
+        frame = self._frame[:size].reshape(shape)
         start = 0
         for chars in cells:
             frame[..., start:start + chars.shape[-1]] = chars
             start += chars.shape[-1]
-        return self.text(frame)
-
-
-def packed_cells(cells):
-    """A copy of ``cells`` with each text moved to the front, as few words
-    wide as the longest needs."""
-    order = np.argsort(cells == 0, axis=-1, kind="stable")
-    width = -(-np.count_nonzero(cells, axis=-1).max(initial=0) // 4) * 4
-    return np.take_along_axis(cells, order[..., :width], axis=-1)
+        keep = np.not_equal(frame, 0, out=self._keep[:size].reshape(shape))
+        return str(frame[keep], "utf-8")

@@ -9,9 +9,8 @@ since no kinematic state exists for it. The aborted run keeps the rows logged
 before it. A segment whose rates overflow the state to non-finite values is
 rejected as a malformed scenario.
 
-The log is columnar: each segment is evaluated as float64 arrays, bound
-violations are kept only for the rows that have them, and a LogRow is built
-only when a row is read.
+The log is columnar: float64 arrays, and a bool per row that marks the rows
+outside a bound. A LogRow and its violations are built only when it is read.
 """
 
 from __future__ import annotations
@@ -58,6 +57,7 @@ LOG_COLUMNS = ("t", "q1", "q2", "cL", "cR", "l1", "l2", "theta", "x", "y", "eq3_
 # Columns whose finite segment end shows that the rates did not overflow.
 _STATE_COLUMNS = [LOG_COLUMNS.index(name)
                   for name in ("q1", "q2", "cL", "cR", "l1", "l2", "x", "y")]
+_JOINT = slice(LOG_COLUMNS.index("l1"), LOG_COLUMNS.index("theta") + 1)  # validate_state's
 
 # Largest log a scenario may produce, in rows (the initial row included; about
 # 19x perfbench's 53k-row replay), so time and memory stay bounded; checked
@@ -182,20 +182,24 @@ class Abort:
     reason: str
 
 
+@dataclass(frozen=True, eq=False)
 class LogRows(Sequence):
     """The logged rows of a run, stored as columns: a read-only sequence of LogRow.
 
     ``values`` is a read-only float64 array with one row per name in
-    LOG_COLUMNS and one column per logged instant; ``violations`` maps the
-    index of each row that breaks a bound to its violations, so rows inside
-    every bound cost nothing. A LogRow is built only when a row is accessed.
+    LOG_COLUMNS and one column per logged instant; ``outside`` is a read-only
+    bool array, true for each row outside a bound of ``params``. A LogRow,
+    with validate_state's violations for such a row, is built only when read.
     """
 
-    __slots__ = ("values", "violations")
+    values: np.ndarray
+    params: ManipulatorParams
+    outside: np.ndarray
 
-    def __init__(self, values, violations: dict):
-        self.values = values
-        self.violations = violations
+    @property
+    def violations(self) -> dict:
+        """The violations of each row outside a bound, keyed by row index."""
+        return {row: self[row].violations for row in np.flatnonzero(self.outside).tolist()}
 
     def column(self, name: str):
         """The float64 array of one LOG_COLUMNS column, one entry per row."""
@@ -208,7 +212,10 @@ class LogRows(Sequence):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
         index = range(len(self))[index]  # negative indices and IndexError as for a list
-        return LogRow(*self.values[:, index].tolist(), self.violations.get(index, ()))
+        row = self.values[:, index].tolist()
+        violations = (validate_state(JointState(*row[_JOINT]), self.params)
+                      if self.outside[index] else ())
+        return LogRow(*row, tuple(violations))
 
     def __eq__(self, other):
         if not isinstance(other, LogRows):
@@ -217,7 +224,7 @@ class LogRows(Sequence):
                 and self.violations == other.violations)
 
     def __repr__(self) -> str:
-        return f"<LogRows: {len(self)} rows, {len(self.violations)} with violations>"
+        return f"<LogRows: {len(self)} rows, {np.count_nonzero(self.outside)} with violations>"
 
 
 @dataclass
@@ -243,8 +250,7 @@ class TrajectoryLog:
         return self.rows[-1]
 
 
-def _evaluate_rows(out, row0, start, rates, t_rels, datum, params: ManipulatorParams,
-                   violations: dict):
+def _evaluate_rows(out, outside, row0, start, rates, t_rels, datum, params: ManipulatorParams):
     """Fill ``out[:, row0:]`` with rows of constant-rate segments.
 
     For each row, ``start`` holds its segment's start as (t, q1, q2, cL, cR),
@@ -253,9 +259,8 @@ def _evaluate_rows(out, row0, start, rates, t_rels, datum, params: ManipulatorPa
     Each row is computed in closed form from the start, elementwise in the
     operation order of link_lengths, theta_from_cables, forward_kinematics
     and cable_lengths, so every value is bit-identical to what those
-    functions return. Rows outside a bound get their validate_state
-    violations in ``violations``, keyed by row index; rows with a non-finite
-    link length get none, and are left to the segment-end finiteness check.
+    functions return. ``outside[row0:]`` marks the rows outside a bound,
+    except those with a non-finite link length, left to the segment-end check.
 
     Returns (rows filled, None), or (rows filled, reason) when the next row's
     cable differential is one no bend angle can produce; that row and the
@@ -290,11 +295,8 @@ def _evaluate_rows(out, row0, start, rates, t_rels, datum, params: ManipulatorPa
             l2 * _map_math(math.sin, theta), l1 + l2 * _map_math(math.cos, theta), residual)
     for column, values in zip(out, rows):
         column[row0:row0 + len(t_rels)] = values
-    # rows inside every bound skip building a JointState
-    outside = ~within_bounds(l1, l2, theta, params) & np.isfinite(l1) & np.isfinite(l2)
-    for i in np.flatnonzero(outside).tolist():
-        state = JointState(float(l1[i]), float(l2[i]), float(theta[i]))
-        violations[row0 + i] = tuple(validate_state(state, params))
+    outside[row0:row0 + len(t_rels)] = (~within_bounds(l1, l2, theta, params)
+                                        & np.isfinite(l1) & np.isfinite(l2))
     return len(t_rels), reason
 
 
@@ -302,8 +304,8 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     """Execute the profile and grade every named check.
 
     The log has one row per step plus the initial row. Rows carry the cable
-    consistency residual and any bound violations; checks are evaluated over
-    the whole series after stepping. A cable differential no bend angle can
+    consistency residual and mark any bound violations; checks are evaluated
+    over the whole series after stepping. A cable differential no bend angle can
     produce ends the run early with ``abort`` set and the rows before it kept.
     Rows are evaluated _BLOCK_ROWS at a time, each from its segment's start and
     rates, so temporaries stay bounded; the log is allocated once, at full length.
@@ -325,7 +327,7 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
                                 np.dtype((float, 6)), len(profile)).T
     table[5, 0], table[11], table[12] = -0.0, lasts - np.concatenate(([1], steps)), lasts
     values = np.empty((len(LOG_COLUMNS), int(lasts[-1]) + 1))
-    violations, abort = {}, None
+    outside, abort = np.empty(values.shape[1], bool), None
     checked = 1  # segments before this one have a checked, finite end
     with np.errstate(all="ignore"):  # overflow is reported as a ScenarioError below
         # A segment starts where the one before ends, start + rate * duration,
@@ -341,8 +343,8 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
             # start keeps boundary states independent of dt.
             t_rels = (index - block[11]) * dt
             np.copyto(t_rels, block[5], where=index == block[12])
-            filled, reason = _evaluate_rows(values, first, block[6:11], block[1:5], t_rels,
-                                            datum, params, violations)
+            filled, reason = _evaluate_rows(values, outside, first, block[6:11], block[1:5],
+                                            t_rels, datum, params)
             # Scenario has checked that the start's cable differential is in range.
             if not first and values[LOG_COLUMNS.index("eq3_residual"), 0] > INITIAL_CONSISTENCY_TOL:
                 raise ScenarioError("initial state is inconsistent: cable sum does not "
@@ -358,9 +360,9 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
             if reason is not None:
                 abort = Abort(float(block[6, filled]) + float(t_rels[filled]), reason)
                 break
-    values = values[:, :first + filled]
-    values.flags.writeable = False
-    rows = LogRows(values, violations)
+    values, outside = values[:, :first + filled], outside[:first + filled]
+    values.flags.writeable = outside.flags.writeable = False
+    rows = LogRows(values, params, outside)
     checks = ([evaluate_check(check, rows) for check in scenario.checks]
               if abort is None else [])
     return TrajectoryLog(scenario=scenario.name, rows=rows, checks=checks,
@@ -376,18 +378,16 @@ def log_to_csv(log: TrajectoryLog, fh) -> None:
     rows = log.rows
     text = BlockText()
     fh.write(LOG_CSV_HEADER + "\n")
-    marked = np.sort(np.fromiter(rows.violations, np.int64, len(rows.violations)))
     block_rows = BLOCK_FLOATS // len(LOG_COLUMNS)
     for first in range(0, len(rows), block_rows):
         block = rows.values[:, first:first + block_rows]
         count = block.shape[1]
-        texts = [b""] * count
-        for row in marked[np.searchsorted(marked, first):
-                          np.searchsorted(marked, first + count)].tolist():
-            texts[row - first] = ";".join(map(str, rows.violations[row])).encode()
-        violations = np.array(texts, dtype=bytes).view(np.uint8).reshape(count, -1)
-        fh.write(text.join_cells(text.float_cells(block.T).reshape(count, -1), violations,
-                                 _NEWLINE))
+        texts = [""] * count
+        marked = np.flatnonzero(rows.outside[first:first + count])
+        for row, *joint in zip(marked.tolist(), *block[_JOINT, marked].tolist()):
+            texts[row] = ";".join(map(str, validate_state(JointState(*joint), rows.params)))
+        texts = np.array(texts, dtype=bytes).view(np.uint8).reshape(count, -1)
+        fh.write(text.join_cells(text.float_cells(block.T).reshape(count, -1), texts, _NEWLINE))
 
 
 # --- named checks ----------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvtext import BLOCK_FLOATS, BlockText, packed_cells
+from .csvtext import BLOCK_FLOATS, BlockText
 from .model import JointState, ManipulatorParams, within_bounds
 
 # Targets with |x| at or below this count as on the midline: they ride the
@@ -310,42 +310,22 @@ def compute_grid(params: ManipulatorParams, bounds, resolution: float) -> Worksp
 def grid_to_csv(grid: WorkspaceGrid, fh) -> None:
     """Write the grid as CSV to the open text file ``fh``, with no angle on unreachable cells."""
     fh.write(GRID_CSV_HEADER + "\n")
-    # an unreachable cell's line ends at its flag, a reachable one's at its angle
-    flags = np.frombuffer(b"0,\n\x001,\x00\x00", "<u4")
+    flags = np.frombuffer(b"0,1,", np.uint8).reshape(2, 2)
     cols = max(1, min(grid.nx, BLOCK_FLOATS))
     rows = max(1, BLOCK_FLOATS // cols)
     text = BlockText()
     # x cells are the same in every row and y cells are made BLOCK_FLOATS rows
-    # at a time: both are packed copies, which later blocks do not overwrite
-    x_cells = [packed_cells(text.float_cells(grid.xs[c0:c0 + cols])).view("<u4")
-               for c0 in range(0, grid.nx, cols)]
+    # at a time: both are copies, which later blocks do not overwrite
+    x_cells = [text.float_cells(grid.xs[c0:c0 + cols]).copy() for c0 in range(0, grid.nx, cols)]
     y_rows = rows * max(1, BLOCK_FLOATS // rows)
     for r0 in range(0, grid.ny, rows):
         if not r0 % y_rows:
-            y_cells = packed_cells(text.float_cells(grid.ys[r0:r0 + y_rows, None])).view("<u4")
-        y = y_cells[r0 % y_rows:][:rows]
+            y_cells = text.float_cells(grid.ys[r0:r0 + y_rows, None]).copy()
         for c0, x in zip(range(0, grid.nx, cols), x_cells):
             reach = grid.reachable[r0:r0 + rows, c0:c0 + cols]
             found = text.float_cells(grid.min_angle[r0:r0 + rows, c0:c0 + cols][reach], "\n")
-            found = found.view("<u4")
-            # The frame has a row per cell, and one after each reachable cell
-            # for its angle, so unreachable cells add no angle columns to it.
-            xw, yw, aw = x.shape[-1], y.shape[-1], found.shape[-1]
-            cells, width = reach.size, max(xw + yw + 1, aw)
-            source, frame = text.frame((2, cells + len(found), 4 * width)).view("<u4")
-            head = source[:cells].reshape(reach.shape + (width,))
-            head[..., :xw] = x
-            head[..., xw:xw + yw] = y
-            np.take(flags, reach.view(np.uint8), out=head[..., xw + yw], mode="clip")
-            head[..., xw + yw + 1:] = 0
-            source[cells:, :aw] = found
-            source[cells:, aw:] = 0
-            # a cell's frame row is its index plus the reachable cells before it
-            reach = reach.ravel()
-            after = np.cumsum(reach)
-            after += np.arange(cells)
-            order = np.empty(len(frame), np.intp)
-            order[after - reach] = np.arange(cells)
-            order[after[reach]] = np.arange(cells, len(frame))
-            np.take(source, order, axis=0, out=frame, mode="clip")
-            fh.write(text.text(frame.view(np.uint8)))
+            angle = np.zeros(reach.shape + found.shape[1:], np.uint8)  # unreachable: "\n"
+            angle[..., -1] = ord("\n")
+            angle[reach] = found
+            fh.write(text.join_cells(x, y_cells[r0 % y_rows:][:rows],
+                                     np.take(flags, reach.view(np.uint8), axis=0), angle))

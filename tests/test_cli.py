@@ -17,6 +17,7 @@ from tapearm.model import (
     forward_kinematics,
 )
 from tapearm.serialization import save_params, save_scenario
+from tapearm.units import format_angle
 from tapearm.simulator import builtin_scenarios
 
 
@@ -68,6 +69,57 @@ def test_argparse_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["fk", "0.5"])
     assert excinfo.value.code == 2
+
+
+def _joint_lines(l1, l2, theta, unit="deg"):
+    pose = forward_kinematics(JointState(l1, l2, theta))
+    return f"x_m={pose.x:.12g}\ny_m={pose.y:.12g}\nphi_{unit}={format_angle(pose.phi, unit)}\n"
+
+
+def _ik_lines(x, y, theta=None):
+    if theta is None:
+        theta = workspace.min_end_effector_angle((x, y), DEFAULT_PARAMS)
+    state = workspace.ik_at_theta((x, y), theta, DEFAULT_PARAMS)
+    return (f"l1_m={state.l1:.12g}\nl2_m={state.l2:.12g}\n"
+            f"theta_deg={format_angle(state.theta, 'deg')}\n")
+
+
+def _cable_lines(l1, l2, theta):
+    pair = cable_lengths(JointState(l1, l2, theta), DEFAULT_PARAMS.cable_offset)
+    return f"cL_m={pair.c_L:.12g}\ncR_m={pair.c_R:.12g}\n"
+
+
+def _moment_lines(theta=None, kappa=None):
+    if kappa is not None:
+        section = stiffness.FlattenedSection.from_tape(DEFAULT_PARAMS.tape)
+        return f"moment_Nm={stiffness.flattened_moment(section, kappa):.12g}\n"
+    _, unpinched = stiffness.default_models(DEFAULT_PARAMS.tape)
+    return f"moment_Nm={unpinched.moment(theta):.12g}\n"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["fk", "0.432", "0.265", "-16.7deg"],
+     lambda: _joint_lines(0.432, 0.265, math.radians(-16.7))),
+    (["cables", "0.5", "0.5", "-30deg"], lambda: _cable_lines(0.5, 0.5, math.radians(-30.0))),
+    (["ik", "-0.076", "0.686", "--theta", "-10deg"],
+     lambda: _ik_lines(-0.076, 0.686, math.radians(-10.0))),
+    (["stiffness", "--theta", "-10deg"], lambda: _moment_lines(theta=math.radians(-10.0))),
+    (["ik", "-1e-3", "1.0"], lambda: _ik_lines(-1e-3, 1.0)),
+    (["stiffness", "--kappa", "-1e-3"], lambda: _moment_lines(kappa=-1e-3)),
+    (["--angle-unit", "rad", "fk", "0.4", "0.2", "-.1"],
+     lambda: _joint_lines(0.4, 0.2, -0.1, "rad")),
+], ids=["fk-angle-suffix", "cables-angle-suffix", "ik-theta-suffix", "stiffness-theta-suffix",
+        "ik-exponent", "stiffness-kappa-exponent", "fk-leading-point"])
+def test_negative_numbers_with_a_suffix_or_an_exponent_are_values(capsys, argv, expected):
+    code, out = _run(capsys, argv)
+    assert (code, out) == (0, expected())
+
+
+def test_an_argument_like_an_unknown_option_is_still_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fk", "0.4", "0.2", "-x"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: tapearm fk")
 
 
 def test_ik_command(capsys):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from tapearm import simulator
 from tapearm.csvtext import BLOCK_FLOATS
 from tapearm.model import (
     BOUND_EPS,
@@ -20,6 +21,7 @@ from tapearm.model import (
     CableRangeError,
     ControlState,
     JointState,
+    ManipulatorParams,
     validate_state,
 )
 from tapearm.planner import ControlProfile, RateCommand, control_from_state
@@ -38,6 +40,7 @@ from tapearm.simulator import (
     SimState,
     TrajectoryLog,
     _BLOCK_ROWS,
+    _evaluate_rows,
     builtin_scenarios,
     evaluate_check,
     initial_state,
@@ -45,6 +48,7 @@ from tapearm.simulator import (
     parse_check,
     run_scenario,
 )
+from textcheck import assert_same_text
 
 PARAMS = DEFAULT_PARAMS
 
@@ -547,12 +551,42 @@ def test_log_csv_blocks_of_every_kind_reuse_one_working_set():
     ]
     short = rng.uniform(-1.0, 1.0, (shape[0], 37))
     values = np.concatenate(kinds + kinds[::-1] + [short], axis=1)
-    violations = {row: ("l1_min", "theta_max")[:row % 2 + 1]
-                  for row in range(0, values.shape[1], 97)}
-    rows = LogRows(values, violations)
+    # every 97th row is marked outside a bound: its l1 breaks l1_min, and on
+    # every other one its theta breaks theta_limit too
+    marked = np.arange(0, values.shape[1], 97)
+    outside = np.zeros(values.shape[1], bool)
+    outside[marked] = True
+    values[LOG_COLUMNS.index("l1"), marked] = -0.5
+    values[LOG_COLUMNS.index("l2"), marked] = 0.25
+    values[LOG_COLUMNS.index("theta"), marked] = np.where(marked % 2, 2.0, 0.1)
+    rows = LogRows(values, PARAMS, outside)
+    assert [len(rows[row].violations) for row in marked.tolist()] == list(marked % 2 + 1)
     fh = io.StringIO()
     log_to_csv(TrajectoryLog("blocks", rows, [], []), fh)
-    assert fh.getvalue() == _log_csv_loop(rows)
+    assert_same_text(fh.getvalue(), _log_csv_loop(rows))
+
+
+def test_run_scenario_derives_violations_only_when_read(monkeypatch):
+    # every row breaks l1_min, max_total_length and theta_limit: the run marks
+    # them and validate_state names the violations when the rows are read
+    calls = []
+
+    def counted(state, params):
+        calls.append(state)
+        return validate_state(state, params)
+
+    monkeypatch.setattr(simulator, "validate_state", counted)
+    state = JointState(0.05, 2.0, math.radians(60.0))
+    retract = RateCommand(q1_rate=-1e-4, cL_rate=-1e-4, cR_rate=-1e-4)
+    log = run_scenario(Scenario("outside", PARAMS,
+                                initial_state(control_from_state(state), state.theta, PARAMS),
+                                ControlProfile(((20.0, retract),)), 0.01, ("eq3_residual",)))
+    assert len(log.rows) == 2001 and log.all_passed
+    assert calls == []
+    violations = log.rows.violations
+    assert len(calls) == 2001
+    assert [[v.bound for v in row] for row in violations.values()] == (
+        [["l1_min", "max_total_length", "theta_limit"]] * 2001)
 
 
 # --- the columnar log against the reference loop ----------------------------
@@ -658,4 +692,77 @@ def test_columnar_log_matches_reference_loop(scenario):
             == [(c.check, c.passed, c.observed.hex(), c.threshold, c.detail) for c in checks])
     fh = io.StringIO()
     log_to_csv(log, fh)
-    assert fh.getvalue() == _log_csv_loop(rows)
+    assert_same_text(fh.getvalue(), _log_csv_loop(rows))
+
+
+# --- violations derived from the log's columns -------------------------------
+
+def _edges(limit):
+    """Values on ``limit``, on its BOUND_EPS slack either side, and an ulp off each."""
+    values = [limit, limit - BOUND_EPS, limit + BOUND_EPS]
+    return values + [math.nextafter(v, way) for v in values for way in (-math.inf, math.inf)]
+
+
+_ODD_LENGTHS = [0.0, -0.0, math.inf, -math.inf]
+
+
+@st.composite
+def _bound_columns(draw):
+    """Parameters, and l1, l2 and theta columns on, near and across their bounds."""
+    params = dataclasses.replace(
+        PARAMS, theta_limit=draw(st.floats(0.2, math.pi / 2)), l1_min=draw(st.floats(0.0, 1.5)),
+        l2_min=draw(st.floats(0.0, 1.5)), max_total_length=draw(st.floats(0.5, 3.0)))
+    count = draw(st.integers(1, 12))
+    l1 = draw(st.lists(st.one_of(st.sampled_from(_edges(params.l1_min) + _ODD_LENGTHS),
+                                 st.floats(-1.0, 3.0)), min_size=count, max_size=count))
+    # l2 on its own bounds, or making l1 + l2 meet the length budget's
+    l2 = [draw(st.one_of(st.sampled_from(_edges(params.l2_min) + _ODD_LENGTHS),
+                         st.sampled_from(_edges(params.max_total_length - a)),
+                         st.floats(-1.0, 3.0))) for a in l1]
+    limits = [sign * params.theta_limit for sign in (-1.0, 1.0)]
+    theta = draw(st.lists(st.one_of(st.sampled_from(_edges(limits[0]) + _edges(limits[1])
+                                                    + [0.0, -0.0]),
+                                    st.floats(-math.pi, math.pi)),
+                          min_size=count, max_size=count))
+    return params, l1, l2, theta
+
+
+def _bound_log(params, l1, l2, theta):
+    """The rows the block pass makes at zero rates and t_rel = -0.0, as for a
+    run's first row, with (l1, l2) as the datum and the cables set for theta:
+    l1 and l2 are logged as given (but -0.0 for l1 as 0.0), theta to a few ulp."""
+    zeros = np.full(len(l1), -0.0)
+    cL = 4.0 * params.cable_offset * np.sin(0.5 * np.array(theta))
+    values, outside = np.empty((len(LOG_COLUMNS), len(l1))), np.empty(len(l1), bool)
+    with np.errstate(all="ignore"):
+        filled, reason = _evaluate_rows(values, outside, 0, (zeros, zeros, zeros, cL, zeros),
+                                        (zeros,) * 4, zeros, (np.array(l1), np.array(l2)),
+                                        params)
+    assert (filled, reason) == (len(l1), None)
+    return LogRows(values, params, outside)
+
+
+# the bounds of the default parameters, broken in each combination the
+# lengths allow, with theta inside and outside its limit
+_DEFAULT_COMBINATIONS = [(0.5, 0.5), (0.05, 0.5), (0.5, -0.1), (1.5, 1.0), (0.05, -0.1),
+                         (0.05, 2.5), (2.5, -0.1)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_bound_columns())
+@example((PARAMS, *zip(*[(l1, l2, theta) for l1, l2 in _DEFAULT_COMBINATIONS
+                          for theta in (0.1, -1.2)])))
+# both minimum lengths and the budget at once
+@example((ManipulatorParams(l1_min=1.5, l2_min=1.0, max_total_length=2.0),
+          [1.4, 1.4, 1.6, -0.0], [0.9, 0.9, 1.1, -math.inf], [0.1, 1.6, -0.0, 2.0]))
+def test_violations_are_validate_states_of_the_logged_columns(columns):
+    params = columns[0]
+    rows = _bound_log(*columns)
+    expected = []
+    for l1, l2, theta in zip(*(rows.column(name).tolist() for name in ("l1", "l2", "theta"))):
+        finite = math.isfinite(l1) and math.isfinite(l2)
+        expected.append(tuple(validate_state(JointState(l1, l2, theta), params))
+                        if finite else ())
+    assert [row.violations for row in rows] == expected
+    assert rows.violations == {i: found for i, found in enumerate(expected) if found}
+    assert rows.outside.tolist() == [bool(found) for found in expected]

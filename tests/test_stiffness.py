@@ -23,6 +23,7 @@ from tapearm.stiffness import (
     read_moment_csv,
     write_moment_csv,
 )
+from textcheck import assert_same_text
 
 SECTION = FlattenedSection.from_tape(DEFAULT_TAPE)
 
@@ -155,8 +156,8 @@ def test_moment_csv_matches_reference_loop_and_roundtrips(tmp_path):
     path = tmp_path / "curve.csv"
     with open(path, "w", newline="") as fh:
         write_moment_csv(table, fh)
-    assert path.read_text() == "theta_rad,moment_Nm\n" + "".join(
-        f"{theta!r},{moment!r}\n" for theta, moment in table.tolist())
+    assert_same_text(path.read_text(), "theta_rad,moment_Nm\n" + "".join(
+        f"{theta!r},{moment!r}\n" for theta, moment in table.tolist()))
     assert np.array_equal(read_moment_csv(path), table)
 
 

@@ -15,6 +15,7 @@ from tapearm.model import DEFAULT_PARAMS, ManipulatorParams
 from tapearm.simulator import builtin_scenarios, run_scenario
 from tapearm.svg import marching_squares, overlay_svg, workspace_svg
 from tapearm.workspace import GRID_CSV_HEADER, compute_grid, grid_to_csv
+from textcheck import assert_same_text
 
 
 # --- reference loops: the per-cell renderers the vectorized ones replace ----
@@ -270,7 +271,7 @@ _ALT_PARAMS = ManipulatorParams(theta_limit=0.7, l1_min=0.2, l2_min=0.05, max_to
 def test_workspace_outputs_match_reference_loops(params, bounds, resolution):
     grid = compute_grid(params, bounds, resolution)
     assert _render(workspace_svg, grid) == _workspace_svg_loop(grid)
-    assert _render(grid_to_csv, grid) == _grid_csv_loop(grid)
+    assert_same_text(_render(grid_to_csv, grid), _grid_csv_loop(grid))
 
 
 def test_overlay_svg_matches_reference_loop():

@@ -34,6 +34,7 @@ from tapearm.workspace import (
     min_end_effector_angle,
     sweep_feasible_intervals,
 )
+from textcheck import assert_same_text
 
 PARAMS = DEFAULT_PARAMS
 
@@ -410,7 +411,7 @@ def _random_grid(nx, ny, seed=0, reachable=0.5):
 def test_grid_csv_matches_reference_loop(grid):
     fh = io.StringIO()
     grid_to_csv(grid, fh)
-    assert fh.getvalue() == _grid_csv_loop(grid)
+    assert_same_text(fh.getvalue(), _grid_csv_loop(grid))
 
 
 @pytest.mark.parametrize("reachable", [0.5, 0.015, 0.0, 1.0])
@@ -421,7 +422,7 @@ def test_grid_csv_of_many_column_and_y_blocks_matches_reference_loop(monkeypatch
     grid = _random_grid(150, 200, seed=2, reachable=reachable)
     fh = io.StringIO()
     grid_to_csv(grid, fh)
-    assert fh.getvalue() == _grid_csv_loop(grid)
+    assert_same_text(fh.getvalue(), _grid_csv_loop(grid))
 
 
 def test_grid_to_csv_memory_is_a_few_blocks():
