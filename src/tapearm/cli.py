@@ -20,7 +20,6 @@ from . import serialization, simulator, stiffness, svg, workspace
 from .model import (
     DEFAULT_PARAMS,
     CablePair,
-    ConstraintViolationError,
     CableRangeError,
     JointState,
     cable_lengths,
@@ -36,10 +35,6 @@ EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _fmt(value: float) -> str:
@@ -114,16 +109,16 @@ def _load_params(args):
     try:
         return serialization.load_params(path)
     except ValueError as exc:
-        raise _UsageError(f"bad parameter file: {exc}") from exc
+        raise ValueError(f"bad parameter file: {exc}") from exc
 
 
 def _parse_cli_angle(text, args) -> float:
     try:
         angle = parse_angle(text, default_unit=args.angle_unit)
     except ValueError as exc:
-        raise _UsageError(f"bad angle {text!r}: {exc}") from exc
+        raise ValueError(f"bad angle {text!r}: {exc}") from exc
     if not math.isfinite(angle):
-        raise _UsageError(f"bad angle {text!r}: must be finite")
+        raise ValueError(f"bad angle {text!r}: must be finite")
     return angle
 
 
@@ -252,7 +247,7 @@ def cmd_stiffness(args, params) -> int:
                               lambda fh: stiffness.write_moment_csv(samples, fh)))
         did_something = True
     if not did_something:
-        raise _UsageError("stiffness needs one of --kappa, --theta, --curve")
+        raise ValueError("stiffness needs one of --kappa, --theta, --curve")
     return EXIT_OK
 
 
@@ -260,7 +255,7 @@ def _run_and_report(scenario, args) -> int:
     log = simulator.run_scenario(scenario)
     _write_outputs(args, (f"{scenario.name}_log.csv", lambda fh: simulator.log_to_csv(log, fh)),
                    (f"{scenario.name}_overlay.svg",
-                    lambda fh: svg.overlay_svg(log, fh, title=scenario.name)))
+                    lambda fh: svg.overlay_svg(log, fh)))
     if log.abort is not None:
         print(f"aborted at t={log.abort.time:.9g} s: {log.abort.reason}")
     for result in log.checks:
@@ -276,7 +271,7 @@ def cmd_simulate(args, params) -> int:
     try:
         scenario = serialization.load_scenario(args.scenario)
     except ValueError as exc:
-        raise _UsageError(f"bad scenario file: {exc}") from exc
+        raise ValueError(f"bad scenario file: {exc}") from exc
     return _run_and_report(scenario, args)
 
 
@@ -284,7 +279,7 @@ def cmd_demo(args, params) -> int:
     _check_out(args)
     scenarios = simulator.builtin_scenarios(params)
     if args.name not in scenarios:
-        raise _UsageError(f"unknown demo {args.name!r}; available demos: {', '.join(scenarios)}")
+        raise ValueError(f"unknown demo {args.name!r}; available demos: {', '.join(scenarios)}")
     return _run_and_report(scenarios[args.name], args)
 
 
@@ -307,17 +302,11 @@ def main(argv=None) -> int:
         # argparse's float() accepts "nan" and "inf"
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
-                raise _UsageError(f"argument {name} must be a finite number, got {value}")
+                raise ValueError(f"argument {name} must be a finite number, got {value}")
         return _COMMANDS[args.command](args, _load_params(args))
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ConstraintViolationError as exc:
-        print(f"constraint violation: {exc}", file=sys.stderr)
-        return EXIT_CHECK
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -220,8 +220,8 @@ class LogRows(Sequence):
     def __eq__(self, other):
         if not isinstance(other, LogRows):
             return NotImplemented
-        return (np.array_equal(self.values, other.values)
-                and self.violations == other.violations)
+        # outside, and so every violation, follows from values and params
+        return self.params == other.params and np.array_equal(self.values, other.values)
 
     def __repr__(self) -> str:
         return f"<LogRows: {len(self)} rows, {np.count_nonzero(self.outside)} with violations>"
@@ -393,11 +393,20 @@ def log_to_csv(log: TrajectoryLog, fh) -> None:
 # --- named checks ----------------------------------------------------------
 
 def _parse_point(arg: str) -> tuple[float, float]:
+    """Read '(x,y)' in meters: exactly two numbers in parentheses."""
     text = arg.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ScenarioError(f"expected '(x,y)', got {arg!r}")
-    x_text, y_text = text[1:-1].split(",")
-    return float(x_text), float(y_text)
+    fields = text[1:-1].split(",") if text[:1] + text[-1:] == "()" else ()
+    if len(fields) != 2:
+        raise ValueError(f"expected '(x,y)', got {arg!r}")
+    return float(fields[0]), float(fields[1])
+
+
+def _parse_radians(arg: str) -> float:
+    try:
+        return parse_angle(arg, default_unit="rad")
+    except ValueError:
+        raise ValueError(f"expected an angle such as '0.3', '0.3rad' or '17deg', "
+                         f"got {arg!r}") from None
 
 
 def _check_l1_constant(rows, arg):
@@ -406,20 +415,17 @@ def _check_l1_constant(rows, arg):
     return drift, f"max |l1 - l1(0)| = {drift:.3g} m"
 
 
-def _check_theta_constant(rows, arg):
-    target = parse_angle(arg, default_unit="rad")
+def _check_theta_constant(rows, target):
     deviation = float(np.max(np.abs(rows.column("theta") - target)))
     return deviation, f"max |theta - {target:.6g} rad| = {deviation:.3g} rad"
 
 
-def _check_final_theta(rows, arg):
-    target = parse_angle(arg, default_unit="rad")
+def _check_final_theta(rows, target):
     deviation = abs(rows[-1].theta - target)
     return deviation, f"|final theta - {target:.6g} rad| = {deviation:.3g} rad"
 
 
-def _check_theta_visits(rows, arg):
-    target = parse_angle(arg, default_unit="rad")
+def _check_theta_visits(rows, target):
     closest = float(np.min(np.abs(rows.column("theta") - target)))
     return closest, f"closest approach to theta={target:.6g} rad is {closest:.3g} rad"
 
@@ -432,21 +438,21 @@ def _block_distances(rows, point):
         yield list(map(math.hypot, xs[block].tolist(), ys[block].tolist()))
 
 
-def _check_target(rows, arg):
-    x, y = _parse_point(arg)
+def _check_target(rows, point):
+    x, y = point
     miss = math.hypot(rows[-1].x - x, rows[-1].y - y)
     return miss, f"final pose misses ({x:.6g}, {y:.6g}) m by {miss:.3g} m"
 
 
-def _check_visits_target(rows, arg):
-    x, y = _parse_point(arg)
-    miss = min(map(min, _block_distances(rows, (x, y))))
+def _check_visits_target(rows, point):
+    x, y = point
+    miss = min(map(min, _block_distances(rows, point)))
     return miss, f"closest approach to ({x:.6g}, {y:.6g}) m is {miss:.3g} m"
 
 
-def _check_target_held(rows, arg):
-    x, y = _parse_point(arg)
-    miss = max(map(max, _block_distances(rows, (x, y))))
+def _check_target_held(rows, point):
+    x, y = point
+    miss = max(map(max, _block_distances(rows, point)))
     return miss, f"max distance from ({x:.6g}, {y:.6g}) m is {miss:.3g} m"
 
 
@@ -466,19 +472,19 @@ def _check_l1_growth_equals_node_drive(rows, arg):
 
 
 _CHECKS = {
-    # name: (takes_argument, default_tolerance, evaluator)
-    "l1_constant": (False, 1e-6, _check_l1_constant),
+    # name: (argument reader or None, default_tolerance, evaluator)
+    "l1_constant": (None, 1e-6, _check_l1_constant),
     # The bend point sits at (0, l1) in the world frame, so its position is
     # constant exactly when l1 is.
-    "bend_point_constant": (False, 1e-6, _check_l1_constant),
-    "theta_constant": (True, 1e-6, _check_theta_constant),
-    "final_theta": (True, 1e-6, _check_final_theta),
-    "theta_visits": (True, 1e-6, _check_theta_visits),
-    "target": (True, 1e-3, _check_target),
-    "visits_target": (True, 1e-3, _check_visits_target),
-    "target_held": (True, 1e-3, _check_target_held),
-    "eq3_residual": (False, 1e-9, _check_eq3_residual),
-    "l1_growth_equals_node_drive": (False, 1e-6, _check_l1_growth_equals_node_drive),
+    "bend_point_constant": (None, 1e-6, _check_l1_constant),
+    "theta_constant": (_parse_radians, 1e-6, _check_theta_constant),
+    "final_theta": (_parse_radians, 1e-6, _check_final_theta),
+    "theta_visits": (_parse_radians, 1e-6, _check_theta_visits),
+    "target": (_parse_point, 1e-3, _check_target),
+    "visits_target": (_parse_point, 1e-3, _check_visits_target),
+    "target_held": (_parse_point, 1e-3, _check_target_held),
+    "eq3_residual": (None, 1e-9, _check_eq3_residual),
+    "l1_growth_equals_node_drive": (None, 1e-6, _check_l1_growth_equals_node_drive),
 }
 
 
@@ -487,24 +493,24 @@ def parse_check(text: str):
 
     Angle arguments take deg/rad suffixes (bare numbers are radians); point
     arguments are '(x,y)' in meters; tolerances are plain numbers in the
-    check's native unit.
+    check's native unit. Returns (expect_fail, name, parsed argument or None,
+    tolerance, evaluator); any malformed part is a ScenarioError naming ``text``.
     """
     expect_fail = text.startswith("expect_fail:")
     body = text[len("expect_fail:"):] if expect_fail else text
-    parts = body.split(":")
-    name = parts[0]
+    name, *rest = body.split(":")
     if name not in _CHECKS:
         raise ScenarioError(f"unknown check {name!r}; known checks: {sorted(_CHECKS)}")
-    takes_argument, default_tol, evaluator = _CHECKS[name]
-    rest = parts[1:]
-    arg = None
-    if takes_argument:
-        if not rest:
-            raise ScenarioError(f"check {name!r} requires an argument")
-        arg, rest = rest[0], rest[1:]
-    if len(rest) > 1:
+    reader, default_tol, evaluator = _CHECKS[name]
+    if reader and not rest:
+        raise ScenarioError(f"check {name!r} requires an argument")
+    if len(rest) > (2 if reader else 1):
         raise ScenarioError(f"malformed check {text!r}")
-    tol = float(rest[0]) if rest else default_tol
+    try:
+        arg = reader(rest.pop(0)) if reader else None
+        tol = float(rest[0]) if rest else default_tol
+    except ValueError as exc:
+        raise ScenarioError(f"check {text!r}: {exc}") from None
     return expect_fail, name, arg, tol, evaluator
 
 

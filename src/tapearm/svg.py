@@ -182,7 +182,7 @@ class _Canvas:
         self.fh.write(elements)
         self.drawn = True
 
-    def polyline(self, points, stroke, stroke_width=1.5, opacity=1.0):
+    def polyline(self, points, stroke, stroke_width, opacity=1.0):
         text = " ".join(f"{px:.2f},{py:.2f}" for px, py in (self.px(x, y) for x, y in points))
         self.write(f'<polyline points="{text}" fill="none" stroke="{stroke}" '
                    f'stroke-width="{stroke_width}" opacity="{opacity:.3f}"/>\n')
@@ -236,13 +236,14 @@ def workspace_svg(grid, fh) -> None:
     canvas.close()
 
 
-def overlay_svg(log, fh, title=None) -> None:
+def overlay_svg(log, fh) -> None:
     """Write a schematic overlay of sampled configurations from a trajectory log to ``fh``.
 
     Links are drawn as segments along the tape midline, the pinching node as
     a circle, the tip as a dot. Samples are the initial row, the segment
-    boundaries, and the final row, thinned to _MAX_OVERLAY_CONFIGS. The title
-    is escaped as XML character data (XML 1.0, section 2.4).
+    boundaries, and the final row, thinned to _MAX_OVERLAY_CONFIGS. The title,
+    the log's scenario name, is escaped as XML character data (XML 1.0,
+    section 2.4).
     """
     indices = sorted(set([0] + list(log.boundary_indices) + [len(log.rows) - 1]))
     if len(indices) > _MAX_OVERLAY_CONFIGS:
@@ -264,6 +265,6 @@ def overlay_svg(log, fh, title=None) -> None:
                         stroke=color, stroke_width=2.5, opacity=opacity)
         canvas.circle(0.0, row.l1, 4, color)
         canvas.circle(row.x, row.y, 2.5, color)
-    if title:
-        canvas.text(min(xs) - 0.5 * margin, max(ys) + 0.5 * margin, title)
+    if log.scenario:
+        canvas.text(min(xs) - 0.5 * margin, max(ys) + 0.5 * margin, log.scenario)
     canvas.close()

@@ -310,6 +310,8 @@ def compute_grid(params: ManipulatorParams, bounds, resolution: float) -> Worksp
 def grid_to_csv(grid: WorkspaceGrid, fh) -> None:
     """Write the grid as CSV to the open text file ``fh``, with no angle on unreachable cells."""
     fh.write(GRID_CSV_HEADER + "\n")
+    if grid.reachable.size == 0:  # no rows: format no axis value either
+        return
     flags = np.frombuffer(b"0,1,", np.uint8).reshape(2, 2)
     cols = max(1, min(grid.nx, BLOCK_FLOATS))
     rows = max(1, BLOCK_FLOATS // cols)

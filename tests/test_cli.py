@@ -412,6 +412,14 @@ _EXIT_CODE_TABLE = [
      ["simulate", "{dir}/input.json"], 2),
     ("start-cables-inconsistent", _START_CABLES % ("0.75", "0.74"),
      ["simulate", "{dir}/input.json"], 2),
+    ("stiffness-no-option", None, ["stiffness"], 2),
+    ("cables-invalid-state", None, ["cables", "0.5", "0.5", "80deg"], 1),
+] + [
+    # a malformed check argument or tolerance, refused before the run
+    (f"check-{check}", _SCENARIO % ("0.01", "1.0", "{}", json.dumps([check])),
+     ["simulate", "{dir}/input.json"], 2)
+    for check in ("target:(1,2,3)", "target:1,2", "theta_constant:abc", "final_theta:10grad",
+                  "l1_constant:abc", "target:(1,2):x", "visits_target:(a,b)")
 ]
 
 # The start of the stderr line of some rows.
@@ -421,16 +429,22 @@ _EXIT_STDERR = {
     "start-cables-out-of-range": "error: bad scenario file: cable differential 0.2 m is "
                                  "outside the +/-0.06 m range",
     "start-cables-inconsistent": "error: initial state is inconsistent: ",
+    "stiffness-no-option": "error: stiffness needs one of --kappa, --theta, --curve\n",
+    **{case: f"error: bad scenario file: check {case[len('check-'):]!r}: "
+       for case, *_ in _EXIT_CODE_TABLE if case.startswith("check-")},
 }
 
+# The start of the stdout of some rows.
+_EXIT_STDOUT = {"cables-invalid-state": "violation: theta_limit"}
 
 # rows that must fail before any run or grid is computed
-_NOTHING_COMPUTED = {"output-directory-is-a-file", "output-directory-below-a-file"}
+_NOTHING_COMPUTED = {"output-directory-is-a-file", "output-directory-below-a-file",
+                     *(case for case, *_ in _EXIT_CODE_TABLE if case.startswith("check-"))}
 
 
 def _forbid_the_run(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("computed before the output directory was checked")
+        raise AssertionError("computed before the input and the output directory were checked")
     for module, name in ((simulator, "run_scenario"), (workspace, "compute_grid"),
                          (stiffness, "moment_angle_curve")):
         monkeypatch.setattr(module, name, forbidden)
@@ -445,10 +459,11 @@ def test_exit_code_taxonomy(capsys, tmp_path, monkeypatch, case, text, argv, exp
         (tmp_path / "input.json").write_text(text)
     argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
     code = main(["--out", str(tmp_path / "out")] + argv)
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == expected, err
     assert len(err.splitlines()) == (1 if expected in (2, 3) else 0), err
     assert err.startswith(_EXIT_STDERR.get(case, "")), err
+    assert out.startswith(_EXIT_STDOUT.get(case, "")), out
     # nothing is written outside --out, and nothing at all on a usage error
     assert {path.name for path in tmp_path.iterdir()} <= {"input.json", "out"}
     if expected == 2:

@@ -25,7 +25,6 @@ from tapearm.model import (
     validate_state,
 )
 from tapearm.planner import ControlProfile, RateCommand, control_from_state
-from tapearm.units import parse_angle
 from tapearm.simulator import (
     INITIAL_CONSISTENCY_TOL,
     LOG_COLUMNS,
@@ -108,7 +107,7 @@ def _check_loop(name, rows, arg):
         return mismatch, (f"l1 grew {growth:.6g} m vs node drive {node_drive:.6g} m "
                           f"(mismatch {mismatch:.3g} m)")
     if "theta" in name:
-        target = parse_angle(arg, default_unit="rad")
+        target = arg
         if name == "theta_constant":
             deviation = max(abs(row.theta - target) for row in rows)
             return deviation, f"max |theta - {target:.6g} rad| = {deviation:.3g} rad"
@@ -117,7 +116,7 @@ def _check_loop(name, rows, arg):
             return deviation, f"|final theta - {target:.6g} rad| = {deviation:.3g} rad"
         closest = min(abs(row.theta - target) for row in rows)
         return closest, f"closest approach to theta={target:.6g} rad is {closest:.3g} rad"
-    x, y = map(float, arg[1:-1].split(","))
+    x, y = arg
     if name == "target":
         miss = math.hypot(rows[-1].x - x, rows[-1].y - y)
         return miss, f"final pose misses ({x:.6g}, {y:.6g}) m by {miss:.3g} m"
@@ -311,6 +310,36 @@ def test_scenario_rejects_unknown_checks():
         parse_check("theta_constant")  # missing argument
     with pytest.raises(ScenarioError):
         parse_check("l1_constant:1e-6:extra")
+
+
+@pytest.mark.parametrize("text, parsed", [
+    ("theta_constant:22deg:1e-6", (False, "theta_constant", math.radians(22.0), 1e-6)),
+    ("expect_fail:final_theta:-0.5", (True, "final_theta", -0.5, 1e-6)),
+    ("target: (0.1, -2) :0.01", (False, "target", (0.1, -2.0), 0.01)),
+    ("eq3_residual", (False, "eq3_residual", None, 1e-9)),
+])
+def test_parse_check_returns_the_parsed_argument(text, parsed):
+    assert parse_check(text)[:4] == parsed
+
+
+_CHECK_NAMES = sorted(simulator._CHECKS)
+# the characters of check arguments and tolerances, and a few others
+_CHECK_TEXT = st.text(alphabet="(),:.+-_ 0123456789eEinfadegrx\t\u00b2\u0660")
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.one_of(st.text(), _CHECK_TEXT,
+                 st.builds(lambda prefix, name, parts: prefix + ":".join([name, *parts]),
+                           st.sampled_from(["", "expect_fail:"]),
+                           st.sampled_from(_CHECK_NAMES),
+                           st.lists(st.one_of(_CHECK_TEXT, st.text()), max_size=3))))
+@example("target:(1,2,3)")
+@example("final_theta:10grad")
+def test_parse_check_returns_or_raises_a_scenario_error(text):
+    try:
+        parse_check(text)
+    except ScenarioError:
+        pass
 
 
 def test_violations_recorded_not_raised():
@@ -566,9 +595,8 @@ def test_log_csv_blocks_of_every_kind_reuse_one_working_set():
     assert_same_text(fh.getvalue(), _log_csv_loop(rows))
 
 
-def test_run_scenario_derives_violations_only_when_read(monkeypatch):
-    # every row breaks l1_min, max_total_length and theta_limit: the run marks
-    # them and validate_state names the violations when the rows are read
+def _counted_validate_state(monkeypatch):
+    """The list of states that simulator.validate_state is called with from now on."""
     calls = []
 
     def counted(state, params):
@@ -576,17 +604,40 @@ def test_run_scenario_derives_violations_only_when_read(monkeypatch):
         return validate_state(state, params)
 
     monkeypatch.setattr(simulator, "validate_state", counted)
+    return calls
+
+
+def _outside_scenario(params=PARAMS):
+    """2001 rows, each breaking l1_min, max_total_length and theta_limit."""
     state = JointState(0.05, 2.0, math.radians(60.0))
     retract = RateCommand(q1_rate=-1e-4, cL_rate=-1e-4, cR_rate=-1e-4)
-    log = run_scenario(Scenario("outside", PARAMS,
-                                initial_state(control_from_state(state), state.theta, PARAMS),
-                                ControlProfile(((20.0, retract),)), 0.01, ("eq3_residual",)))
+    return Scenario("outside", params,
+                    initial_state(control_from_state(state), state.theta, params),
+                    ControlProfile(((20.0, retract),)), 0.01, ("eq3_residual",))
+
+
+def test_run_scenario_derives_violations_only_when_read(monkeypatch):
+    # every row breaks l1_min, max_total_length and theta_limit: the run marks
+    # them and validate_state names the violations when the rows are read
+    calls = _counted_validate_state(monkeypatch)
+    log = run_scenario(_outside_scenario())
     assert len(log.rows) == 2001 and log.all_passed
     assert calls == []
     violations = log.rows.violations
     assert len(calls) == 2001
     assert [[v.bound for v in row] for row in violations.values()] == (
         [["l1_min", "max_total_length", "theta_limit"]] * 2001)
+
+
+def test_log_rows_equality_names_no_violations(monkeypatch):
+    # equal values and params make equal violations, so == compares only those
+    rows, again = run_scenario(_outside_scenario()).rows, run_scenario(_outside_scenario()).rows
+    # the same bounds, so the same values and violations, under other params
+    heavier = run_scenario(_outside_scenario(dataclasses.replace(PARAMS, node_mass=1.0))).rows
+    calls = _counted_validate_state(monkeypatch)
+    assert rows == again and rows != heavier
+    assert np.array_equal(rows.values, heavier.values)
+    assert calls == []
 
 
 # --- the columnar log against the reference loop ----------------------------

@@ -104,7 +104,7 @@ class _Canvas:
         self.parts.append(f'<rect x="{px:.2f}" y="{py:.2f}" width="{w * self.scale:.2f}" '
                           f'height="{h * self.scale:.2f}" fill="{fill}"/>')
 
-    def polyline(self, points, stroke, stroke_width=1.5, opacity=1.0):
+    def polyline(self, points, stroke, stroke_width, opacity=1.0):
         text = " ".join(f"{px:.2f},{py:.2f}" for px, py in (self.px(x, y) for x, y in points))
         self.parts.append(f'<polyline points="{text}" fill="none" stroke="{stroke}" '
                           f'stroke-width="{stroke_width}" opacity="{opacity:.3f}"/>')
@@ -155,7 +155,7 @@ def _workspace_svg_loop(grid, width=640):
     return canvas.render()
 
 
-def _overlay_svg_loop(log, title=None, width=480):
+def _overlay_svg_loop(log, width=480):
     indices = sorted(set([0] + list(log.boundary_indices) + [len(log.rows) - 1]))
     if len(indices) > 9:
         indices = [indices[int(round(p))] for p in np.linspace(0, len(indices) - 1, 9)]
@@ -173,8 +173,8 @@ def _overlay_svg_loop(log, title=None, width=480):
                         stroke=color, stroke_width=2.5, opacity=0.35 + 0.65 * f)
         canvas.circle(0.0, row.l1, 4, color)
         canvas.circle(row.x, row.y, 2.5, color)
-    if title:
-        canvas.text(min(xs) - 0.5 * margin, max(ys) + 0.5 * margin, title)
+    if log.scenario:
+        canvas.text(min(xs) - 0.5 * margin, max(ys) + 0.5 * margin, log.scenario)
     return canvas.render()
 
 
@@ -277,9 +277,10 @@ def test_workspace_outputs_match_reference_loops(params, bounds, resolution):
 def test_overlay_svg_matches_reference_loop():
     for name, scenario in builtin_scenarios().items():
         log = run_scenario(scenario)
-        assert _render(overlay_svg, log, title=name) == _overlay_svg_loop(log, title=name), name
-    for title in ("a&b<c>", None):
-        assert _render(overlay_svg, log, title=title) == _overlay_svg_loop(log, title=title)
+        assert _render(overlay_svg, log) == _overlay_svg_loop(log), name
+    for name in ("a&b<c>", ""):  # an escaped title, and none
+        renamed = dataclasses.replace(log, scenario=name)
+        assert _render(overlay_svg, renamed) == _overlay_svg_loop(renamed), name
 
 
 class _CountingSink:
@@ -374,13 +375,13 @@ def test_tall_drawings_are_no_taller_than_wide():
     grid = compute_grid(DEFAULT_PARAMS, (0.0, 0.001, 0.0, 2.0), 0.001)
     assert _canvas_size(_render(workspace_svg, grid)) == (640, 640)
     for name, scenario in builtin_scenarios().items():
-        text = _render(overlay_svg, run_scenario(scenario), title=name)
+        text = _render(overlay_svg, run_scenario(scenario))
         assert _canvas_size(text) == (480, 480), name
 
 
 def test_overlay_svg_structure():
     log = run_scenario(builtin_scenarios()["deploy-and-bend"])
-    text = _render(overlay_svg, log, title="deploy-and-bend")
+    text = _render(overlay_svg, log)
     assert text.startswith("<svg")
     assert "deploy-and-bend" in text
     # one polyline and node/tip circles per drawn configuration
@@ -391,7 +392,7 @@ def test_overlay_svg_structure():
 def test_overlay_title_is_escaped():
     # "&" and "<" must be escaped in XML character data (XML 1.0, section 2.4)
     scenario = dataclasses.replace(builtin_scenarios()["stationary-bend"], name="a&b<c>")
-    text = _render(overlay_svg, run_scenario(scenario), title=scenario.name)
+    text = _render(overlay_svg, run_scenario(scenario))
     assert "a&amp;b&lt;c&gt;" in text
     root = ElementTree.fromstring(text)
     assert root.find("{http://www.w3.org/2000/svg}text").text == "a&b<c>"

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tapearm import workspace
-from tapearm.csvtext import BLOCK_FLOATS
+from tapearm.csvtext import BLOCK_FLOATS, BlockText
 from tapearm.model import (
     BOUND_EPS,
     DEFAULT_PARAMS,
@@ -437,3 +437,21 @@ def test_grid_to_csv_memory_is_a_few_blocks():
         finally:
             tracemalloc.stop()
     assert peak <= 1024 * BLOCK_FLOATS
+
+
+@pytest.mark.parametrize("nx, ny", [(0, 100_000), (100_000, 0)], ids=["no-columns", "no-rows"])
+def test_grid_to_csv_formats_nothing_on_an_empty_grid(monkeypatch, nx, ny):
+    # only the header is written, so no axis value is formatted either
+    calls = []
+    float_cells = BlockText.float_cells
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return float_cells(self, *args, **kwargs)
+
+    monkeypatch.setattr(BlockText, "float_cells", counted)
+    fh = io.StringIO()
+    grid_to_csv(_random_grid(nx, ny), fh)
+    assert (fh.getvalue(), calls) == (GRID_CSV_HEADER + "\n", [])
+    grid_to_csv(_random_grid(1, 1), io.StringIO())
+    assert len(calls) == 3  # the x, y and angle cells of a one-cell grid
