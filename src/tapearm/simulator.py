@@ -199,7 +199,8 @@ class LogRows(Sequence):
     @property
     def violations(self) -> dict:
         """The violations of each row outside a bound, keyed by row index."""
-        return {row: self[row].violations for row in np.flatnonzero(self.outside).tolist()}
+        marked = np.flatnonzero(self.outside)
+        return dict(zip(marked.tolist(), _name_violations(self, marked)))
 
     def column(self, name: str):
         """The float64 array of one LOG_COLUMNS column, one entry per row."""
@@ -212,10 +213,8 @@ class LogRows(Sequence):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
         index = range(len(self))[index]  # negative indices and IndexError as for a list
-        row = self.values[:, index].tolist()
-        violations = (validate_state(JointState(*row[_JOINT]), self.params)
-                      if self.outside[index] else ())
-        return LogRow(*row, tuple(violations))
+        violations = _name_violations(self, [index])[0] if self.outside[index] else ()
+        return LogRow(*self.values[:, index].tolist(), violations)
 
     def __eq__(self, other):
         if not isinstance(other, LogRows):
@@ -225,6 +224,12 @@ class LogRows(Sequence):
 
     def __repr__(self) -> str:
         return f"<LogRows: {len(self)} rows, {np.count_nonzero(self.outside)} with violations>"
+
+
+def _name_violations(rows: LogRows, index) -> list[tuple]:
+    """validate_state's violations of the rows at ``index``, from their l1, l2 and theta."""
+    return [tuple(validate_state(JointState(*state), rows.params))
+            for state in zip(*rows.values[_JOINT, index].tolist())]
 
 
 @dataclass
@@ -384,8 +389,8 @@ def log_to_csv(log: TrajectoryLog, fh) -> None:
         count = block.shape[1]
         texts = [""] * count
         marked = np.flatnonzero(rows.outside[first:first + count])
-        for row, *joint in zip(marked.tolist(), *block[_JOINT, marked].tolist()):
-            texts[row] = ";".join(map(str, validate_state(JointState(*joint), rows.params)))
+        for row, violations in zip(marked.tolist(), _name_violations(rows, first + marked)):
+            texts[row] = ";".join(map(str, violations))
         texts = np.array(texts, dtype=bytes).view(np.uint8).reshape(count, -1)
         fh.write(text.join_cells(text.float_cells(block.T).reshape(count, -1), texts, _NEWLINE))
 
@@ -409,61 +414,34 @@ def _parse_radians(arg: str) -> float:
                          f"got {arg!r}") from None
 
 
-def _check_l1_constant(rows, arg):
-    l1 = rows.column("l1")
-    drift = float(np.max(np.abs(l1 - l1[0])))
-    return drift, f"max |l1 - l1(0)| = {drift:.3g} m"
+# A per-row quantity(rows, arg, at) is evaluated on the rows at ``at``; a
+# reduction is (at, combine), and the final row alone is the max over it.
+_MAX, _MIN, _FINAL = (slice(None), np.max), (slice(None), np.min), (slice(-1, None), np.max)
 
 
-def _check_theta_constant(rows, target):
-    deviation = float(np.max(np.abs(rows.column("theta") - target)))
-    return deviation, f"max |theta - {target:.6g} rad| = {deviation:.3g} rad"
+def _l1_drift(rows, arg, at):
+    return np.abs(rows.column("l1")[at] - rows.column("l1")[0])
 
 
-def _check_final_theta(rows, target):
-    deviation = abs(rows[-1].theta - target)
-    return deviation, f"|final theta - {target:.6g} rad| = {deviation:.3g} rad"
+def _theta_gap(rows, target, at):
+    return np.abs(rows.column("theta")[at] - target)
 
 
-def _check_theta_visits(rows, target):
-    closest = float(np.min(np.abs(rows.column("theta") - target)))
-    return closest, f"closest approach to theta={target:.6g} rad is {closest:.3g} rad"
+def _distance(rows, point, at):
+    """math.hypot distances of the end effector from ``point``, _BLOCK_ROWS rows at a time."""
+    xs, ys = rows.column("x")[at] - point[0], rows.column("y")[at] - point[1]
+    return np.concatenate([_map_math(math.hypot, xs[first:first + _BLOCK_ROWS],
+                                     ys[first:first + _BLOCK_ROWS])
+                           for first in range(0, len(xs), _BLOCK_ROWS)])
 
 
-def _block_distances(rows, point):
-    """math.hypot distances of the end effector from ``point``, a list per block of rows."""
-    xs, ys = rows.column("x") - point[0], rows.column("y") - point[1]
-    for first in range(0, len(rows), _BLOCK_ROWS):
-        block = slice(first, first + _BLOCK_ROWS)
-        yield list(map(math.hypot, xs[block].tolist(), ys[block].tolist()))
+def _residual(rows, arg, at):
+    return rows.column("eq3_residual")[at]
 
 
-def _check_target(rows, point):
-    x, y = point
-    miss = math.hypot(rows[-1].x - x, rows[-1].y - y)
-    return miss, f"final pose misses ({x:.6g}, {y:.6g}) m by {miss:.3g} m"
-
-
-def _check_visits_target(rows, point):
-    x, y = point
-    miss = min(map(min, _block_distances(rows, point)))
-    return miss, f"closest approach to ({x:.6g}, {y:.6g}) m is {miss:.3g} m"
-
-
-def _check_target_held(rows, point):
-    x, y = point
-    miss = max(map(max, _block_distances(rows, point)))
-    return miss, f"max distance from ({x:.6g}, {y:.6g}) m is {miss:.3g} m"
-
-
-def _check_eq3_residual(rows, arg):
-    residual = float(np.max(rows.column("eq3_residual")))
-    return residual, f"max cable consistency residual = {residual:.3g} m"
-
-
-def _check_l1_growth_equals_node_drive(rows, arg):
-    growth = rows[-1].l1 - rows[0].l1
-    node_drive = rows[-1].q2 - rows[0].q2
+def _growth_mismatch(rows):
+    """(observed, detail) of l1_growth_equals_node_drive, from the first and last rows."""
+    growth, node_drive = (np.diff(rows.column(name)[[0, -1]]).item() for name in ("l1", "q2"))
     mismatch = abs(growth - node_drive)
     if growth <= 0.0:
         return math.inf, f"l1 did not grow (change {growth:.3g} m)"
@@ -471,20 +449,32 @@ def _check_l1_growth_equals_node_drive(rows, arg):
                       f"(mismatch {mismatch:.3g} m)")
 
 
+_L1_DRIFT = (_l1_drift, _MAX, "max |l1 - l1(0)| = {observed:.3g} m")
+_POINT = "({arg[0]:.6g}, {arg[1]:.6g}) m"
+
 _CHECKS = {
-    # name: (argument reader or None, default_tolerance, evaluator)
-    "l1_constant": (None, 1e-6, _check_l1_constant),
+    # name: (argument reader or None, default tolerance, per-row quantity,
+    #        reduction, detail text of arg and observed), or a quantity that
+    #        grades the rows itself and no reduction
+    "l1_constant": (None, 1e-6, *_L1_DRIFT),
     # The bend point sits at (0, l1) in the world frame, so its position is
     # constant exactly when l1 is.
-    "bend_point_constant": (None, 1e-6, _check_l1_constant),
-    "theta_constant": (_parse_radians, 1e-6, _check_theta_constant),
-    "final_theta": (_parse_radians, 1e-6, _check_final_theta),
-    "theta_visits": (_parse_radians, 1e-6, _check_theta_visits),
-    "target": (_parse_point, 1e-3, _check_target),
-    "visits_target": (_parse_point, 1e-3, _check_visits_target),
-    "target_held": (_parse_point, 1e-3, _check_target_held),
-    "eq3_residual": (None, 1e-9, _check_eq3_residual),
-    "l1_growth_equals_node_drive": (None, 1e-6, _check_l1_growth_equals_node_drive),
+    "bend_point_constant": (None, 1e-6, *_L1_DRIFT),
+    "theta_constant": (_parse_radians, 1e-6, _theta_gap, _MAX,
+                       "max |theta - {arg:.6g} rad| = {observed:.3g} rad"),
+    "final_theta": (_parse_radians, 1e-6, _theta_gap, _FINAL,
+                    "|final theta - {arg:.6g} rad| = {observed:.3g} rad"),
+    "theta_visits": (_parse_radians, 1e-6, _theta_gap, _MIN,
+                     "closest approach to theta={arg:.6g} rad is {observed:.3g} rad"),
+    "target": (_parse_point, 1e-3, _distance, _FINAL,
+               "final pose misses " + _POINT + " by {observed:.3g} m"),
+    "visits_target": (_parse_point, 1e-3, _distance, _MIN,
+                      "closest approach to " + _POINT + " is {observed:.3g} m"),
+    "target_held": (_parse_point, 1e-3, _distance, _MAX,
+                    "max distance from " + _POINT + " is {observed:.3g} m"),
+    "eq3_residual": (None, 1e-9, _residual, _MAX,
+                     "max cable consistency residual = {observed:.3g} m"),
+    "l1_growth_equals_node_drive": (None, 1e-6, _growth_mismatch, None, None),
 }
 
 
@@ -493,15 +483,16 @@ def parse_check(text: str):
 
     Angle arguments take deg/rad suffixes (bare numbers are radians); point
     arguments are '(x,y)' in meters; tolerances are plain numbers in the
-    check's native unit. Returns (expect_fail, name, parsed argument or None,
-    tolerance, evaluator); any malformed part is a ScenarioError naming ``text``.
+    check's native unit, finite and >= 0. Returns (expect_fail, name, parsed
+    argument or None, tolerance, the (quantity, reduction, detail) of _CHECKS);
+    any malformed or non-finite part is a ScenarioError naming ``text``.
     """
     expect_fail = text.startswith("expect_fail:")
     body = text[len("expect_fail:"):] if expect_fail else text
     name, *rest = body.split(":")
     if name not in _CHECKS:
         raise ScenarioError(f"unknown check {name!r}; known checks: {sorted(_CHECKS)}")
-    reader, default_tol, evaluator = _CHECKS[name]
+    reader, default_tol, *grading = _CHECKS[name]
     if reader and not rest:
         raise ScenarioError(f"check {name!r} requires an argument")
     if len(rest) > (2 if reader else 1):
@@ -511,21 +502,28 @@ def parse_check(text: str):
         tol = float(rest[0]) if rest else default_tol
     except ValueError as exc:
         raise ScenarioError(f"check {text!r}: {exc}") from None
-    return expect_fail, name, arg, tol, evaluator
+    if not ((arg is None or np.isfinite(arg).all()) and 0.0 <= tol < math.inf):
+        raise ScenarioError(f"check {text!r}: arguments must be finite, and tolerances "
+                            "finite and >= 0")
+    return expect_fail, name, arg, tol, tuple(grading)
 
 
 def evaluate_check(text: str, rows: LogRows) -> CheckResult:
     """Grade one named check over the logged rows, as reductions over their columns."""
-    expect_fail, name, arg, tol, evaluator = parse_check(text)
+    expect_fail, name, arg, tol, (quantity, reduction, detail) = parse_check(text)
     with np.errstate(all="ignore"):  # differences of huge coordinates overflow to inf
-        observed, detail = evaluator(rows, arg)
+        if reduction is None:
+            observed, detail = quantity(rows)
+        else:
+            at, reduce = reduction
+            observed = float(reduce(quantity(rows, arg, at)))
+            detail = detail.format(arg=arg, observed=observed)
     passed = observed <= tol
     if expect_fail:
         outcome = "failed as expected" if not passed else "unexpectedly passed"
-        return CheckResult(check=text, passed=not passed, observed=observed,
-                           threshold=tol, detail=f"inner check {outcome}: {detail}")
-    return CheckResult(check=text, passed=passed, observed=observed,
-                       threshold=tol, detail=detail)
+        passed, detail = not passed, f"inner check {outcome}: {detail}"
+    return CheckResult(check=text, passed=passed, observed=observed, threshold=tol,
+                       detail=detail)
 
 
 # --- built-in demonstration scenarios --------------------------------------

@@ -415,11 +415,15 @@ _EXIT_CODE_TABLE = [
     ("stiffness-no-option", None, ["stiffness"], 2),
     ("cables-invalid-state", None, ["cables", "0.5", "0.5", "80deg"], 1),
 ] + [
-    # a malformed check argument or tolerance, refused before the run
+    # a malformed or non-finite check argument, or a tolerance that is not a
+    # finite number >= 0, refused before the run
     (f"check-{check}", _SCENARIO % ("0.01", "1.0", "{}", json.dumps([check])),
      ["simulate", "{dir}/input.json"], 2)
     for check in ("target:(1,2,3)", "target:1,2", "theta_constant:abc", "final_theta:10grad",
-                  "l1_constant:abc", "target:(1,2):x", "visits_target:(a,b)")
+                  "l1_constant:abc", "target:(1,2):x", "visits_target:(a,b)",
+                  # checks that could never pass, or always would
+                  "l1_constant:nan", "l1_constant:-1", "eq3_residual:1e400", "target:(nan,1)",
+                  "theta_constant:infdeg", "expect_fail:l1_constant:nan")
 ]
 
 # The start of the stderr line of some rows.

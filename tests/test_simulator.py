@@ -335,11 +335,19 @@ _CHECK_TEXT = st.text(alphabet="(),:.+-_ 0123456789eEinfadegrx\t\u00b2\u0660")
                            st.lists(st.one_of(_CHECK_TEXT, st.text()), max_size=3))))
 @example("target:(1,2,3)")
 @example("final_theta:10grad")
+@example("l1_constant:nan")
+@example("l1_constant:-1")
+@example("eq3_residual:1e400")
+@example("target:(nan,1)")
+@example("theta_constant:infdeg")
+@example("expect_fail:l1_constant:nan")
 def test_parse_check_returns_or_raises_a_scenario_error(text):
     try:
-        parse_check(text)
+        _, _, arg, tol, _ = parse_check(text)
     except ScenarioError:
-        pass
+        return
+    assert arg is None or np.isfinite(arg).all(), arg
+    assert 0.0 <= tol < math.inf, tol
 
 
 def test_violations_recorded_not_raised():
@@ -622,11 +630,39 @@ def test_run_scenario_derives_violations_only_when_read(monkeypatch):
     calls = _counted_validate_state(monkeypatch)
     log = run_scenario(_outside_scenario())
     assert len(log.rows) == 2001 and log.all_passed
+    assert repr(log.rows) == "<LogRows: 2001 rows, 2001 with violations>"
     assert calls == []
     violations = log.rows.violations
     assert len(calls) == 2001
     assert [[v.bound for v in row] for row in violations.values()] == (
         [["l1_min", "max_total_length", "theta_limit"]] * 2001)
+
+
+# one check of each name
+_EVERY_CHECK = ("l1_constant", "bend_point_constant", "theta_constant:1.05",
+                "final_theta:1.05", "theta_visits:1.05", "target:(1.7,0.05)",
+                "visits_target:(1.7,0.05)", "target_held:(1.7,0.05)", "eq3_residual",
+                "l1_growth_equals_node_drive")
+
+
+def test_checks_violations_and_csv_build_no_log_row(monkeypatch):
+    # they read the log's columns: the same results with row access refused
+    log = run_scenario(_outside_scenario())
+    assert {parse_check(check)[1] for check in _EVERY_CHECK} == set(simulator._CHECKS)
+    checks = [evaluate_check(check, log.rows) for check in _EVERY_CHECK]
+    violations = log.rows.violations
+    fh = io.StringIO()
+    log_to_csv(log, fh)
+
+    def refused(self, index):
+        raise AssertionError(f"row {index} read as a LogRow")
+
+    monkeypatch.setattr(LogRows, "__getitem__", refused)
+    assert [evaluate_check(check, log.rows) for check in _EVERY_CHECK] == checks
+    assert log.rows.violations == violations
+    again = io.StringIO()
+    log_to_csv(log, again)
+    assert again.getvalue() == fh.getvalue()
 
 
 def test_log_rows_equality_names_no_violations(monkeypatch):

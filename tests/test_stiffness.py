@@ -146,6 +146,9 @@ def test_moment_csv_roundtrip(tmp_path):
     assert path.read_text().splitlines()[0] == "theta_rad,moment_Nm"
     loaded = read_moment_csv(path)
     assert np.array_equal(loaded, table)
+    path.write_text("theta_deg,moment_Nm\n0.0,0.0\n")
+    with pytest.raises(ValueError, match="unexpected header"):
+        read_moment_csv(path)
 
 
 def test_moment_csv_matches_reference_loop_and_roundtrips(tmp_path):
@@ -214,6 +217,8 @@ def test_calibration_degenerate_data():
         calibrate_unpinched(ramp_only)  # no post-peak sample
     with pytest.raises(CalibrationError):
         calibrate_unpinched([(0.1, 0.2), (0.2, math.nan), (0.3, 0.1), (0.4, 0.1)])
+    with pytest.raises(CalibrationError, match="torque peak at zero angle"):
+        calibrate_unpinched([(0, 1), (0.1, 0.5), (0.2, 0.4), (0.3, 0.3)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # One clear peak, then a tail that decays exactly toward -1: the fit

@@ -266,8 +266,12 @@ _ALT_PARAMS = ManipulatorParams(theta_limit=0.7, l1_min=0.2, l2_min=0.05, max_to
     (DEFAULT_PARAMS, (-0.17, 1.27, 1.29, 1.34), 0.0735),
     (DEFAULT_PARAMS, (5.0, 6.0, 5.0, 6.0), 0.1),         # nothing reachable
     (DEFAULT_PARAMS, (0.0, 0.0, 0.0, 1.0), 0.1),         # empty bounds
+    # a midline column: its 93 reachable cells all have angle 0, so the color
+    # scale has no positive maximum
+    pytest.param(DEFAULT_PARAMS, (-0.005, 0.005, 0.05, 1.0), 0.01,
+                 marks=pytest.mark.filterwarnings("error")),
 ], ids=["mixed", "mixed-other-params", "rect-y-rounding", "rect-x-rounding",
-        "unreachable", "empty"])
+        "unreachable", "empty", "midline-zero-angles"])
 def test_workspace_outputs_match_reference_loops(params, bounds, resolution):
     grid = compute_grid(params, bounds, resolution)
     assert _render(workspace_svg, grid) == _workspace_svg_loop(grid)
