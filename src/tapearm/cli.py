@@ -46,7 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="tapearm",
         description="Model, plan and simulate the pinched-tape planar manipulator.")
     parser.add_argument("--params", metavar="FILE",
-                        help=f"JSON parameter file (default: ${PARAMS_ENV_VAR} if set)")
+                        help=f"JSON parameter file (default: ${PARAMS_ENV_VAR} if set); "
+                             "simulate reads none")
     parser.add_argument("--out", metavar="DIR", default=".",
                         help="output directory for generated files (default: .)")
     parser.add_argument("--format", choices=("csv", "svg", "both"), default="both",
@@ -129,12 +130,15 @@ def _print_violations(violations) -> None:
 
 def _check_out(args) -> None:
     """Fail before any work if --out cannot become a directory, because its
-    nearest existing ancestor is not one. Creates nothing."""
+    nearest existing ancestor is not one, or is one this process cannot write
+    to and enter. Creates nothing."""
     path = Path(args.out).absolute()
     while not path.exists():
         path = path.parent
     if not path.is_dir():
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
 
 
 def _write_outputs(args, table, figure=None) -> None:
@@ -266,7 +270,7 @@ def _run_and_report(scenario, args) -> int:
 
 
 def cmd_simulate(args, params) -> int:
-    del params  # scenario files carry their own parameters
+    del params  # None: a scenario file carries its own parameters
     _check_out(args)
     try:
         scenario = serialization.load_scenario(args.scenario)
@@ -277,10 +281,11 @@ def cmd_simulate(args, params) -> int:
 
 def cmd_demo(args, params) -> int:
     _check_out(args)
-    scenarios = simulator.builtin_scenarios(params)
-    if args.name not in scenarios:
-        raise ValueError(f"unknown demo {args.name!r}; available demos: {', '.join(scenarios)}")
-    return _run_and_report(scenarios[args.name], args)
+    build = simulator.DEMOS.get(args.name)
+    if build is None:
+        raise ValueError(f"unknown demo {args.name!r}; "
+                         f"available demos: {', '.join(simulator.DEMOS)}")
+    return _run_and_report(build(params), args)
 
 
 _COMMANDS = {
@@ -303,7 +308,8 @@ def main(argv=None) -> int:
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"argument {name} must be a finite number, got {value}")
-        return _COMMANDS[args.command](args, _load_params(args))
+        params = None if args.command == "simulate" else _load_params(args)
+        return _COMMANDS[args.command](args, params)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

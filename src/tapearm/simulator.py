@@ -15,6 +15,7 @@ outside a bound. A LogRow and its violations are built only when it is read.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections.abc import Sequence
@@ -39,6 +40,7 @@ from .model import (
 )
 from .planner import (
     ControlProfile,
+    PlanningError,
     RateCommand,
     control_from_state,
     plan_trajectory,
@@ -546,23 +548,26 @@ def _deploy_and_bend(params: ManipulatorParams) -> Scenario:
                     profile, 0.01, checks)
 
 
+def _out_of_reach(demo: str, point) -> PlanningError:
+    return PlanningError(f"demo {demo!r}: ({point[0]}, {point[1]}) m is out of reach "
+                         "under these parameters")
+
+
 def _reach_two_targets(params: ManipulatorParams) -> Scenario:
     # Reach (0.229, 0.838) m then (0.076, 0.838) m from a straight 0.6 m arm,
-    # each at the middle of its feasible angle interval.
-    start = ik_at_theta((0.0, 0.6), 0.0, params)
-    targets = ((0.229, 0.838), (0.076, 0.838))
-    waypoints = [start]
-    checks = ["eq3_residual:1e-9"]
-    for index, (x, y) in enumerate(targets):
-        interval = feasible_theta_interval((x, y), params)
-        theta = 0.5 * (interval.lo + interval.hi)
-        waypoints.append(ik_at_theta((x, y), theta, params))
-        kind = "target" if index == len(targets) - 1 else "visits_target"
-        checks.append(f"{kind}:({x},{y}):1e-3")
+    # each point at the middle of its feasible angle interval (0 on the midline).
+    waypoints = []
+    for point in ((0.0, 0.6), (0.229, 0.838), (0.076, 0.838)):
+        interval = feasible_theta_interval(point, params)
+        if interval is None:
+            raise _out_of_reach("reach-two-targets", point)
+        waypoints.append(ik_at_theta(point, 0.5 * (interval.lo + interval.hi), params))
+    checks = ("eq3_residual:1e-9", "visits_target:(0.229,0.838):1e-3",
+              "target:(0.076,0.838):1e-3")
     profile = plan_trajectory(waypoints, params)
     return Scenario("reach-two-targets", params,
-                    initial_state(control_from_state(start), 0.0, params),
-                    profile, 0.01, tuple(checks))
+                    initial_state(control_from_state(waypoints[0]), 0.0, params),
+                    profile, 0.01, checks)
 
 
 def _multi_config_same_target(params: ManipulatorParams) -> Scenario:
@@ -580,6 +585,8 @@ def _multi_config_same_target(params: ManipulatorParams) -> Scenario:
         path.extend(a + (b - a) * k / n for k in range(n))
     path.append(via[-1])
     states = [ik_at_theta(point, theta, params) for theta in path]
+    if any(state is None for state in states):
+        raise _out_of_reach("multi-config-same-target", point)
     profile = plan_trajectory(states, params)
     visit_tol = math.radians(0.05)
     checks = (
@@ -634,13 +641,19 @@ def _stationary_bend(params: ManipulatorParams, coordinated: bool) -> Scenario:
                     profile, 0.01, checks)
 
 
+# The builder of each bundled demonstration scenario, keyed by CLI name. A
+# builder takes the parameters and raises PlanningError when they put one of
+# its waypoints out of reach.
+DEMOS = {
+    "deploy-and-bend": _deploy_and_bend,
+    "reach-two-targets": _reach_two_targets,
+    "multi-config-same-target": _multi_config_same_target,
+    "constant-angle-retraction": _constant_angle_retraction,
+    "stationary-bend": functools.partial(_stationary_bend, coordinated=True),
+    "stationary-bend-uncoordinated": functools.partial(_stationary_bend, coordinated=False),
+}
+
+
 def builtin_scenarios(params: ManipulatorParams = DEFAULT_PARAMS) -> dict[str, Scenario]:
     """The bundled demonstration scenarios, keyed by CLI name."""
-    return {
-        "deploy-and-bend": _deploy_and_bend(params),
-        "reach-two-targets": _reach_two_targets(params),
-        "multi-config-same-target": _multi_config_same_target(params),
-        "constant-angle-retraction": _constant_angle_retraction(params),
-        "stationary-bend": _stationary_bend(params, coordinated=True),
-        "stationary-bend-uncoordinated": _stationary_bend(params, coordinated=False),
-    }
+    return {name: build(params) for name, build in DEMOS.items()}

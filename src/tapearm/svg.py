@@ -17,25 +17,16 @@ _PAD = 20
 _CONTOUR_LEVELS = tuple(math.radians(v) for v in (10, 20, 30, 40, 50))
 _MAX_OVERLAY_CONFIGS = 9
 
-# Marching-squares case table, corner bits: 1=BL, 2=BR, 4=TR, 8=TL.
-# Values are (edge, edge) pairs; edges are "b", "r", "t", "l".
-_CASES = {
-    1: [("l", "b")],
-    2: [("b", "r")],
-    3: [("l", "r")],
-    4: [("r", "t")],
-    6: [("b", "t")],
-    7: [("l", "t")],
-    8: [("t", "l")],
-    9: [("b", "t")],
-    11: [("r", "t")],
-    12: [("r", "l")],
-    13: [("b", "r")],
-    14: [("l", "b")],
+# Marching-squares segments of each crossing case (Lorensen & Cline 1987),
+# corner bits 1=BL, 2=BR, 4=TR, 8=TL: the two edges ("b", "r", "t", "l") that
+# each segment joins, in order. The saddles 5 and 10 are keyed by the case and
+# whether the cell-center value is above the level.
+_SEGMENTS = {
+    1: ("lb",), 2: ("br",), 3: ("lr",), 4: ("rt",), 6: ("bt",), 7: ("lt",),
+    8: ("tl",), 9: ("bt",), 11: ("rt",), 12: ("rl",), 13: ("br",), 14: ("lb",),
+    (5, True): ("br", "tl"), (5, False): ("lb", "rt"),
+    (10, True): ("lb", "rt"), (10, False): ("br", "tl"),
 }
-# Saddle cases keyed by whether the cell-center value is above the level.
-_SADDLE_5 = {True: [("b", "r"), ("t", "l")], False: [("l", "b"), ("r", "t")]}
-_SADDLE_10 = {True: [("l", "b"), ("r", "t")], False: [("b", "r"), ("t", "l")]}
 
 
 def _interpolate(pa, va, pb, vb, level) -> list:
@@ -86,13 +77,7 @@ def marching_squares(xs, ys, field, level) -> list:
         center_above = (0.25 * (((v_bl + v_br) + v_tr) + v_tl) > level).tolist()
     segments = []
     for k, cell_case in enumerate(case[iy, ix].tolist()):
-        if cell_case == 5:
-            pairs = _SADDLE_5[center_above[k]]
-        elif cell_case == 10:
-            pairs = _SADDLE_10[center_above[k]]
-        else:
-            pairs = _CASES[cell_case]
-        for edge_a, edge_b in pairs:
+        for edge_a, edge_b in _SEGMENTS.get(cell_case) or _SEGMENTS[cell_case, center_above[k]]:
             segments.append((edge_points[edge_a][k], edge_points[edge_b][k]))
     return _stitch(segments)
 
@@ -102,33 +87,30 @@ def _key(point):
 
 
 def _stitch(segments) -> list:
-    """Join segments sharing endpoints into polylines (undirected)."""
+    """Join segments sharing endpoints into polylines (undirected).
+
+    A chain grows at its end, then at its start: reversed, grown at its end
+    and reversed back.
+    """
+    keys = [(_key(a), _key(b)) for a, b in segments]
     adjacency = {}
-    for index, (a, b) in enumerate(segments):
-        adjacency.setdefault(_key(a), []).append(index)
-        adjacency.setdefault(_key(b), []).append(index)
+    for index, pair in enumerate(keys):
+        for key in pair:
+            adjacency.setdefault(key, []).append(index)
     used = [False] * len(segments)
     polylines = []
     for start in range(len(segments)):
         if used[start]:
             continue
         used[start] = True
-        a, b = segments[start]
-        chain = [a, b]
-        for grow_end in (True, False):
-            while True:
-                tip = chain[-1] if grow_end else chain[0]
-                candidates = [i for i in adjacency.get(_key(tip), []) if not used[i]]
-                if not candidates:
-                    break
-                index = candidates[0]
+        chain = list(segments[start])
+        for tip in keys[start][::-1]:  # the key of the end, then of the start
+            while (index := next((i for i in adjacency[tip] if not used[i]), None)) is not None:
                 used[index] = True
-                pa, pb = segments[index]
-                nxt = pb if _key(pa) == _key(tip) else pa
-                if grow_end:
-                    chain.append(nxt)
-                else:
-                    chain.insert(0, nxt)
+                end = 1 if keys[index][0] == tip else 0
+                chain.append(segments[index][end])
+                tip = keys[index][end]
+            chain.reverse()
         polylines.append(chain)
     return polylines
 
@@ -212,9 +194,7 @@ def workspace_svg(grid, fh) -> None:
     x_min, x_max, y_min, y_max = grid.bounds
     canvas = _Canvas(fh, x_min, x_max, y_min, y_max, _WORKSPACE_WIDTH)
     magnitude = np.abs(grid.min_angle)
-    vmax = np.nanmax(magnitude) if grid.reachable.any() else 1.0
-    if not (vmax > 0):
-        vmax = 1.0
+    vmax = float(np.nanmax(magnitude, initial=0.0)) or 1.0
     # The pixel coordinates of each cell's top-left corner, computed once per
     # column or row in the same operation order as _Canvas.px.
     half = 0.5 * grid.resolution

@@ -222,7 +222,7 @@ def grid_centers(lo: float, hi: float, n: int, resolution: float) -> np.ndarray:
     sample points, so workspace symmetry holds bit-for-bit.
     """
     center = 0.5 * (lo + hi)
-    return np.array([center + (i - 0.5 * (n - 1)) * resolution for i in range(n)])
+    return center + (np.arange(n) - 0.5 * (n - 1)) * resolution
 
 
 def _map_math(function, *arrays) -> np.ndarray:
@@ -246,13 +246,14 @@ def compute_grid(params: ManipulatorParams, bounds, resolution: float) -> Worksp
     """Evaluate reachability and minimum angle on square cells over ``bounds``.
 
     bounds = (x_min, x_max, y_min, y_max). Off the midline a cell's minimum
-    angle is the closed-form lo of feasible_theta_interval, signed like x, and
-    it is reachable iff lo <= hi; these are evaluated over blocks of at most
+    angle is the closed-form lo of feasible_theta_interval, signed like x, or
+    NaN unless lo <= hi; these are evaluated over blocks of at most
     _BLOCK_CELLS cells in the scalar path's operation order, so every value
     equals min_end_effector_angle's bit for bit. Cells within STRAIGHT_X_TOL
-    of the midline call min_end_effector_angle. Raises ValueError on
-    non-finite input, and on a grid over MAX_GRID_CELLS cells (an empty axis
-    counts as one cell wide) before allocating it.
+    of the midline call min_end_effector_angle. A cell is reachable where its
+    angle is not NaN. Raises ValueError on non-finite input, and on a grid
+    over MAX_GRID_CELLS cells (an empty axis counts as one cell wide) before
+    allocating it.
     """
     if not (resolution > 0 and math.isfinite(resolution)):
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
@@ -272,7 +273,6 @@ def compute_grid(params: ManipulatorParams, bounds, resolution: float) -> Worksp
                          f"{MAX_GRID_CELLS} cell limit; use a coarser resolution")
     xs = grid_centers(x_min, x_max, nx, resolution)
     ys = grid_centers(y_min, y_max, ny, resolution)
-    reach = np.zeros((ny, nx), dtype=bool)
     angle = np.full((ny, nx), math.nan)
     ax = np.abs(xs)
     # hi's bounds that do not depend on y: the hinge limit and the l2 floor
@@ -295,15 +295,13 @@ def compute_grid(params: ManipulatorParams, bounds, resolution: float) -> Worksp
             lo = _map_math(math.atan2, bx, block_ys - l1_floor)
             hi = np.minimum(hi_cap[c0:c0 + cols],
                             2.0 * _map_math(math.atan2, total - block_ys, bx))
-            reach[block] = lo <= hi
-            angle[block] = np.where(reach[block], np.copysign(lo, xs[c0:c0 + cols]), math.nan)
+            angle[block] = np.where(lo <= hi, np.copysign(lo, xs[c0:c0 + cols]), math.nan)
     for ix in np.flatnonzero(ax <= STRAIGHT_X_TOL).tolist():
         x = float(xs[ix])
         for iy, y in enumerate(ys.tolist()):
             minimum = min_end_effector_angle((x, y), params)
-            reach[iy, ix] = minimum is not None
             angle[iy, ix] = math.nan if minimum is None else minimum
-    return WorkspaceGrid(xs=xs, ys=ys, reachable=reach, min_angle=angle,
+    return WorkspaceGrid(xs=xs, ys=ys, reachable=~np.isnan(angle), min_angle=angle,
                          resolution=resolution, bounds=tuple(bounds))
 
 

@@ -365,6 +365,17 @@ _EXIT_CODE_TABLE = [
     ("theta-from-cables-zero-length", None, ["theta-from-cables", "0", "1"], 2),
     ("theta-from-cables-negative-offset", None, ["theta-from-cables", "1", "1", "--d", "-1"], 2),
     ("demo-unknown-name", None, ["demo", "nosuch"], 2),
+    # parameters that put a demo's waypoint out of reach refuse that demo
+    # before its run, and leave the other demos to run and pass
+    ("demo-target-out-of-reach", '{"l1_min_m": 0.9}',
+     ["--params", "{dir}/input.json", "demo", "reach-two-targets"], 2),
+    ("demo-sweep-out-of-reach", '{"l2_min_m": 0.5}',
+     ["--params", "{dir}/input.json", "demo", "multi-config-same-target"], 2),
+    ("demo-in-reach", '{"l1_min_m": 0.9}',
+     ["--params", "{dir}/input.json", "demo", "stationary-bend"], 0),
+    # a scenario file carries its own parameters, so simulate reads no --params
+    ("simulate-reads-no-params", _SCENARIO % ("0.01", "1.0", "{}", "[]"),
+     ["--params", "{dir}/absent.json", "simulate", "{dir}/input.json"], 0),
     ("params-file-missing", None, ["--params", "{dir}/absent.json", "fk", "0.4", "0.3", "10"], 3),
     ("params-path-is-a-directory", None, ["--params", "{dir}", "fk", "0.4", "0.3", "10"], 3),
     ("scenario-file-missing", None, ["simulate", "{dir}/absent.json"], 3),
@@ -430,6 +441,10 @@ _EXIT_CODE_TABLE = [
 _EXIT_STDERR = {
     "curve-over-sample-limit": "error: 100001 samples exceed the 100000 sample limit",
     "demo-unknown-name": "error: unknown demo 'nosuch'; available demos: deploy-and-bend, ",
+    "demo-target-out-of-reach": "error: demo 'reach-two-targets': (0.0, 0.6) m is out of "
+                                "reach under these parameters\n",
+    "demo-sweep-out-of-reach": "error: demo 'multi-config-same-target': (0.076, 0.686) m is "
+                               "out of reach under these parameters\n",
     "start-cables-out-of-range": "error: bad scenario file: cable differential 0.2 m is "
                                  "outside the +/-0.06 m range",
     "start-cables-inconsistent": "error: initial state is inconsistent: ",
@@ -443,6 +458,7 @@ _EXIT_STDOUT = {"cables-invalid-state": "violation: theta_limit"}
 
 # rows that must fail before any run or grid is computed
 _NOTHING_COMPUTED = {"output-directory-is-a-file", "output-directory-below-a-file",
+                     "demo-target-out-of-reach", "demo-sweep-out-of-reach",
                      *(case for case, *_ in _EXIT_CODE_TABLE if case.startswith("check-"))}
 
 
@@ -486,12 +502,16 @@ def test_simulate_abort_keeps_partial_log(capsys, tmp_path):
     assert (tmp_path / "scenario_overlay.svg").read_text().startswith("<svg")
 
 
-@pytest.mark.parametrize("argv", [
+# The commands that write files, each of which checks --out before its work.
+_WRITING_COMMANDS = pytest.mark.parametrize("argv", [
     ["demo", "stationary-bend"],
     ["simulate", "{dir}/scenario.json"],
     ["workspace", "--resolution", "0.1"],
     ["stiffness", "--curve", "0", "40", "81"],
 ], ids=["demo", "simulate", "workspace", "stiffness-curve"])
+
+
+@_WRITING_COMMANDS
 @pytest.mark.parametrize("out", ["{dir}/file", "{dir}/file/sub/deeper"], ids=["file", "below"])
 def test_out_below_a_file_fails_before_the_run(capsys, tmp_path, monkeypatch, argv, out):
     save_scenario(builtin_scenarios()["stationary-bend"], tmp_path / "scenario.json")
@@ -504,3 +524,41 @@ def test_out_below_a_file_fails_before_the_run(capsys, tmp_path, monkeypatch, ar
     assert captured.err == (f"I/O error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: "
                             f"'{tmp_path / 'file'}'\n")
     assert sorted(path.name for path in tmp_path.iterdir()) == ["file", "scenario.json"]
+
+
+@pytest.mark.skipif(os.geteuid() == 0,
+                    reason="root passes os.access whatever a directory's mode, so none is "
+                           "unwritable to it")
+@_WRITING_COMMANDS
+@pytest.mark.parametrize("out", ["{dir}/locked", "{dir}/locked/sub"], ids=["itself", "below"])
+def test_out_in_an_unwritable_directory_fails_before_the_run(capsys, tmp_path, monkeypatch,
+                                                             argv, out):
+    save_scenario(builtin_scenarios()["stationary-bend"], tmp_path / "scenario.json")
+    locked = tmp_path / "locked"
+    locked.mkdir(mode=0o500)
+    _forbid_the_run(monkeypatch)
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in ["--out", out] + argv]
+    try:
+        assert main(argv) == 3
+    finally:
+        locked.chmod(0o700)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"I/O error: [Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: "
+                            f"'{locked}'\n")
+    assert list(locked.iterdir()) == []
+
+
+@pytest.mark.parametrize("params_file, other_command_exit", [
+    ("absent.json", 3), ("unknown-key.json", 2)])
+def test_simulate_reads_no_params_env_var(capsys, tmp_path, monkeypatch, params_file,
+                                          other_command_exit):
+    (tmp_path / "unknown-key.json").write_text('{"no_such_key": 1}')
+    save_scenario(builtin_scenarios()["stationary-bend"], tmp_path / "scenario.json")
+    monkeypatch.setenv("TAPEARM_PARAMS", str(tmp_path / params_file))
+    assert main(["fk", "0.4", "0.3", "10"]) == other_command_exit  # the file is broken
+    capsys.readouterr()
+    code, out = _run(capsys, ["--out", str(tmp_path / "out"), "simulate",
+                              str(tmp_path / "scenario.json")])
+    assert code == 0
+    assert "PASS l1_constant" in out

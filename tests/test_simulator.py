@@ -24,7 +24,7 @@ from tapearm.model import (
     ManipulatorParams,
     validate_state,
 )
-from tapearm.planner import ControlProfile, RateCommand, control_from_state
+from tapearm.planner import ControlProfile, PlanningError, RateCommand, control_from_state
 from tapearm.simulator import (
     INITIAL_CONSISTENCY_TOL,
     LOG_COLUMNS,
@@ -376,6 +376,24 @@ def test_builtin_scenarios_all_pass():
     for name, scenario in builtin_scenarios().items():
         log = run_scenario(scenario)
         assert log.all_passed, f"{name}: {[c.detail for c in log.checks if not c.passed]}"
+
+
+# Parameters that put some demos' waypoints out of reach, and those demos.
+@pytest.mark.parametrize("overrides, out_of_reach", [
+    ({"l1_min": 0.9}, {"reach-two-targets", "multi-config-same-target"}),
+    ({"max_total_length": 0.5}, {"reach-two-targets", "multi-config-same-target"}),
+    ({"theta_limit": 0.1}, {"reach-two-targets", "multi-config-same-target"}),
+    ({"l2_min": 0.5}, {"multi-config-same-target"}),
+])
+def test_demo_out_of_reach_raises_a_planning_error_and_the_rest_pass(overrides, out_of_reach):
+    params = dataclasses.replace(DEFAULT_PARAMS, **overrides)
+    for name, build in simulator.DEMOS.items():
+        if name in out_of_reach:
+            with pytest.raises(PlanningError, match=f"^demo '{name}': .* m is out of reach"):
+                build(params)
+        else:
+            log = run_scenario(build(params))
+            assert log.all_passed, f"{name}: {[c.detail for c in log.checks if not c.passed]}"
 
 
 def test_stationary_bend_holds_l1_and_uncoordinated_grows():

@@ -59,11 +59,65 @@ def _marching_squares_loop(xs, ys, field, level):
                 else:
                     pairs = [("l", "b"), ("r", "t")] if center_above else [("b", "r"), ("t", "l")]
             else:
-                pairs = svg._CASES[case]
+                pairs = _CASES[case]
             for edge_a, edge_b in pairs:
                 segments.append((_interpolate(*edge_ends[edge_a], level),
                                  _interpolate(*edge_ends[edge_b], level)))
-    return svg._stitch(segments)
+    return _stitch(segments)
+
+
+# Edge pairs of the non-saddle cases, corner bits 1=BL, 2=BR, 4=TR, 8=TL.
+_CASES = {
+    1: [("l", "b")],
+    2: [("b", "r")],
+    3: [("l", "r")],
+    4: [("r", "t")],
+    6: [("b", "t")],
+    7: [("l", "t")],
+    8: [("t", "l")],
+    9: [("b", "t")],
+    11: [("r", "t")],
+    12: [("r", "l")],
+    13: [("b", "r")],
+    14: [("l", "b")],
+}
+
+
+def _key(point):
+    return (round(point[0] * 1e9), round(point[1] * 1e9))
+
+
+def _stitch(segments):
+    """Join segments sharing endpoints into polylines, growing each chain at
+    its end and then at its start."""
+    adjacency = {}
+    for index, (a, b) in enumerate(segments):
+        adjacency.setdefault(_key(a), []).append(index)
+        adjacency.setdefault(_key(b), []).append(index)
+    used = [False] * len(segments)
+    polylines = []
+    for start in range(len(segments)):
+        if used[start]:
+            continue
+        used[start] = True
+        a, b = segments[start]
+        chain = [a, b]
+        for grow_end in (True, False):
+            while True:
+                tip = chain[-1] if grow_end else chain[0]
+                candidates = [i for i in adjacency.get(_key(tip), []) if not used[i]]
+                if not candidates:
+                    break
+                index = candidates[0]
+                used[index] = True
+                pa, pb = segments[index]
+                nxt = pb if _key(pa) == _key(tip) else pa
+                if grow_end:
+                    chain.append(nxt)
+                else:
+                    chain.insert(0, nxt)
+        polylines.append(chain)
+    return polylines
 
 
 # Five-stop colormap of the scalar _color below.

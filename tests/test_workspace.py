@@ -29,6 +29,7 @@ from tapearm.workspace import (
     compute_grid,
     feasibility_mask,
     feasible_theta_interval,
+    grid_centers,
     grid_to_csv,
     ik_at_theta,
     min_end_effector_angle,
@@ -277,6 +278,19 @@ def test_compute_grid_mirror_symmetry():
     mirrored = -grid.min_angle[:, ::-1]
     both = grid.reachable & flipped_reach
     assert np.array_equal(grid.min_angle[both], mirrored[both])
+
+
+@pytest.mark.parametrize("lo, hi, n, resolution", [
+    (-2.0, 2.0, 80, 0.05), (-2.0, 2.0, 400_000, 1e-5), (0.0, 2.0, 200, 0.01),
+    (-1.005, 1.005, 201, 0.01), (-0.3, 0.3, 300, 0.002), (0.1, 0.7, 7, 0.0857),
+    (0.0, 0.0, 0, 0.1), (0.5, 0.5, 1, 0.1)])
+def test_grid_centers_match_per_point_loop(lo, hi, n, resolution):
+    center = 0.5 * (lo + hi)
+    expected = [center + (i - 0.5 * (n - 1)) * resolution for i in range(n)]
+    got = grid_centers(lo, hi, n, resolution)
+    assert got.dtype == np.float64 and got.tobytes() == np.array(expected, float).tobytes()
+    # mirrored bounds give exactly mirrored centers
+    assert (-grid_centers(-hi, -lo, n, resolution)[::-1]).tolist() == expected
 
 
 def test_compute_grid_determinism_and_edge_cases():
