@@ -26,6 +26,10 @@ BOUND_EPS = 1e-12
 # within rounding of the boundary still map to a bend angle.
 CABLE_RANGE_SLACK = 1e-9
 
+# The text of a Violation: str.format fills in its bound and limit, and then
+# % its value and margin.
+_VIOLATION_TEXT = "{}[value=%.9g limit={:.9g} margin=%.3g]"
+
 # Number of tapes forming the backbone (back-to-back pair).
 TAPE_COUNT = 2
 
@@ -60,8 +64,7 @@ class Violation:
     margin: float
 
     def __str__(self) -> str:
-        return (f"{self.bound}[value={self.value:.9g} "
-                f"limit={self.limit:.9g} margin={self.margin:.3g}]")
+        return _VIOLATION_TEXT.format(self.bound, self.limit) % (self.value, self.margin)
 
 
 def _require_positive(obj, *names):
@@ -191,20 +194,49 @@ class CablePair:
         _require_positive(self, "c_L", "c_R")
 
 
+# The bounds of a joint state, in validate_state's order: each one's name,
+# which is the ManipulatorParams field of its limit, the value it bounds, read
+# from (l1, l2, theta), and its margin, how far inside the limit that value
+# sits. _bound_tests holds their tests, in the same order.
+_BOUNDS = (
+    ("l1_min", lambda l1, l2, theta: l1, lambda value, limit: value - limit),
+    ("l2_min", lambda l1, l2, theta: l2, lambda value, limit: value - limit),
+    ("max_total_length", lambda l1, l2, theta: l1 + l2, lambda value, limit: limit - value),
+    ("theta_limit", lambda l1, l2, theta: theta, lambda value, limit: limit - abs(value)),
+)
+
+
+def _bound_tests(l1, l2, theta, params: ManipulatorParams, length_tol: float = 0.0,
+                 angle_tol: float = BOUND_EPS) -> tuple:
+    """Whether a state lies inside each bound of _BOUNDS, in its order, with
+    within_bounds' slack: bools for floats, and masks for numpy arrays."""
+    return ((l1 >= params.l1_min - length_tol - BOUND_EPS) & (l1 >= -BOUND_EPS),
+            (l2 >= params.l2_min - length_tol - BOUND_EPS) & (l2 >= -BOUND_EPS),
+            l1 + l2 <= params.max_total_length + length_tol + BOUND_EPS,
+            abs(theta) <= params.theta_limit + angle_tol)
+
+
 def within_bounds(l1, l2, theta, params: ManipulatorParams, length_tol: float = 0.0,
                   angle_tol: float = BOUND_EPS):
     """True where a state lies inside every bound of ``params``.
 
     The length bounds get ``length_tol`` slack, but the lower ones stop at
     zero length, and the hinge limit gets ``angle_tol``; the defaults are
-    validate_state's bounds. One expression of comparisons joined with ``&``,
-    so floats give a bool and numpy arrays an elementwise mask. NaN is
-    outside every bound, and so is an infinite length.
+    validate_state's bounds. The tests are comparisons joined with ``&``, so
+    floats give a bool and numpy arrays an elementwise mask. NaN is outside
+    every bound, and so is an infinite length.
     """
-    return ((l1 >= params.l1_min - length_tol - BOUND_EPS) & (l1 >= -BOUND_EPS)
-            & (l2 >= params.l2_min - length_tol - BOUND_EPS) & (l2 >= -BOUND_EPS)
-            & (l1 + l2 <= params.max_total_length + length_tol + BOUND_EPS)
-            & (abs(theta) <= params.theta_limit + angle_tol))
+    l1_min, l2_min, total, theta_limit = _bound_tests(l1, l2, theta, params, length_tol,
+                                                      angle_tol)
+    return l1_min & l2_min & total & theta_limit
+
+
+def _named_bounds(l1, l2, theta, params: ManipulatorParams):
+    """Each bound of _BOUNDS, in its order, at a state: (name, limit, inside,
+    value, margin), for floats as for numpy arrays."""
+    for (name, read, margin), inside in zip(_BOUNDS, _bound_tests(l1, l2, theta, params)):
+        value, limit = read(l1, l2, theta), getattr(params, name)
+        yield name, limit, inside, value, margin(value, limit)
 
 
 def validate_state(state: JointState, params: ManipulatorParams) -> list[Violation]:
@@ -213,20 +245,8 @@ def validate_state(state: JointState, params: ManipulatorParams) -> list[Violati
     Violations are returned (one entry per failed bound, naming the bound and
     the negative margin), never raised.
     """
-    l1, l2 = state.l1, state.l2
-    violations = []
-    if l1 < params.l1_min - BOUND_EPS:
-        violations.append(Violation("l1_min", l1, params.l1_min, l1 - params.l1_min))
-    if l2 < params.l2_min - BOUND_EPS:
-        violations.append(Violation("l2_min", l2, params.l2_min, l2 - params.l2_min))
-    total = l1 + l2
-    if total > params.max_total_length + BOUND_EPS:
-        violations.append(Violation("max_total_length", total, params.max_total_length,
-                                    params.max_total_length - total))
-    if abs(state.theta) > params.theta_limit + BOUND_EPS:
-        violations.append(Violation("theta_limit", state.theta, params.theta_limit,
-                                    params.theta_limit - abs(state.theta)))
-    return violations
+    return [Violation(name, value, limit, margin) for name, limit, inside, value, margin
+            in _named_bounds(state.l1, state.l2, state.theta, params) if not inside]
 
 
 def forward_kinematics(state: JointState, params: ManipulatorParams | None = None) -> Pose:
@@ -236,15 +256,11 @@ def forward_kinematics(state: JointState, params: ManipulatorParams | None = Non
     is given the state is validated first and a ConstraintViolationError
     listing every violated bound is raised for invalid states.
     """
-    if params is not None:
-        violations = validate_state(state, params)
-        if violations:
-            raise ConstraintViolationError(violations)
-    return Pose(
-        x=state.l2 * math.sin(state.theta),
-        y=state.l1 + state.l2 * math.cos(state.theta),
-        phi=state.theta,
-    )
+    if params is not None and not within_bounds(state.l1, state.l2, state.theta, params):
+        raise ConstraintViolationError(validate_state(state, params))
+    # positional fields: keywords cost a dataclass __init__ about 150 ns a call
+    l1, l2, theta = state.l1, state.l2, state.theta
+    return Pose(l2 * math.sin(theta), l1 + l2 * math.cos(theta), theta)
 
 
 def link_lengths(control: ControlState) -> tuple[float, float]:

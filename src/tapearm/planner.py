@@ -10,7 +10,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import ControlState, JointState, ManipulatorParams, cable_lengths, forward_kinematics
+from .model import (
+    ControlState,
+    JointState,
+    ManipulatorParams,
+    cable_lengths,
+    forward_kinematics,
+    validate_state,
+    within_bounds,
+)
 from .workspace import STRAIGHT_X_TOL, feasible_theta_interval, ik_at_theta
 
 
@@ -144,20 +152,25 @@ def plan_trajectory(waypoints, params: ManipulatorParams,
     """Piecewise-constant-rate profile visiting the waypoints in order.
 
     Waypoints are poses (solved by ik_at_theta at their phi) or explicit
-    joint states; the first waypoint is the start. Each leg runs all four
-    actuators together at constant rates, stretched to the slowest-admissible
-    duration and rounded up to a whole number of ``dt`` steps, at least one,
-    so a simulator can replay the profile exactly. Cable rates come from the
+    joint states, which must lie inside the bounds of ``params``; the first
+    waypoint is the start. Each leg runs all four actuators together at
+    constant rates, stretched to the slowest-admissible duration and rounded
+    up to a whole number of ``dt`` steps, at least one, so a simulator can
+    replay the profile exactly. Cable rates come from the
     endpoint cable lengths, so the bend angle arrives exactly even though it
     evolves nonlinearly along the leg. Legs between waypoints with equal
     orientation reduce to the constant-angle cable law. Coincident waypoints
-    produce no segment.
+    produce no segment. A leg whose ends lie inside the bounds stays inside
+    them: l1, l2 and l1 + l2 are affine in time along it, and theta monotone.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
     states = []
     for index, waypoint in enumerate(waypoints):
         if isinstance(waypoint, JointState):
+            if not within_bounds(waypoint.l1, waypoint.l2, waypoint.theta, params):
+                raise PlanningError(f"waypoint {index} is outside the bounds: "
+                                    + "; ".join(map(str, validate_state(waypoint, params))))
             states.append(waypoint)
             continue
         state = ik_at_theta((waypoint.x, waypoint.y), waypoint.phi, params)

@@ -25,17 +25,20 @@ import numpy as np
 
 from .csvtext import BLOCK_FLOATS, BlockText
 from .model import (
+    _BOUNDS,
+    _VIOLATION_TEXT,
     CABLE_RANGE_SLACK,
     DEFAULT_PARAMS,
     CablePair,
     ControlState,
     JointState,
     ManipulatorParams,
+    Violation,
+    _named_bounds,
     cable_lengths,
     forward_kinematics,
     link_lengths,
     theta_from_cables,
-    validate_state,
     within_bounds,
 )
 from .planner import (
@@ -59,7 +62,7 @@ LOG_COLUMNS = ("t", "q1", "q2", "cL", "cR", "l1", "l2", "theta", "x", "y", "eq3_
 # Columns whose finite segment end shows that the rates did not overflow.
 _STATE_COLUMNS = [LOG_COLUMNS.index(name)
                   for name in ("q1", "q2", "cL", "cR", "l1", "l2", "x", "y")]
-_JOINT = slice(LOG_COLUMNS.index("l1"), LOG_COLUMNS.index("theta") + 1)  # validate_state's
+_JOINT = slice(LOG_COLUMNS.index("l1"), LOG_COLUMNS.index("theta") + 1)  # what the bounds read
 
 # Largest log a scenario may produce, in rows (the initial row included; about
 # 19x perfbench's 53k-row replay), so time and memory stay bounded; checked
@@ -191,7 +194,7 @@ class LogRows(Sequence):
     ``values`` is a read-only float64 array with one row per name in
     LOG_COLUMNS and one column per logged instant; ``outside`` is a read-only
     bool array, true for each row outside a bound of ``params``. A LogRow,
-    with validate_state's violations for such a row, is built only when read.
+    with the violations of such a row, is built only when read.
     """
 
     values: np.ndarray
@@ -202,7 +205,7 @@ class LogRows(Sequence):
     def violations(self) -> dict:
         """The violations of each row outside a bound, keyed by row index."""
         marked = np.flatnonzero(self.outside)
-        return dict(zip(marked.tolist(), _name_violations(self, marked)))
+        return dict(zip(marked.tolist(), map(tuple, _name_violations(self, marked))))
 
     def column(self, name: str):
         """The float64 array of one LOG_COLUMNS column, one entry per row."""
@@ -215,7 +218,7 @@ class LogRows(Sequence):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
         index = range(len(self))[index]  # negative indices and IndexError as for a list
-        violations = _name_violations(self, [index])[0] if self.outside[index] else ()
+        violations = tuple(_name_violations(self, [index])[0]) if self.outside[index] else ()
         return LogRow(*self.values[:, index].tolist(), violations)
 
     def __eq__(self, other):
@@ -228,10 +231,23 @@ class LogRows(Sequence):
         return f"<LogRows: {len(self)} rows, {np.count_nonzero(self.outside)} with violations>"
 
 
-def _name_violations(rows: LogRows, index) -> list[tuple]:
-    """validate_state's violations of the rows at ``index``, from their l1, l2 and theta."""
-    return [tuple(validate_state(JointState(*state), rows.params))
-            for state in zip(*rows.values[_JOINT, index].tolist())]
+def _violations(bound, limit, values, margins) -> list:
+    return [Violation(bound, value, limit, margin) for value, margin in zip(values, margins)]
+
+
+def _name_violations(rows: LogRows, index, name=_violations) -> list[list]:
+    """For each row at ``index``, what name(bound, limit, values, margins) makes
+    of each bound the row breaks, in model._BOUNDS order: by default its
+    Violation. Each bound is tested with one mask over the rows' l1, l2 and
+    theta, and named with the values and margins of the rows that break it."""
+    joint = rows.values[_JOINT, index]
+    named = [[] for _ in range(joint.shape[1])]
+    for bound, limit, inside, values, margins in _named_bounds(*joint, rows.params):
+        at = np.flatnonzero(~inside)
+        for row, item in zip(at.tolist(), name(bound, limit, values[at].tolist(),
+                                                 margins[at].tolist())):
+            named[row].append(item)
+    return named
 
 
 @dataclass
@@ -380,9 +396,17 @@ def log_to_csv(log: TrajectoryLog, fh) -> None:
     """Write the run log, with the standard column header, to the open text file ``fh``.
 
     Every float is its shortest round-trip ``repr``, byte for byte, from
-    ``csvtext.BlockText``, BLOCK_FLOATS floats and one write per block.
+    ``csvtext.BlockText``, BLOCK_FLOATS floats and one write per block. A
+    marked row's violations are formatted per bound, straight from the columns.
     """
     rows = log.rows
+    # each bound's text, its limit formatted once
+    fills = {bound: _VIOLATION_TEXT.format(bound, getattr(rows.params, bound)).__mod__
+             for bound, _, _ in _BOUNDS}
+
+    def violation_texts(bound, limit, values, margins):
+        return map(fills[bound], zip(values, margins))
+
     text = BlockText()
     fh.write(LOG_CSV_HEADER + "\n")
     block_rows = BLOCK_FLOATS // len(LOG_COLUMNS)
@@ -391,8 +415,9 @@ def log_to_csv(log: TrajectoryLog, fh) -> None:
         count = block.shape[1]
         texts = [""] * count
         marked = np.flatnonzero(rows.outside[first:first + count])
-        for row, violations in zip(marked.tolist(), _name_violations(rows, first + marked)):
-            texts[row] = ";".join(map(str, violations))
+        named = _name_violations(rows, first + marked, violation_texts) if marked.size else ()
+        for row, violations in zip(marked.tolist(), named):
+            texts[row] = ";".join(violations)
         texts = np.array(texts, dtype=bytes).view(np.uint8).reshape(count, -1)
         fh.write(text.join_cells(text.float_cells(block.T).reshape(count, -1), texts, _NEWLINE))
 

@@ -373,6 +373,15 @@ _EXIT_CODE_TABLE = [
      ["--params", "{dir}/input.json", "demo", "multi-config-same-target"], 2),
     ("demo-in-reach", '{"l1_min_m": 0.9}',
      ["--params", "{dir}/input.json", "demo", "stationary-bend"], 0),
+    # and parameters that put one of its joint-state waypoints outside a bound
+    ("demo-waypoint-over-length-budget", '{"max_total_length_m": 0.5}',
+     ["--params", "{dir}/input.json", "demo", "deploy-and-bend"], 2),
+    ("demo-waypoint-past-hinge-limit", '{"theta_limit_rad": 0.1}',
+     ["--params", "{dir}/input.json", "demo", "deploy-and-bend"], 2),
+    ("demo-waypoint-under-l2-min", '{"l2_min_m": 0.5}',
+     ["--params", "{dir}/input.json", "demo", "deploy-and-bend"], 2),
+    ("demo-waypoints-inside", '{"l1_min_m": 0.9}',
+     ["--params", "{dir}/input.json", "demo", "deploy-and-bend"], 0),
     # a scenario file carries its own parameters, so simulate reads no --params
     ("simulate-reads-no-params", _SCENARIO % ("0.01", "1.0", "{}", "[]"),
      ["--params", "{dir}/absent.json", "simulate", "{dir}/input.json"], 0),
@@ -445,6 +454,12 @@ _EXIT_STDERR = {
                                 "reach under these parameters\n",
     "demo-sweep-out-of-reach": "error: demo 'multi-config-same-target': (0.076, 0.686) m is "
                                "out of reach under these parameters\n",
+    "demo-waypoint-over-length-budget": "error: waypoint 1 is outside the bounds: "
+                                        "max_total_length[value=0.68 limit=0.5 margin=-0.18]\n",
+    "demo-waypoint-past-hinge-limit": "error: waypoint 3 is outside the bounds: theta_limit["
+                                      "value=0.523598776 limit=0.1 margin=-0.424]\n",
+    "demo-waypoint-under-l2-min": "error: waypoint 0 is outside the bounds: "
+                                  "l2_min[value=0.004 limit=0.5 margin=-0.496]\n",
     "start-cables-out-of-range": "error: bad scenario file: cable differential 0.2 m is "
                                  "outside the +/-0.06 m range",
     "start-cables-inconsistent": "error: initial state is inconsistent: ",
@@ -459,6 +474,8 @@ _EXIT_STDOUT = {"cables-invalid-state": "violation: theta_limit"}
 # rows that must fail before any run or grid is computed
 _NOTHING_COMPUTED = {"output-directory-is-a-file", "output-directory-below-a-file",
                      "demo-target-out-of-reach", "demo-sweep-out-of-reach",
+                     "demo-waypoint-over-length-budget", "demo-waypoint-past-hinge-limit",
+                     "demo-waypoint-under-l2-min",
                      *(case for case, *_ in _EXIT_CODE_TABLE if case.startswith("check-"))}
 
 

@@ -1,0 +1,73 @@
+"""Golden sha256 digests of the bundled demos' outputs at the default
+parameters, and of the CSV of a log whose every row breaks three bounds.
+
+A digest holds exact bytes, and float text and libm results may differ from
+one platform to the next, so each platform has its own digests, keyed by
+``sys.platform``, ``platform.machine()`` and ``platform.libc_ver()``. On a
+platform with none recorded the test skips and names its key. To record this
+platform's digests, or to update them after an intended output change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from tapearm.cli import main
+from tapearm.simulator import DEMOS, log_to_csv, run_scenario
+from test_simulator import _outside_scenario
+
+DIGESTS = Path(__file__).parent / "golden" / "digests.json"
+KEY = "-".join((sys.platform, platform.machine(), *platform.libc_ver()))
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def current_digests(work: Path) -> dict:
+    """The digest of each output, by name: each demo's exit code and stdout
+    (with ``work`` as <out>) and each file it writes under ``work``, and the
+    all-violations log's CSV."""
+    digests = {}
+    for name in DEMOS:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(["--out", str(work / name), "demo", name])
+        text = f"exit {code}\n" + stdout.getvalue().replace(str(work), "<out>")
+        digests[f"{name}/stdout"] = _sha256(text.encode())
+        for path in sorted((work / name).iterdir()):
+            digests[f"{name}/{path.name}"] = _sha256(path.read_bytes())
+    log = run_scenario(_outside_scenario())
+    assert log.rows.outside.all()
+    csv = io.StringIO()
+    log_to_csv(log, csv)
+    digests["outside_log.csv"] = _sha256(csv.getvalue().encode())
+    return digests
+
+
+def test_outputs_keep_their_golden_digests(tmp_path):
+    recorded = json.loads(DIGESTS.read_text())
+    if KEY not in recorded:
+        pytest.skip(f"no golden digests recorded for platform key {KEY!r} in {DIGESTS.name}")
+    digests = current_digests(tmp_path)
+    assert sorted(digests) == sorted(recorded[KEY])
+    changed = [name for name in digests if digests[name] != recorded[KEY][name]]
+    assert not changed, f"outputs whose bytes changed: {changed}"
+
+
+if __name__ == "__main__":
+    recorded = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    with tempfile.TemporaryDirectory() as work:
+        recorded[KEY] = current_digests(Path(work))
+    DIGESTS.parent.mkdir(exist_ok=True)
+    DIGESTS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(recorded[KEY])} digests for {KEY} to {DIGESTS}")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tapearm.model import (
@@ -17,6 +17,7 @@ from tapearm.model import (
     ManipulatorParams,
     Pose,
     TapeProperties,
+    Violation,
     cable_lengths,
     extension_ratio,
     forward_kinematics,
@@ -176,6 +177,15 @@ def test_validate_state_reports_margins():
     violations = validate_state(JointState(0.05, 0.5, 0.0), DEFAULT_PARAMS)
     assert [v.bound for v in violations] == ["l1_min"]
     assert violations[0].margin == pytest.approx(-0.026)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(["l1_min", "theta_limit"]), st.floats(), st.floats(), st.floats())
+@example("l1_min", -0.0, 0.0, math.nan)
+@example("max_total_length", math.inf, 2.0, -math.inf)
+def test_violation_text_is_its_fields_in_g_format(bound, value, limit, margin):
+    assert str(Violation(bound, value, limit, margin)) == (
+        f"{bound}[value={value:.9g} limit={limit:.9g} margin={margin:.3g}]")
 
 
 def _feasible_reference(l1, l2, theta, params, length_tol, angle_tol):

@@ -201,6 +201,19 @@ def test_plan_trajectory_unreachable_waypoint():
         plan_trajectory([Pose(0.0, 0.5, 0.0), Pose(1.9, 0.1, math.radians(40.0))], PARAMS)
 
 
+def test_plan_trajectory_refuses_a_joint_state_outside_the_bounds():
+    inside = JointState(0.3, 0.4, 0.0)
+    # every bound the waypoint breaks is named, as validate_state names it
+    with pytest.raises(PlanningError, match=r"^waypoint 1 is outside the bounds: "
+                       r"l1_min\[value=0\.05 limit=0\.076 margin=-0\.026\]; "
+                       r"theta_limit\[value=1 limit=0\.959931089 margin=-0\.0401\]$"):
+        plan_trajectory([inside, JointState(0.05, 0.4, 1.0)], PARAMS)
+    # a waypoint on a bound, within BOUND_EPS, is inside it
+    on_bounds = JointState(PARAMS.l1_min, PARAMS.max_total_length - PARAMS.l1_min,
+                           -PARAMS.theta_limit)
+    assert len(plan_trajectory([inside, on_bounds], PARAMS).segments) == 1
+
+
 def test_plan_trajectory_replay_hits_waypoints():
     from tapearm.simulator import Scenario, run_scenario, initial_state
 

@@ -22,6 +22,7 @@ from tapearm.model import (
     ControlState,
     JointState,
     ManipulatorParams,
+    Violation,
     validate_state,
 )
 from tapearm.planner import ControlProfile, PlanningError, RateCommand, control_from_state
@@ -54,6 +55,29 @@ PARAMS = DEFAULT_PARAMS
 
 # --- reference loop: the per-row simulator the columnar one replaces -------
 
+def _violations_loop(l1, l2, theta, params):
+    """The Violations of one state, from the four bound tests written out one by
+    one, apart from model's bound table, so that an error there cannot pass both
+    sides."""
+    violations = []
+    if l1 < params.l1_min - BOUND_EPS:
+        violations.append(Violation("l1_min", l1, params.l1_min, l1 - params.l1_min))
+    if l2 < params.l2_min - BOUND_EPS:
+        violations.append(Violation("l2_min", l2, params.l2_min, l2 - params.l2_min))
+    total = l1 + l2
+    if total > params.max_total_length + BOUND_EPS:
+        violations.append(Violation("max_total_length", total, params.max_total_length,
+                                    params.max_total_length - total))
+    if abs(theta) > params.theta_limit + BOUND_EPS:
+        violations.append(Violation("theta_limit", theta, params.theta_limit,
+                                    params.theta_limit - abs(theta)))
+    return tuple(violations)
+
+
+def _violation_text_loop(v):
+    return f"{v.bound}[value={v.value:.9g} limit={v.limit:.9g} margin={v.margin:.3g}]"
+
+
 def _evaluate_segment_loop(start, rates, t_rels, datum, params):
     t0, q1_0, q2_0, cL_0, cR_0 = start
     q1_rate, q2_rate, cL_rate, cR_rate = rates
@@ -83,7 +107,7 @@ def _evaluate_segment_loop(start, rates, t_rels, datum, params):
         # rows with a non-finite length are left to the segment-end check
         if math.isfinite(l1) and math.isfinite(l2) and (
                 l1 < l1_floor or l2 < l2_floor or total > total_cap or abs(theta) > theta_cap):
-            violations = tuple(validate_state(JointState(l1, l2, theta), params))
+            violations = _violations_loop(l1, l2, theta, params)
         else:
             violations = ()
         yield LogRow(t0 + t_rel, q1, q2, cL, cR, l1, l2, theta,
@@ -173,10 +197,13 @@ def _run_scenario_loop(scenario):
     return rows, checks, boundary_indices, abort
 
 
-def _log_csv_loop(rows):
+def _log_csv_loop(rows, params, marked):
+    """The CSV of ``rows``, naming the violations of each ``marked`` row with
+    _violations_loop."""
     lines = [LOG_CSV_HEADER + "\n"]
-    for row in rows:
-        violations = ";".join(str(v) for v in row.violations)
+    for row, mark in zip(rows, marked):
+        violations = ";".join(map(_violation_text_loop, _violations_loop(
+            row.l1, row.l2, row.theta, params) if mark else ()))
         fields = [repr(value) for value in
                   (row.t, row.q1, row.q2, row.cL, row.cR, row.l1, row.l2,
                    row.theta, row.x, row.y, row.eq3_residual)]
@@ -378,18 +405,25 @@ def test_builtin_scenarios_all_pass():
         assert log.all_passed, f"{name}: {[c.detail for c in log.checks if not c.passed]}"
 
 
-# Parameters that put some demos' waypoints out of reach, and those demos.
-@pytest.mark.parametrize("overrides, out_of_reach", [
-    ({"l1_min": 0.9}, {"reach-two-targets", "multi-config-same-target"}),
-    ({"max_total_length": 0.5}, {"reach-two-targets", "multi-config-same-target"}),
-    ({"theta_limit": 0.1}, {"reach-two-targets", "multi-config-same-target"}),
-    ({"l2_min": 0.5}, {"multi-config-same-target"}),
+# Parameters that put some demos' pose waypoints out of reach, and those
+# demos, and the demos whose joint-state waypoints they put outside a bound.
+@pytest.mark.parametrize("overrides, out_of_reach, outside", [
+    ({"l1_min": 0.9}, {"reach-two-targets", "multi-config-same-target"}, set()),
+    ({"max_total_length": 0.5}, {"reach-two-targets", "multi-config-same-target"},
+     {"deploy-and-bend"}),
+    ({"theta_limit": 0.1}, {"reach-two-targets", "multi-config-same-target"},
+     {"deploy-and-bend"}),
+    ({"l2_min": 0.5}, {"multi-config-same-target"}, {"deploy-and-bend"}),
 ])
-def test_demo_out_of_reach_raises_a_planning_error_and_the_rest_pass(overrides, out_of_reach):
+def test_demo_out_of_reach_raises_a_planning_error_and_the_rest_pass(overrides, out_of_reach,
+                                                                      outside):
     params = dataclasses.replace(DEFAULT_PARAMS, **overrides)
     for name, build in simulator.DEMOS.items():
         if name in out_of_reach:
             with pytest.raises(PlanningError, match=f"^demo '{name}': .* m is out of reach"):
+                build(params)
+        elif name in outside:
+            with pytest.raises(PlanningError, match=r"^waypoint \d is outside the bounds: "):
                 build(params)
         else:
             log = run_scenario(build(params))
@@ -618,18 +652,20 @@ def test_log_csv_blocks_of_every_kind_reuse_one_working_set():
     assert [len(rows[row].violations) for row in marked.tolist()] == list(marked % 2 + 1)
     fh = io.StringIO()
     log_to_csv(TrajectoryLog("blocks", rows, [], []), fh)
-    assert_same_text(fh.getvalue(), _log_csv_loop(rows))
+    assert_same_text(fh.getvalue(), _log_csv_loop(rows, PARAMS, outside))
 
 
-def _counted_validate_state(monkeypatch):
-    """The list of states that simulator.validate_state is called with from now on."""
+def _counted_naming(monkeypatch):
+    """The number of rows that each call of simulator._name_violations, the one
+    path that names violations, names from now on."""
     calls = []
+    name_violations = simulator._name_violations
 
-    def counted(state, params):
-        calls.append(state)
-        return validate_state(state, params)
+    def counted(rows, index, *name):
+        calls.append(len(index))
+        return name_violations(rows, index, *name)
 
-    monkeypatch.setattr(simulator, "validate_state", counted)
+    monkeypatch.setattr(simulator, "_name_violations", counted)
     return calls
 
 
@@ -644,14 +680,16 @@ def _outside_scenario(params=PARAMS):
 
 def test_run_scenario_derives_violations_only_when_read(monkeypatch):
     # every row breaks l1_min, max_total_length and theta_limit: the run marks
-    # them and validate_state names the violations when the rows are read
-    calls = _counted_validate_state(monkeypatch)
+    # them, and the violations are named from the columns when the rows are read
+    calls = _counted_naming(monkeypatch)
     log = run_scenario(_outside_scenario())
     assert len(log.rows) == 2001 and log.all_passed
     assert repr(log.rows) == "<LogRows: 2001 rows, 2001 with violations>"
     assert calls == []
     violations = log.rows.violations
-    assert len(calls) == 2001
+    assert calls == [2001]
+    assert log.rows[7].violations == violations[7]
+    assert calls == [2001, 1]
     assert [[v.bound for v in row] for row in violations.values()] == (
         [["l1_min", "max_total_length", "theta_limit"]] * 2001)
 
@@ -688,7 +726,7 @@ def test_log_rows_equality_names_no_violations(monkeypatch):
     rows, again = run_scenario(_outside_scenario()).rows, run_scenario(_outside_scenario()).rows
     # the same bounds, so the same values and violations, under other params
     heavier = run_scenario(_outside_scenario(dataclasses.replace(PARAMS, node_mass=1.0))).rows
-    calls = _counted_validate_state(monkeypatch)
+    calls = _counted_naming(monkeypatch)
     assert rows == again and rows != heavier
     assert np.array_equal(rows.values, heavier.values)
     assert calls == []
@@ -797,7 +835,8 @@ def test_columnar_log_matches_reference_loop(scenario):
             == [(c.check, c.passed, c.observed.hex(), c.threshold, c.detail) for c in checks])
     fh = io.StringIO()
     log_to_csv(log, fh)
-    assert_same_text(fh.getvalue(), _log_csv_loop(rows))
+    assert_same_text(fh.getvalue(), _log_csv_loop(rows, scenario.params,
+                                                  [bool(row.violations) for row in rows]))
 
 
 # --- violations derived from the log's columns -------------------------------
@@ -860,6 +899,16 @@ _DEFAULT_COMBINATIONS = [(0.5, 0.5), (0.05, 0.5), (0.5, -0.1), (1.5, 1.0), (0.05
 # both minimum lengths and the budget at once
 @example((ManipulatorParams(l1_min=1.5, l2_min=1.0, max_total_length=2.0),
           [1.4, 1.4, 1.6, -0.0], [0.9, 0.9, 1.1, -math.inf], [0.1, 1.6, -0.0, 2.0]))
+# -0.0 lengths, infinite lengths (left unmarked) and a NaN angle (whose cables
+# log the clamped angle pi)
+@example((PARAMS, *zip((-0.0, -0.0, 0.1), (0.5, -0.0, -0.0), (math.inf, 0.5, 0.1),
+                       (0.5, -math.inf, 0.1), (-math.inf, math.inf, 0.1), (0.5, 0.5, math.nan))))
+# each bound's limit, limit -/+ BOUND_EPS, and one ulp either side of each
+@example((PARAMS, *zip(*[(v, 0.5, 0.1) for v in _edges(PARAMS.l1_min)]
+                       + [(0.5, v, 0.1) for v in _edges(PARAMS.l2_min)]
+                       + [(0.5, v - 0.5, 0.1) for v in _edges(PARAMS.max_total_length)]
+                       + [(0.5, 0.5, sign * v) for v in _edges(PARAMS.theta_limit)
+                          for sign in (1.0, -1.0)])))
 def test_violations_are_validate_states_of_the_logged_columns(columns):
     params = columns[0]
     rows = _bound_log(*columns)
@@ -868,6 +917,7 @@ def test_violations_are_validate_states_of_the_logged_columns(columns):
         finite = math.isfinite(l1) and math.isfinite(l2)
         expected.append(tuple(validate_state(JointState(l1, l2, theta), params))
                         if finite else ())
+        assert expected[-1] == (_violations_loop(l1, l2, theta, params) if finite else ())
     assert [row.violations for row in rows] == expected
     assert rows.violations == {i: found for i, found in enumerate(expected) if found}
     assert rows.outside.tolist() == [bool(found) for found in expected]
