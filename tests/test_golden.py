@@ -1,5 +1,7 @@
 """Golden sha256 digests of the bundled demos' outputs at the default
-parameters, and of the CSV of a log whose every row breaks three bounds.
+parameters, of ``tapearm simulate`` on the replay-style scenario file
+``golden/replay.json`` (2988 rows; three visits_target checks, a target_held
+and a target), and of the CSV of a log whose every row breaks three bounds.
 
 A digest holds exact bytes, and float text and libm results may differ from
 one platform to the next, so each platform has its own digests, keyed by
@@ -26,6 +28,7 @@ from tapearm.simulator import DEMOS, log_to_csv, run_scenario
 from test_simulator import _outside_scenario
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
+REPLAY = Path(__file__).parent / "golden" / "replay.json"
 KEY = "-".join((sys.platform, platform.machine(), *platform.libc_ver()))
 
 
@@ -34,14 +37,16 @@ def _sha256(data: bytes) -> str:
 
 
 def current_digests(work: Path) -> dict:
-    """The digest of each output, by name: each demo's exit code and stdout
-    (with ``work`` as <out>) and each file it writes under ``work``, and the
-    all-violations log's CSV."""
+    """The digest of each output, by name: each demo's and the replay
+    simulation's exit code and stdout (with ``work`` as <out>) and each file
+    it writes under ``work``, and the all-violations log's CSV."""
     digests = {}
-    for name in DEMOS:
+    commands = {name: ["demo", name] for name in DEMOS}
+    commands["simulate-replay"] = ["simulate", str(REPLAY)]
+    for name, command in commands.items():
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
-            code = main(["--out", str(work / name), "demo", name])
+            code = main(["--out", str(work / name), *command])
         text = f"exit {code}\n" + stdout.getvalue().replace(str(work), "<out>")
         digests[f"{name}/stdout"] = _sha256(text.encode())
         for path in sorted((work / name).iterdir()):
