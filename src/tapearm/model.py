@@ -206,12 +206,19 @@ _BOUNDS = (
 )
 
 
+def _length_floor(limit: float, length_tol: float) -> float:
+    """The shortest length a lower length bound admits under ``length_tol``
+    slack: ``limit - length_tol``, but never below zero."""
+    floor = limit - length_tol
+    return floor if floor > 0.0 else 0.0
+
+
 def _bound_tests(l1, l2, theta, params: ManipulatorParams, length_tol: float = 0.0,
                  angle_tol: float = BOUND_EPS) -> tuple:
     """Whether a state lies inside each bound of _BOUNDS, in its order, with
     within_bounds' slack: bools for floats, and masks for numpy arrays."""
-    return ((l1 >= params.l1_min - length_tol - BOUND_EPS) & (l1 >= -BOUND_EPS),
-            (l2 >= params.l2_min - length_tol - BOUND_EPS) & (l2 >= -BOUND_EPS),
+    return (l1 >= _length_floor(params.l1_min, length_tol) - BOUND_EPS,
+            l2 >= _length_floor(params.l2_min, length_tol) - BOUND_EPS,
             l1 + l2 <= params.max_total_length + length_tol + BOUND_EPS,
             abs(theta) <= params.theta_limit + angle_tol)
 

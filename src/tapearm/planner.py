@@ -147,6 +147,14 @@ def control_from_state(state: JointState) -> ControlState:
     return ControlState(q1=0.0, q2=0.0, l1_0=state.l1, l2_0=state.l2)
 
 
+def _require_within_bounds(state: JointState, params: ManipulatorParams, what: str) -> None:
+    """Raise PlanningError, naming ``what`` and the validate_state text of each
+    broken bound, if ``state`` lies outside the bounds of ``params``."""
+    if not within_bounds(state.l1, state.l2, state.theta, params):
+        raise PlanningError(f"{what} is outside the bounds: "
+                            + "; ".join(map(str, validate_state(state, params))))
+
+
 def plan_trajectory(waypoints, params: ManipulatorParams,
                     limits: SpeedLimits = SpeedLimits(), dt: float = 0.01) -> ControlProfile:
     """Piecewise-constant-rate profile visiting the waypoints in order.
@@ -168,9 +176,7 @@ def plan_trajectory(waypoints, params: ManipulatorParams,
     states = []
     for index, waypoint in enumerate(waypoints):
         if isinstance(waypoint, JointState):
-            if not within_bounds(waypoint.l1, waypoint.l2, waypoint.theta, params):
-                raise PlanningError(f"waypoint {index} is outside the bounds: "
-                                    + "; ".join(map(str, validate_state(waypoint, params))))
+            _require_within_bounds(waypoint, params, f"waypoint {index}")
             states.append(waypoint)
             continue
         state = ik_at_theta((waypoint.x, waypoint.y), waypoint.phi, params)

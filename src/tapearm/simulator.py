@@ -45,6 +45,7 @@ from .planner import (
     ControlProfile,
     PlanningError,
     RateCommand,
+    _require_within_bounds,
     control_from_state,
     plan_trajectory,
     stationary_bend_rates,
@@ -441,28 +442,52 @@ def _parse_radians(arg: str) -> float:
                          f"got {arg!r}") from None
 
 
-# A per-row quantity(rows, arg, at) is evaluated on the rows at ``at``; a
-# reduction is (at, combine), and the final row alone is the max over it.
+# A reduction is (at, combine), and the final row alone is the max over it; a
+# per-row quantity(rows, arg, at, combine) is evaluated on the rows at ``at``,
+# or on fewer where it can tell that the others do not change what combine
+# returns.
 _MAX, _MIN, _FINAL = (slice(None), np.max), (slice(None), np.min), (slice(-1, None), np.max)
 
+# How far a row's np.hypot distance may lie from np.hypot's extreme and the
+# row still hold math.hypot's: 8 ulps of the extreme, and 8 of the subnormals.
+_HYPOT_ULPS = 8.0 * np.finfo(float).eps
+_HYPOT_SUBNORMALS = 8.0 * np.finfo(float).smallest_subnormal
 
-def _l1_drift(rows, arg, at):
+
+def _l1_drift(rows, arg, at, combine):
     return np.abs(rows.column("l1")[at] - rows.column("l1")[0])
 
 
-def _theta_gap(rows, target, at):
+def _theta_gap(rows, target, at, combine):
     return np.abs(rows.column("theta")[at] - target)
 
 
-def _distance(rows, point, at):
-    """math.hypot distances of the end effector from ``point``, _BLOCK_ROWS rows at a time."""
+def _distance(rows, point, at, combine):
+    """math.hypot distances of the end effector from ``point``, _BLOCK_ROWS rows
+    at a time, of the rows that can hold their extreme under ``combine``.
+
+    Those are the rows whose np.hypot distance lies within _HYPOT_ULPS and
+    _HYPOT_SUBNORMALS of np.hypot's extreme. Each hypot is within 1 ulp of the
+    exact distance, so the row of math.hypot's extreme is within about 4 ulps
+    of np.hypot's, and combine's result over the rows kept is its result over
+    every row, bit for bit. Every row is kept where the extreme plus that
+    slack is not finite: a NaN, an infinite extreme, or one within 8 ulps of
+    overflow.
+    """
     xs, ys = rows.column("x")[at] - point[0], rows.column("y")[at] - point[1]
+    rough = np.hypot(xs, ys)
+    bound = float(combine(rough))
+    slack = _HYPOT_ULPS * bound + _HYPOT_SUBNORMALS
+    if math.isfinite(bound + slack):
+        rough -= bound
+        near = np.flatnonzero(np.abs(rough, out=rough) <= slack)
+        xs, ys = xs[near], ys[near]
     return np.concatenate([_map_math(math.hypot, xs[first:first + _BLOCK_ROWS],
                                      ys[first:first + _BLOCK_ROWS])
                            for first in range(0, len(xs), _BLOCK_ROWS)])
 
 
-def _residual(rows, arg, at):
+def _residual(rows, arg, at, combine):
     return rows.column("eq3_residual")[at]
 
 
@@ -542,8 +567,7 @@ def evaluate_check(text: str, rows: LogRows) -> CheckResult:
         if reduction is None:
             observed, detail = quantity(rows)
         else:
-            at, reduce = reduction
-            observed = float(reduce(quantity(rows, arg, at)))
+            observed = float(reduction[1](quantity(rows, arg, *reduction)))
             detail = detail.format(arg=arg, observed=observed)
     passed = observed <= tol
     if expect_fail:
@@ -626,6 +650,27 @@ def _multi_config_same_target(params: ManipulatorParams) -> Scenario:
                     profile, 0.01, checks)
 
 
+def _inside_the_bounds(scenario: Scenario) -> Scenario:
+    """``scenario`` if its start and the end of each segment lie inside the
+    bounds, else a PlanningError naming the first that does not.
+
+    The ends bound each segment: along constant rates l1, l2 and l1 + l2 are
+    affine in time, and theta = 2 asin((cL - cR) / 4d) is monotone. Each end
+    is computed as run_scenario computes it, start + rate * duration.
+    """
+    params, control, cables = scenario.params, scenario.initial.control, scenario.initial.cables
+    ends = [(control.q1, control.q2, cables.c_L, cables.c_R)]
+    for duration, command in scenario.profile.segments:
+        rates = (command.q1_rate, command.q2_rate, command.cL_rate, command.cR_rate)
+        ends.append(tuple(value + rate * duration for value, rate in zip(ends[-1], rates)))
+    for index, (q1, q2, c_L, c_R) in enumerate(ends):
+        state = JointState(*link_lengths(ControlState(q1, q2, control.l1_0, control.l2_0)),
+                           theta_from_cables(CablePair(c_L, c_R), params.cable_offset))
+        _require_within_bounds(state, params, f"demo {scenario.name!r}: " + (
+            f"the end of segment {index - 1}" if index else "the start"))
+    return scenario
+
+
 def _constant_angle_retraction(params: ManipulatorParams) -> Scenario:
     # Retract the tape while the cables hold a 22 deg bend.
     theta = math.radians(22.0)
@@ -639,9 +684,9 @@ def _constant_angle_retraction(params: ManipulatorParams) -> Scenario:
         f"theta_constant:{theta!r}rad:1e-6",
         "eq3_residual:1e-9",
     )
-    return Scenario("constant-angle-retraction", params,
-                    initial_state(control_from_state(start), theta, params),
-                    profile, 0.01, checks)
+    return _inside_the_bounds(Scenario("constant-angle-retraction", params,
+                                       initial_state(control_from_state(start), theta, params),
+                                       profile, 0.01, checks))
 
 
 def _stationary_bend(params: ManipulatorParams, coordinated: bool) -> Scenario:
@@ -661,9 +706,9 @@ def _stationary_bend(params: ManipulatorParams, coordinated: bool) -> Scenario:
                   "l1_growth_equals_node_drive:1e-6",
                   "eq3_residual:1e-9")
     profile = ControlProfile(((10.0, command),))
-    return Scenario(name, params,
-                    initial_state(control_from_state(start), 0.0, params),
-                    profile, 0.01, checks)
+    return _inside_the_bounds(Scenario(name, params,
+                                       initial_state(control_from_state(start), 0.0, params),
+                                       profile, 0.01, checks))
 
 
 # The builder of each bundled demonstration scenario, keyed by CLI name. A

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvtext import BLOCK_FLOATS, BlockText
-from .model import JointState, ManipulatorParams, within_bounds
+from .model import BOUND_EPS, JointState, ManipulatorParams, _length_floor, within_bounds
 
 # Targets with |x| at or below this count as on the midline: they ride the
 # theta = 0 straight-arm branch, and bent, link 2 has zero length.
@@ -78,8 +78,9 @@ def ik_at_theta(point, theta: float, params: ManipulatorParams) -> JointState | 
     maximizes l2 with l1 >= l1_min, matching the deployment bias of growing
     from the base (every split is kinematically equivalent at theta = 0),
     and where that leaves link 2 below its slackened floor, link 1 gives up
-    length within its own slack instead. No length comes back negative: l1
-    within BOUND_EPS below zero is returned as zero.
+    length within its own slack instead, down to the lowest length
+    within_bounds admits. No length comes back negative: one within BOUND_EPS
+    below zero is returned as zero.
     """
     x, y = point
     if not abs(x) <= STRAIGHT_X_TOL:  # NaN x takes this branch and fails
@@ -89,13 +90,14 @@ def ik_at_theta(point, theta: float, params: ManipulatorParams) -> JointState | 
         l1 = y - x / math.tan(theta)
     elif theta == 0.0:
         l1 = min(max(params.l1_min, y - params.max_total_length + params.l1_min),
-                 y - max(params.l2_min - LENGTH_TOL, 0.0))
+                 max(y - _length_floor(params.l2_min, LENGTH_TOL),
+                     _length_floor(params.l1_min, LENGTH_TOL) - BOUND_EPS))
         l2 = y - l1
     else:
         l1, l2 = y, 0.0
     if not within_bounds(l1, l2, theta, params, LENGTH_TOL, ANGLE_TOL):
         return None
-    return JointState(l1 if l1 > 0.0 else 0.0, l2, theta)
+    return JointState(l1 if l1 > 0.0 else 0.0, l2 if l2 > 0.0 else 0.0, theta)
 
 
 def feasibility_mask(point, thetas, params: ManipulatorParams) -> np.ndarray:
@@ -161,11 +163,10 @@ def feasible_theta_interval(point, params: ManipulatorParams) -> AngleInterval |
         return AngleInterval(-limit, limit)
 
     ax = abs(x)
-    l1_floor = params.l1_min - LENGTH_TOL
-    lo = math.atan2(ax, y - (l1_floor if l1_floor > 0.0 else 0.0))
+    lo = math.atan2(ax, y - _length_floor(params.l1_min, LENGTH_TOL))
     hi = min(params.theta_limit,
              2.0 * math.atan2(params.max_total_length + LENGTH_TOL - y, ax))
-    l2_floor = params.l2_min - LENGTH_TOL
+    l2_floor = _length_floor(params.l2_min, LENGTH_TOL)
     if l2_floor > 0.0:
         ratio = ax / l2_floor
         if ratio < 1.0:
@@ -277,13 +278,12 @@ def compute_grid(params: ManipulatorParams, bounds, resolution: float) -> Worksp
     ax = np.abs(xs)
     # hi's bounds that do not depend on y: the hinge limit and the l2 floor
     hi_cap = np.full(nx, params.theta_limit)
-    l2_floor = params.l2_min - LENGTH_TOL
+    l2_floor = _length_floor(params.l2_min, LENGTH_TOL)
     if l2_floor > 0.0:
         ratio = ax / l2_floor
         capped = ratio < 1.0
         hi_cap[capped] = np.minimum(hi_cap[capped], _map_math(math.asin, ratio[capped]))
-    l1_floor = params.l1_min - LENGTH_TOL
-    l1_floor = l1_floor if l1_floor > 0.0 else 0.0
+    l1_floor = _length_floor(params.l1_min, LENGTH_TOL)
     total = params.max_total_length + LENGTH_TOL
     cols = max(1, min(nx, _BLOCK_CELLS))
     rows = max(1, _BLOCK_CELLS // cols)

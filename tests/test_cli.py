@@ -371,8 +371,8 @@ _EXIT_CODE_TABLE = [
      ["--params", "{dir}/input.json", "demo", "reach-two-targets"], 2),
     ("demo-sweep-out-of-reach", '{"l2_min_m": 0.5}',
      ["--params", "{dir}/input.json", "demo", "multi-config-same-target"], 2),
-    ("demo-in-reach", '{"l1_min_m": 0.9}',
-     ["--params", "{dir}/input.json", "demo", "stationary-bend"], 0),
+    ("demo-in-reach", '{"l2_min_m": 0.5}',
+     ["--params", "{dir}/input.json", "demo", "reach-two-targets"], 0),
     # and parameters that put one of its joint-state waypoints outside a bound
     ("demo-waypoint-over-length-budget", '{"max_total_length_m": 0.5}',
      ["--params", "{dir}/input.json", "demo", "deploy-and-bend"], 2),
@@ -444,6 +444,17 @@ _EXIT_CODE_TABLE = [
                   # checks that could never pass, or always would
                   "l1_constant:nan", "l1_constant:-1", "eq3_residual:1e400", "target:(nan,1)",
                   "theta_constant:infdeg", "expect_fail:l1_constant:nan")
+] + [
+    # parameters that put a rate-command demo's start or a segment's end
+    # outside a bound refuse that demo before its run; the hinge limit leaves
+    # the unbent stationary bends inside
+    (f"demo-{name}-{label}", text, ["--params", "{dir}/input.json", "demo", name],
+     0 if label == "past-hinge-limit" and name.startswith("stationary-bend") else 2)
+    for name in ("constant-angle-retraction", "stationary-bend", "stationary-bend-uncoordinated")
+    for label, text in (("over-length-budget", '{"max_total_length_m": 0.5}'),
+                        ("past-hinge-limit", '{"theta_limit_rad": 0.1}'),
+                        ("under-l2-min", '{"l2_min_m": 0.5}'),
+                        ("under-l1-min", '{"l1_min_m": 0.9}'))
 ]
 
 # The start of the stderr line of some rows.
@@ -460,6 +471,12 @@ _EXIT_STDERR = {
                                       "value=0.523598776 limit=0.1 margin=-0.424]\n",
     "demo-waypoint-under-l2-min": "error: waypoint 0 is outside the bounds: "
                                   "l2_min[value=0.004 limit=0.5 margin=-0.496]\n",
+    "demo-constant-angle-retraction-past-hinge-limit": (
+        "error: demo 'constant-angle-retraction': the start is outside the bounds: "
+        "theta_limit[value=0.383972435 limit=0.1 margin=-0.284]\n"),
+    "demo-stationary-bend-under-l2-min": (
+        "error: demo 'stationary-bend': the end of segment 0 is outside the bounds: "
+        "l2_min[value=0.1 limit=0.5 margin=-0.4]\n"),
     "start-cables-out-of-range": "error: bad scenario file: cable differential 0.2 m is "
                                  "outside the +/-0.06 m range",
     "start-cables-inconsistent": "error: initial state is inconsistent: ",
@@ -473,10 +490,10 @@ _EXIT_STDOUT = {"cables-invalid-state": "violation: theta_limit"}
 
 # rows that must fail before any run or grid is computed
 _NOTHING_COMPUTED = {"output-directory-is-a-file", "output-directory-below-a-file",
-                     "demo-target-out-of-reach", "demo-sweep-out-of-reach",
-                     "demo-waypoint-over-length-budget", "demo-waypoint-past-hinge-limit",
-                     "demo-waypoint-under-l2-min",
-                     *(case for case, *_ in _EXIT_CODE_TABLE if case.startswith("check-"))}
+                     *(case for case, *_ in _EXIT_CODE_TABLE if case.startswith("check-")),
+                     # every demo refused
+                     *(case for case, _, argv, expected in _EXIT_CODE_TABLE
+                       if argv[-2:-1] == ["demo"] and expected == 2)}
 
 
 def _forbid_the_run(monkeypatch):

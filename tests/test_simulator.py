@@ -405,15 +405,19 @@ def test_builtin_scenarios_all_pass():
         assert log.all_passed, f"{name}: {[c.detail for c in log.checks if not c.passed]}"
 
 
+_RATE_DEMOS = {"constant-angle-retraction", "stationary-bend", "stationary-bend-uncoordinated"}
+
+
 # Parameters that put some demos' pose waypoints out of reach, and those
-# demos, and the demos whose joint-state waypoints they put outside a bound.
+# demos, and the demos whose joint-state waypoints, or whose start or segment
+# ends, they put outside a bound.
 @pytest.mark.parametrize("overrides, out_of_reach, outside", [
-    ({"l1_min": 0.9}, {"reach-two-targets", "multi-config-same-target"}, set()),
+    ({"l1_min": 0.9}, {"reach-two-targets", "multi-config-same-target"}, _RATE_DEMOS),
     ({"max_total_length": 0.5}, {"reach-two-targets", "multi-config-same-target"},
-     {"deploy-and-bend"}),
+     {"deploy-and-bend", *_RATE_DEMOS}),
     ({"theta_limit": 0.1}, {"reach-two-targets", "multi-config-same-target"},
-     {"deploy-and-bend"}),
-    ({"l2_min": 0.5}, {"multi-config-same-target"}, {"deploy-and-bend"}),
+     {"deploy-and-bend", "constant-angle-retraction"}),
+    ({"l2_min": 0.5}, {"multi-config-same-target"}, {"deploy-and-bend", *_RATE_DEMOS}),
 ])
 def test_demo_out_of_reach_raises_a_planning_error_and_the_rest_pass(overrides, out_of_reach,
                                                                       outside):
@@ -423,11 +427,14 @@ def test_demo_out_of_reach_raises_a_planning_error_and_the_rest_pass(overrides, 
             with pytest.raises(PlanningError, match=f"^demo '{name}': .* m is out of reach"):
                 build(params)
         elif name in outside:
-            with pytest.raises(PlanningError, match=r"^waypoint \d is outside the bounds: "):
+            where = (f"demo '{name}': the (start|end of segment 0)" if name in _RATE_DEMOS
+                     else r"waypoint \d")
+            with pytest.raises(PlanningError, match=f"^{where} is outside the bounds: "):
                 build(params)
         else:
             log = run_scenario(build(params))
             assert log.all_passed, f"{name}: {[c.detail for c in log.checks if not c.passed]}"
+            assert not log.rows.outside.any(), name
 
 
 def test_stationary_bend_holds_l1_and_uncoordinated_grows():
@@ -779,8 +786,13 @@ def _scenarios(draw):
         assume(False)
 
 
-def _example(*segments, dt=0.01, checks=("eq3_residual", "visits_target:(0.1,0.7)")):
-    return Scenario("example", PARAMS, _start(theta=0.2), ControlProfile(segments), dt, checks)
+def _example(*segments, dt=0.01, checks=("eq3_residual", "visits_target:(0.1,0.7)"), theta=0.2):
+    return Scenario("example", PARAMS, _start(theta=theta), ControlProfile(segments), dt, checks)
+
+
+def _extremes(point):
+    return tuple(f"{name}:({point[0]!r},{point[1]!r})"
+                 for name in ("visits_target", "target_held", "target"))
 
 
 _BEND = 4.0 * PARAMS.cable_offset
@@ -798,6 +810,19 @@ _BEND = 4.0 * PARAMS.cable_offset
 # a distance whose last bit math.hypot and np.hypot round differently
 @example(_example((0.1, RateCommand()), checks=("visits_target:(0.93,0.504)",
                                                 "target_held:(0.93,0.504)")))
+# bending at constant lengths keeps the end effector at l2 = 0.5 m from the
+# node (0, 0.3): 301 distances tied within an ulp of the extremes
+@example(_example((3.0, RateCommand(cL_rate=0.01, cR_rate=-0.01)), checks=_extremes((0.0, 0.3))))
+# the straight start sits at (0, 0.8) exactly: a distance of 0, then growing
+@example(_example((0.1, RateCommand(q1_rate=0.05, cL_rate=0.05, cR_rate=0.05)),
+                  checks=_extremes((0.0, 0.8)), theta=0.0))
+# subnormal distances, every row tied
+@example(_example((0.1, RateCommand()), checks=_extremes((5e-324, 0.8)), theta=0.0))
+@example(_example((0.1, RateCommand()),
+                  checks=_extremes((1e-310, 0.8)) + _extremes((-3e-320, 0.8)), theta=0.0))
+# the last row's distance overflows to inf among finite ones near 1e308
+@example(_example((1.0, RateCommand()), (1.0, RateCommand(q1_rate=1e308)), dt=0.25,
+                  checks=_extremes((0.0, -1e308))))
 # the rates overflow the state to inf
 @example(_example((1e10, RateCommand(q1_rate=1e300)), dt=1e10))
 @example(_example((1e10, RateCommand(cL_rate=1e300, cR_rate=1e300)), dt=1e10))
@@ -837,6 +862,46 @@ def test_columnar_log_matches_reference_loop(scenario):
     log_to_csv(log, fh)
     assert_same_text(fh.getvalue(), _log_csv_loop(rows, scenario.params,
                                                   [bool(row.violations) for row in rows]))
+
+
+@st.composite
+def _clustered_positions(draw):
+    """A point, and end-effector positions around it: on one circle, so that
+    their distances tie within a few ulps, at radii from 0 through the
+    subnormals to 1000 m, and at times on the point itself."""
+    point = tuple(draw(st.sampled_from([0.0, 1e-310, 0.3, -2.5, 1e6]) | st.floats(-10.0, 10.0))
+                  for _ in range(2))
+    radius = draw(st.sampled_from([0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-9,
+                                   0.5, 1e3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, 300))
+    radii = radius * (1.0 + rng.integers(-4, 5, count) * np.finfo(float).eps)
+    radii[rng.random(count) < draw(st.sampled_from([0.0, 0.1]))] = 0.0
+    angles = rng.uniform(-math.pi, math.pi, count)
+    return point, point[0] + radii * np.cos(angles), point[1] + radii * np.sin(angles)
+
+
+def _pair(x0, y0, x1, y1):
+    return (0.0, 0.0), np.array([x0, x1]), np.array([y0, y1])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_clustered_positions())
+# two rows whose np.hypot distances are one ulp apart one way and whose
+# math.hypot distances are one ulp apart the other way: np.hypot's nearest row
+# is math.hypot's farthest, at 0.75 m and in the subnormals
+@example(_pair(0.19785054951860886, 0.7234328994835558, 0.6153466851734815, 0.4287755322380329))
+@example(_pair(7.250983156931e-311, 6.886453605296e-311, 9.982837192117e-311, 5.85629230555e-312))
+def test_distance_checks_are_the_math_hypot_extremes_bit_for_bit(case):
+    (px, py), xs, ys = case
+    values = np.zeros((len(LOG_COLUMNS), len(xs)))
+    values[LOG_COLUMNS.index("x")], values[LOG_COLUMNS.index("y")] = xs, ys
+    rows = LogRows(values, PARAMS, np.zeros(len(xs), bool))
+    distances = [math.hypot(x - px, y - py) for x, y in zip(xs.tolist(), ys.tolist())]
+    for name, expected in (("visits_target", min(distances)), ("target_held", max(distances)),
+                           ("target", distances[-1])):
+        observed = evaluate_check(f"{name}:({px!r},{py!r})", rows).observed
+        assert observed.hex() == expected.hex(), name
 
 
 # --- violations derived from the log's columns -------------------------------

@@ -59,6 +59,42 @@ def test_ik_at_theta_straight_split():
     assert ik_at_theta((0.3, 1.0), 0.0, PARAMS) is None  # off the midline
 
 
+@st.composite
+def _midline_heights(draw):
+    """Parameters with l2_min below, at and above LENGTH_TOL, and a point on the
+    midline near the shortest or the longest straight arm they admit."""
+    near_tol = [0.0, 0.5 * LENGTH_TOL, math.nextafter(LENGTH_TOL, 0.0), LENGTH_TOL,
+                math.nextafter(LENGTH_TOL, 1.0), 2.0 * LENGTH_TOL]
+    params = ManipulatorParams(
+        l1_min=draw(st.sampled_from(near_tol + [0.076]) | st.floats(0.0, 0.3)),
+        l2_min=draw(st.sampled_from(near_tol) | st.floats(0.0, 0.01)),
+        max_total_length=draw(st.floats(0.5, 2.0)))
+    shortest = max(params.l1_min - LENGTH_TOL, 0.0) + max(params.l2_min - LENGTH_TOL, 0.0)
+    y = draw(st.sampled_from([shortest, params.l1_min + params.l2_min, params.l1_min,
+                              params.max_total_length + LENGTH_TOL]))
+    step = draw(st.sampled_from([0.0, BOUND_EPS, 2.0 * BOUND_EPS, 1e-4]) | st.floats(0.0, 2e-3))
+    x = draw(st.sampled_from([0.0, -0.0, STRAIGHT_X_TOL, -STRAIGHT_X_TOL]))
+    return params, (x, y + draw(st.sampled_from([-1.0, 1.0])) * step)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_midline_heights())
+def test_ik_at_theta_straight_passes_within_bounds_and_fails_only_where_no_split_does(case):
+    params, (x, y) = case
+    state = ik_at_theta((x, y), 0.0, params)
+    if state is not None:
+        assert state.theta == 0.0 and state.l1 >= 0.0 and state.l2 >= 0.0
+        assert within_bounds(state.l1, state.l2, state.theta, params, LENGTH_TOL, ANGLE_TOL)
+        return
+    # link 1 lengths on each floor, on its BOUND_EPS slack and an ulp either
+    # side, and a sweep between them; link 2 takes the rest of y
+    edges = [params.l1_min - LENGTH_TOL, y - (params.l2_min - LENGTH_TOL), 0.0, y]
+    edges += [edge + slack for edge in edges for slack in (-BOUND_EPS, BOUND_EPS)]
+    l1s = [math.nextafter(edge, way) for edge in edges for way in (-1.0, 1.0)]
+    l1s += edges + np.linspace(0.0, max(y, 0.0), 201).tolist()
+    assert not any(within_bounds(l1, y - l1, 0.0, params, LENGTH_TOL, ANGLE_TOL) for l1 in l1s)
+
+
 def test_ik_at_theta_infeasible_negative_l1():
     assert ik_at_theta((0.5, 0.1), math.radians(5.0), PARAMS) is None
     # the sweep oracle agrees that nothing works at that angle
