@@ -1,7 +1,9 @@
 """Golden sha256 digests of the bundled demos' outputs at the default
 parameters, of ``tapearm simulate`` on the replay-style scenario file
 ``golden/replay.json`` (2988 rows; three visits_target checks, a target_held
-and a target), and of the CSV of a log whose every row breaks three bounds.
+and a target), of two workspace grids (the default 80 000 cells, and 400 000
+cells of which about 3 % are reachable), of the default moment-angle curve,
+and of the CSV of a log whose every row breaks three bounds.
 
 A digest holds exact bytes, and float text and libm results may differ from
 one platform to the next, so each platform has its own digests, keyed by
@@ -37,12 +39,16 @@ def _sha256(data: bytes) -> str:
 
 
 def current_digests(work: Path) -> dict:
-    """The digest of each output, by name: each demo's and the replay
-    simulation's exit code and stdout (with ``work`` as <out>) and each file
-    it writes under ``work``, and the all-violations log's CSV."""
+    """The digest of each output, by name: each command's exit code and
+    stdout (with ``work`` as <out>) and each file it writes under ``work``,
+    and the all-violations log's CSV."""
     digests = {}
     commands = {name: ["demo", name] for name in DEMOS}
     commands["simulate-replay"] = ["simulate", str(REPLAY)]
+    commands["workspace"] = ["workspace", "--resolution", "0.01"]
+    commands["workspace-sparse"] = ["workspace", "--bounds", "-20", "20", "0", "1",
+                                    "--resolution", "0.01"]
+    commands["stiffness-curve"] = ["stiffness", "--curve", "0", "40", "81"]
     for name, command in commands.items():
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
