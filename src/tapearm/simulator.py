@@ -414,12 +414,13 @@ def log_to_csv(log: TrajectoryLog, fh) -> None:
     for first in range(0, len(rows), block_rows):
         block = rows.values[:, first:first + block_rows]
         count = block.shape[1]
-        texts = [""] * count
         marked = np.flatnonzero(rows.outside[first:first + count])
-        named = _name_violations(rows, first + marked, violation_texts) if marked.size else ()
-        for row, violations in zip(marked.tolist(), named):
-            texts[row] = ";".join(violations)
-        texts = np.array(texts, dtype=bytes).view(np.uint8).reshape(count, -1)
+        texts = np.zeros((count, 0), np.uint8)  # a block in bounds: no violation column
+        if marked.size:
+            named = np.full(count, "", object)
+            named[marked] = list(map(";".join, _name_violations(rows, first + marked,
+                                                                violation_texts)))
+            texts = named.astype(bytes).view(np.uint8).reshape(count, -1)
         fh.write(text.join_cells(text.float_cells(block.T).reshape(count, -1), texts, _NEWLINE))
 
 

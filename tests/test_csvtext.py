@@ -89,3 +89,48 @@ def test_cells_of_a_table_join_row_by_row():
         "0.1,-2.5,0.0,a;μ\n1e-07,3.0,123456.789,\n")
     assert TEXT.float_cells(np.empty((0, 3))).shape[:2] == (0, 3)
     assert TEXT.join_cells(TEXT.float_cells([])) == ""
+
+
+def _join_reference(*cells):
+    """join_cells's text from a mask over the joined frame: its NULs dropped by
+    boolean indexing."""
+    shape = np.broadcast_shapes(*(chars.shape[:-1] for chars in cells))
+    frame = np.concatenate([np.broadcast_to(chars, shape + chars.shape[-1:]) for chars in cells],
+                           axis=-1)
+    return str(frame[frame != 0], "utf-8")
+
+
+def _cells(texts, pad=0):
+    """The UTF-8 of each text as a row of uint8, NUL-padded to the longest plus ``pad``."""
+    encoded = [text.encode() for text in texts]
+    cells = np.zeros((len(encoded), max(map(len, encoded), default=0) + pad), np.uint8)
+    for row, chars in enumerate(encoded):
+        cells[row, :len(chars)] = np.frombuffer(chars, np.uint8)
+    return cells
+
+
+@st.composite
+def _cell_parts(draw):
+    """One to four parts of cells with the same number of rows, or one row that
+    broadcasts to every row. A cell is text of any characters, NUL among them,
+    so NULs fall anywhere in a row and a row may be all NUL; a part's width is
+    its longest cell plus 0-3 NUL columns, so a part may have zero width."""
+    rows = draw(st.integers(0, 5))
+    text = st.text(st.one_of(st.just("\0"), st.characters()), max_size=6)
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        shared = draw(st.booleans())
+        cells = _cells(draw(st.lists(text, min_size=1 if shared else rows,
+                                     max_size=1 if shared else rows)), draw(st.integers(0, 3)))
+        parts.append(cells[0] if shared else cells)
+    return parts
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_cell_parts())
+@example([_cells(["a;μ", "", "\0\0"]), _cells(["", "", ""]), np.frombuffer(b"\n", np.uint8)])
+@example([_cells(["\0€\0", "\0\0\0\0", "𝜃=0.1"], pad=2), np.zeros(0, np.uint8),
+          _cells(["x\0y", "\0", "z"])])
+@example([_cells([]), np.frombuffer(b"\0,", np.uint8)])
+def test_join_cells_matches_the_mask_reference(parts):
+    assert TEXT.join_cells(*parts) == _join_reference(*parts)

@@ -632,7 +632,9 @@ def test_log_to_csv_blocks_do_not_fault_pages_in_again():
     assert faults < 5000
 
 
-def test_log_csv_blocks_of_every_kind_reuse_one_working_set():
+@pytest.mark.parametrize("in_bounds_blocks", [False, True], ids=["marks-in-every-block",
+                                                                    "in-bounds-blocks-between"])
+def test_log_csv_blocks_of_every_kind_reuse_one_working_set(in_bounds_blocks):
     # block after block of repr-only rows (zeros, residuals below 1e-4, powers of
     # two), fast-path rows, negative rows and wide integers, then a short last
     # block, so each block's cells differ in width from the last one's
@@ -648,8 +650,14 @@ def test_log_csv_blocks_of_every_kind_reuse_one_working_set():
     short = rng.uniform(-1.0, 1.0, (shape[0], 37))
     values = np.concatenate(kinds + kinds[::-1] + [short], axis=1)
     # every 97th row is marked outside a bound: its l1 breaks l1_min, and on
-    # every other one its theta breaks theta_limit too
+    # every other one its theta breaks theta_limit too. With in_bounds_blocks,
+    # only the rows of every other full block are, so the violation column
+    # switches between text and zero width from block to block, and the short
+    # last block is in bounds.
     marked = np.arange(0, values.shape[1], 97)
+    if in_bounds_blocks:
+        marked = marked[(marked // block % 2 == 0) & (marked < 8 * block)]
+        assert np.unique(marked // block).tolist() == [0, 2, 4, 6]
     outside = np.zeros(values.shape[1], bool)
     outside[marked] = True
     values[LOG_COLUMNS.index("l1"), marked] = -0.5
