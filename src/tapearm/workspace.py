@@ -318,14 +318,29 @@ def grid_to_csv(grid: WorkspaceGrid, fh) -> None:
     # at a time: both are copies, which later blocks do not overwrite
     x_cells = [text.float_cells(grid.xs[c0:c0 + cols]).copy() for c0 in range(0, grid.nx, cols)]
     y_rows = rows * max(1, BLOCK_FLOATS // rows)
-    for r0 in range(0, grid.ny, rows):
-        if not r0 % y_rows:
+    # The blocks in file order, each a run of the row-major cells. The reachable
+    # angles of consecutive blocks in one chunk of y cells are formatted by one
+    # call, up to BLOCK_FLOATS of them, after that chunk's y cells.
+    blocks = [(r0, c0, x, grid.reachable[r0:r0 + rows, c0:c0 + cols])
+              for r0 in range(0, grid.ny, rows) for c0, x in zip(range(0, grid.nx, cols), x_cells)]
+    counts = [np.count_nonzero(reach) for *_, reach in blocks]
+    angles, reachable = grid.min_angle.reshape(-1), grid.reachable.reshape(-1)
+    start = batch_end = 0
+    for index, (r0, c0, x, reach) in enumerate(blocks):
+        if not (r0 % y_rows or c0):
             y_cells = text.float_cells(grid.ys[r0:r0 + y_rows, None]).copy()
-        for c0, x in zip(range(0, grid.nx, cols), x_cells):
-            reach = grid.reachable[r0:r0 + rows, c0:c0 + cols]
-            found = text.float_cells(grid.min_angle[r0:r0 + rows, c0:c0 + cols][reach], "\n")
-            angle = np.zeros(reach.shape + found.shape[1:], np.uint8)  # unreachable: "\n"
-            angle[..., -1] = ord("\n")
-            angle[reach] = found
-            fh.write(text.join_cells(x, y_cells[r0 % y_rows:][:rows],
-                                     np.take(flags, reach.view(np.uint8), axis=0), angle))
+        if index == batch_end:
+            end, total = start, 0
+            while (batch_end < len(blocks) and total + counts[batch_end] <= BLOCK_FLOATS
+                   and blocks[batch_end][0] // y_rows == r0 // y_rows):
+                total += counts[batch_end]
+                end += blocks[batch_end][-1].size
+                batch_end += 1
+            found = text.float_cells(angles[start:end][reachable[start:end]], "\n")
+        angle = np.zeros(reach.shape + found.shape[1:], np.uint8)  # unreachable: "\n"
+        angle[..., -1] = ord("\n")
+        angle[reach] = found[:counts[index]]
+        found = found[counts[index]:]
+        start += reach.size
+        fh.write(text.join_cells(x, y_cells[r0 % y_rows:][:rows],
+                                 np.take(flags, reach.view(np.uint8), axis=0), angle))
