@@ -33,6 +33,11 @@ import numpy as np
 # block reuses.
 BLOCK_FLOATS = 8192
 
+# join_cells drops the NULs of this many bytes of a frame at a time, at most: the
+# bytes copies of larger pieces fault in fresh pages on every frame, where
+# smaller ones reuse the allocator's free memory.
+_JOIN_BYTES = 1 << 17
+
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 _SCALE = 10.0 ** np.arange(23)  # exact up to 1e22
 # Veltkamp's split of each scale into two 26-bit halves, for Dekker's product.
@@ -271,7 +276,7 @@ class BlockText:
     def join_cells(self, *cells) -> str:
         """The text of rows of cells, uint8 arrays whose leading shapes broadcast
         to one: the cells side by side in a frame of the working set, without
-        its NULs."""
+        its NULs, which are dropped _JOIN_BYTES at most at a time."""
         shape = np.broadcast_shapes(*(chars.shape[:-1] for chars in cells))
         shape += (sum(chars.shape[-1] for chars in cells),)
         size = math.prod(shape)
@@ -282,4 +287,8 @@ class BlockText:
         for chars in cells:
             frame[..., start:start + chars.shape[-1]] = chars
             start += chars.shape[-1]
-        return str(frame.tobytes().translate(None, b"\0"), "utf-8")
+        rows = frame.reshape(math.prod(shape[:-1]), shape[-1])
+        pieces = -(-size // _JOIN_BYTES) or 1
+        step = -(-len(rows) // pieces) or 1
+        return "".join([str(rows[first:first + step].tobytes().translate(None, b"\0"), "utf-8")
+                        for first in range(0, len(rows), step)])

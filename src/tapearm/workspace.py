@@ -52,6 +52,11 @@ MAX_GRID_CELLS = 4_000_000
 # temporaries and Python float lists stay bounded whatever the grid size.
 _BLOCK_CELLS = 4096
 
+# How far a cell's np.arctan2 lo may exceed its hi and the cell still be
+# reachable by math.atan2's: 16 ulps of the larger, and 16 of the subnormals.
+_SCREEN_ULPS = 16.0 * np.finfo(float).eps
+_SCREEN_SUBNORMALS = 16.0 * np.finfo(float).smallest_subnormal
+
 
 @dataclass(frozen=True)
 class AngleInterval:
@@ -233,7 +238,8 @@ def _map_math(function, *arrays) -> np.ndarray:
     keeps the scalar path's values bit for bit: np.arcsin differs from
     math.asin in the last bit on about 8 % of inputs, np.arctan2 from
     math.atan2 on about 2 % of grid cells, and np.sin and np.cos may differ
-    from math.sin and math.cos, depending on the build.
+    from math.sin and math.cos, depending on the build. compute_grid uses
+    np.arctan2 only to rule cells out, within a slack the tests check.
     """
     shape = arrays[0].shape
     if any(a.shape != shape for a in arrays):
@@ -250,7 +256,10 @@ def compute_grid(params: ManipulatorParams, bounds, resolution: float) -> Worksp
     angle is the closed-form lo of feasible_theta_interval, signed like x, or
     NaN unless lo <= hi; these are evaluated over blocks of at most
     _BLOCK_CELLS cells in the scalar path's operation order, so every value
-    equals min_end_effector_angle's bit for bit. Cells within STRAIGHT_X_TOL
+    equals min_end_effector_angle's bit for bit. np.arctan2 first rules out the
+    cells whose lo exceeds hi by more than a slack of _SCREEN_ULPS and
+    _SCREEN_SUBNORMALS; math.atan2 then gives every other cell's lo, and its hi
+    where the two lie within the slack. Cells within STRAIGHT_X_TOL
     of the midline call min_end_effector_angle. A cell is reachable where its
     angle is not NaN. Raises ValueError on non-finite input, and on a grid
     over MAX_GRID_CELLS cells (an empty axis counts as one cell wide) before
@@ -288,14 +297,23 @@ def compute_grid(params: ManipulatorParams, bounds, resolution: float) -> Worksp
     cols = max(1, min(nx, _BLOCK_CELLS))
     rows = max(1, _BLOCK_CELLS // cols)
     for r0 in range(0, ny, rows):
-        block_ys = ys[r0:r0 + rows, None]
+        below, above = ys[r0:r0 + rows] - l1_floor, total - ys[r0:r0 + rows]
         for c0 in range(0, nx, cols):
-            block = (slice(r0, r0 + rows), slice(c0, c0 + cols))
-            bx = ax[c0:c0 + cols]
-            lo = _map_math(math.atan2, bx, block_ys - l1_floor)
-            hi = np.minimum(hi_cap[c0:c0 + cols],
-                            2.0 * _map_math(math.atan2, total - block_ys, bx))
-            angle[block] = np.where(lo <= hi, np.copysign(lo, xs[c0:c0 + cols]), math.nan)
+            bx, cap = ax[c0:c0 + cols], hi_cap[c0:c0 + cols]
+            # np.arctan2 is within a quarter of the slack of math.atan2, so lo and
+            # hi are within half of it: a cell with lo > hi + slack is unreachable
+            lo = np.arctan2(bx, below[:, None])
+            hi = np.minimum(cap, 2.0 * np.arctan2(above[:, None], bx))
+            slack = _SCREEN_ULPS * np.maximum(np.abs(lo), np.abs(hi)) + _SCREEN_SUBNORMALS
+            gap = lo - hi
+            iy, ix = np.nonzero(gap <= slack)
+            # math.atan2's lo of every other cell, and its hi where the two are close
+            lo = _map_math(math.atan2, bx[ix], below[iy])
+            fits = np.abs(gap[iy, ix]) > slack[iy, ix]  # lo < hi - slack
+            close = np.flatnonzero(~fits)
+            fits[close] = lo[close] <= np.minimum(
+                cap[ix[close]], 2.0 * _map_math(math.atan2, above[iy[close]], bx[ix[close]]))
+            angle[r0 + iy[fits], c0 + ix[fits]] = np.copysign(lo[fits], xs[c0 + ix[fits]])
     for ix in np.flatnonzero(ax <= STRAIGHT_X_TOL).tolist():
         x = float(xs[ix])
         for iy, y in enumerate(ys.tolist()):

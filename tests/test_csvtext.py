@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -134,3 +136,11 @@ def _cell_parts(draw):
 @example([_cells([]), np.frombuffer(b"\0,", np.uint8)])
 def test_join_cells_matches_the_mask_reference(parts):
     assert TEXT.join_cells(*parts) == _join_reference(*parts)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_cell_parts(), st.sampled_from([1, 2, 7, 64]))
+def test_join_cells_in_pieces_matches_the_mask_reference(parts, piece):
+    # pieces of one row up to a few rows, not splitting a row's UTF-8
+    with mock.patch.object(csvtext, "_JOIN_BYTES", piece):
+        assert TEXT.join_cells(*parts) == _join_reference(*parts)

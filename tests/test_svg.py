@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tapearm import svg
+from tapearm.csvtext import BLOCK_FLOATS
 from tapearm.model import DEFAULT_PARAMS, ManipulatorParams
 from tapearm.simulator import builtin_scenarios, run_scenario
 from tapearm.svg import marching_squares, overlay_svg, workspace_svg
@@ -330,6 +331,29 @@ def test_workspace_outputs_match_reference_loops(params, bounds, resolution):
     grid = compute_grid(params, bounds, resolution)
     assert _render(workspace_svg, grid) == _workspace_svg_loop(grid)
     assert_same_text(_render(grid_to_csv, grid), _grid_csv_loop(grid))
+
+
+# Each case's facts: one row wider than BLOCK_FLOATS, a frame that ends in the
+# middle of a row, a rect at a negative pixel x, and any reachable cell.
+@pytest.mark.parametrize("bounds, resolution, frame_cells, facts", [
+    # one row of 10 000 cells, about 6 500 of them reachable
+    ((-2.0, 2.0, 1.5, 1.5004), 0.0004, svg._FRAME_CELLS, (True, True, False, True)),
+    ((-1.0, 1.0, 0.0, 1.0), 0.1, 7, (False, True, False, True)),
+    # 3 x 3 cells over bounds 2.6 cells wide: the cells stick out left of the
+    # plot's origin
+    ((0.3, 0.326, 0.5, 0.526), 0.01, svg._FRAME_CELLS, (False, False, True, True)),
+    ((5.0, 6.0, 5.0, 6.0), 0.1, 7, (False, False, False, False)),
+], ids=["one-wide-row", "frame-ends-mid-row", "negative-pixel-x", "unreachable"])
+def test_heat_map_frames_match_reference_loop(monkeypatch, bounds, resolution, frame_cells,
+                                              facts):
+    monkeypatch.setattr(svg, "_FRAME_CELLS", frame_cells)
+    grid = compute_grid(DEFAULT_PARAMS, bounds, resolution)
+    text = _render(workspace_svg, grid)
+    assert text == _workspace_svg_loop(grid)
+    rows = np.flatnonzero(grid.reachable) // grid.nx
+    ends = np.arange(frame_cells, rows.size, frame_cells)
+    assert (grid.ny == 1 and grid.nx > BLOCK_FLOATS, bool(np.any(rows[ends - 1] == rows[ends])),
+            '<rect x="-' in text, rows.size > 0) == facts
 
 
 def test_overlay_svg_matches_reference_loop():

@@ -382,12 +382,51 @@ def _grid_cases(draw):
     return params, bounds, resolution, block
 
 
+def _close_calls(params, x, y_a, y_b, resolution=0.01):
+    """Two cases of a 3 x 1 grid whose middle column lies at ``x``, one row on
+    either side of where that cell's reachability flips between rows from
+    ``y_a`` and ``y_b``: bisection on the row's lower bound, down to adjacent
+    floats. math.atan2's lo and hi of that cell lie within the screen's slack."""
+    x_min = x - 1.5 * resolution
+    middle = grid_centers(x_min, x_min + 3 * resolution, 3, resolution)[1]
+
+    def reachable(y0):
+        (y,) = grid_centers(y0, y0 + resolution, 1, resolution).tolist()
+        return feasible_theta_interval((middle, y), params) is not None
+
+    side = reachable(y_a)
+    while math.nextafter(y_a, y_b) != y_b:
+        mid = 0.5 * (y_a + y_b)
+        y_a, y_b = (mid, y_b) if reachable(mid) == side else (y_a, mid)
+    return [(params, (x_min, x_min + 3 * resolution, y0, y0 + resolution), resolution,
+             workspace._BLOCK_CELLS) for y0 in (y_a, y_b)]
+
+
+# lo meets the hinge limit: at x = 0.5 a row is unreachable by 1 ulp where
+# np.arctan2's lo equals the limit, and at x = 0.579 a row is reachable where
+# np.arctan2's lo exceeds it by 1 ulp. lo meets the length budget's hi, and the
+# asin cap.
+_AT_HINGE = _close_calls(PARAMS, 0.5, 0.3, 0.6) + _close_calls(PARAMS, 0.579, 0.2, 0.8)
+_AT_BUDGET = _close_calls(PARAMS, 0.5, 1.5, 2.0)
+_AT_ASIN = _close_calls(ManipulatorParams(l2_min=0.05), 0.03, 0.05, 0.2)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_grid_cases())
 # 21 columns, one at x = 0 or 5e-10 off it, in 13 blocks of 20 cells, with
 # the asin bound active for |x| < l2_min - LENGTH_TOL
 @example((ManipulatorParams(l2_min=0.05), (-0.21, 0.21, 0.0, 0.24), 0.02, 20))
 @example((ManipulatorParams(l2_min=0.05), (5e-10 - 0.21, 5e-10 + 0.21, 0.0, 0.24), 0.02, 20))
+# the midline column, from below l1_min to above the length budget
+@example((PARAMS, (-0.105, 0.105, -0.1, 2.2), 0.01, workspace._BLOCK_CELLS))
+@example(_AT_HINGE[0])
+@example(_AT_HINGE[1])
+@example(_AT_HINGE[2])
+@example(_AT_HINGE[3])
+@example(_AT_BUDGET[0])
+@example(_AT_BUDGET[1])
+@example(_AT_ASIN[0])
+@example(_AT_ASIN[1])
 def test_compute_grid_matches_per_cell_min_angle(case):
     params, bounds, resolution, block = case
     with mock.patch.object(workspace, "_BLOCK_CELLS", block):
@@ -398,6 +437,41 @@ def test_compute_grid_matches_per_cell_min_angle(case):
             assert grid.reachable[iy, ix] == (expected is not None)
             got = float(grid.min_angle[iy, ix])
             assert got.hex() == (math.nan if expected is None else expected).hex()
+
+
+_ATAN2_FLOATS = st.floats(allow_nan=False)  # infinities, subnormals and signed zeros too
+
+
+@st.composite
+def _atan2_arguments(draw):
+    """y and x arrays: a batch of 512 random pairs, at one scale or with x in
+    a random ratio of 2**-1100 to 2**1100 to its y, and a few of hypothesis's
+    own floats in pairs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e-310, 1e-320, 1e300]))
+    y = rng.uniform(-1.0, 1.0, 512) * scale
+    with np.errstate(over="ignore", under="ignore"):
+        x = (np.ldexp(y, rng.integers(-1100, 1100, 512)) if draw(st.booleans())
+             else rng.uniform(-1.0, 1.0, 512) * scale)
+    pairs = np.array(draw(st.lists(st.tuples(_ATAN2_FLOATS, _ATAN2_FLOATS), max_size=20)),
+                     float).reshape(-1, 2)
+    return np.concatenate([y, pairs[:, 0]]), np.concatenate([x, pairs[:, 1]])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_atan2_arguments())
+@example((np.array([0.0, -0.0, 0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, 1.0]),
+          np.array([0.0, 0.0, -0.0, -0.0, -5e-324, 5e-324, math.inf, -math.inf, -math.inf])))
+def test_np_arctan2_is_within_a_quarter_of_the_screen_slack_of_math_atan2(case):
+    # compute_grid's screen trusts this of the numpy it runs on: lo and hi then
+    # lie within half of the slack of math.atan2's, so no cell it rules out is
+    # reachable
+    y, x = case
+    rough = np.arctan2(y, x)
+    exact = np.array([math.atan2(a, b) for a, b in zip(y.tolist(), x.tolist())])
+    quarter = 0.25 * (workspace._SCREEN_ULPS * np.abs(rough) + workspace._SCREEN_SUBNORMALS)
+    wrong = np.flatnonzero(~(np.abs(rough - exact) <= quarter))
+    assert not wrong.size, [(y[i], x[i], rough[i], exact[i]) for i in wrong[:5]]
 
 
 def test_grid_sector_and_disk_shape():
