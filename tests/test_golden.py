@@ -3,7 +3,10 @@ parameters, of ``tapearm simulate`` on the replay-style scenario file
 ``golden/replay.json`` (2988 rows; three visits_target checks, a target_held
 and a target), of two workspace grids (the default 80 000 cells, and 400 000
 cells of which about 3 % are reachable), of the default moment-angle curve,
-and of the CSV of a log whose every row breaks three bounds.
+of the CSV of a log whose every row breaks three bounds, and of the stdout of
+README's scalar commands (fk, ik, cables, theta-from-cables, stiffness), each
+one that takes an angle also with the angle negated, and one fk under
+``--angle-unit rad``.
 
 A digest holds exact bytes, and float text and libm results may differ from
 one platform to the next, so each platform has its own digests, keyed by
@@ -34,6 +37,25 @@ REPLAY = Path(__file__).parent / "golden" / "replay.json"
 KEY = "-".join((sys.platform, platform.machine(), *platform.libc_ver()))
 
 
+# README's scalar examples, by digest name; a negated angle mirrors the pose,
+# so ik's negated variant mirrors its point too
+_SCALAR_COMMANDS = {
+    "fk": ["fk", "0.432", "0.265", "16.7deg"],
+    "fk-negated": ["fk", "0.432", "0.265", "-16.7deg"],
+    "fk-rad": ["--angle-unit", "rad", "fk", "0.432", "0.265", "0.29"],
+    "ik-theta": ["ik", "0.076", "0.686", "--theta", "10deg"],
+    "ik-theta-negated": ["ik", "-0.076", "0.686", "--theta", "-10deg"],
+    "ik-min-angle": ["ik", "0.3", "1.0"],
+    "cables": ["cables", "0.5", "0.5", "30deg", "--d", "0.02"],
+    "cables-negated": ["cables", "0.5", "0.5", "-30deg", "--d", "0.02"],
+    "theta-from-cables": ["theta-from-cables", "1.0104", "0.9896", "--d", "0.02"],
+    "theta-from-cables-negated": ["theta-from-cables", "0.9896", "1.0104", "--d", "0.02"],
+    "stiffness-kappa": ["stiffness", "--kappa", "1.2"],
+    "stiffness-theta-pinched": ["stiffness", "--theta", "10deg", "--model", "pinched"],
+    "stiffness-theta-pinched-negated": ["stiffness", "--theta", "-10deg", "--model", "pinched"],
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -49,13 +71,14 @@ def current_digests(work: Path) -> dict:
     commands["workspace-sparse"] = ["workspace", "--bounds", "-20", "20", "0", "1",
                                     "--resolution", "0.01"]
     commands["stiffness-curve"] = ["stiffness", "--curve", "0", "40", "81"]
+    commands.update(_SCALAR_COMMANDS)
     for name, command in commands.items():
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             code = main(["--out", str(work / name), *command])
         text = f"exit {code}\n" + stdout.getvalue().replace(str(work), "<out>")
         digests[f"{name}/stdout"] = _sha256(text.encode())
-        for path in sorted((work / name).iterdir()):
+        for path in sorted((work / name).glob("*")):  # none for a scalar command
             digests[f"{name}/{path.name}"] = _sha256(path.read_bytes())
     log = run_scenario(_outside_scenario())
     assert log.rows.outside.all()
