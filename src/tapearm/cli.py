@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import math
 import os
 import re
@@ -318,5 +319,21 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def run():
+    """The ``tapearm`` process: ``main``, then stdout's flush, whose failure is
+    an I/O error (fd 1 then goes to os.devnull, so the exit's flush cannot fail
+    again), then gc.freeze, so the shutdown collections skip every object."""
+    code = main()
+    try:
+        if sys.stdout is not None:  # None when fd 1 was closed at start
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_IO
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

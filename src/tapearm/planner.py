@@ -160,30 +160,30 @@ def plan_trajectory(waypoints, params: ManipulatorParams,
     """Piecewise-constant-rate profile visiting the waypoints in order.
 
     Waypoints are poses (solved by ik_at_theta at their phi) or explicit
-    joint states, which must lie inside the bounds of ``params``; the first
-    waypoint is the start. Each leg runs all four actuators together at
-    constant rates, stretched to the slowest-admissible duration and rounded
-    up to a whole number of ``dt`` steps, at least one, so a simulator can
-    replay the profile exactly. Cable rates come from the
-    endpoint cable lengths, so the bend angle arrives exactly even though it
-    evolves nonlinearly along the leg. Legs between waypoints with equal
-    orientation reduce to the constant-angle cable law. Coincident waypoints
-    produce no segment. A leg whose ends lie inside the bounds stays inside
-    them: l1, l2 and l1 + l2 are affine in time along it, and theta monotone.
+    joint states; either state must lie inside the bounds of ``params``,
+    without ik_at_theta's slack. The first waypoint is the start. Each leg
+    runs all four actuators together at constant rates, stretched to the
+    slowest-admissible duration and rounded up to a whole number of ``dt``
+    steps, at least one, so a simulator can replay the profile exactly.
+    Cable rates come from the endpoint cable lengths, so the bend angle
+    arrives exactly even though it evolves nonlinearly along the leg. Legs
+    between waypoints with equal orientation reduce to the constant-angle
+    cable law. Coincident waypoints produce no segment. A leg whose ends lie
+    inside the bounds stays inside them: l1, l2 and l1 + l2 are affine in
+    time along it, and theta monotone.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
     states = []
     for index, waypoint in enumerate(waypoints):
-        if isinstance(waypoint, JointState):
-            _require_within_bounds(waypoint, params, f"waypoint {index}")
-            states.append(waypoint)
-            continue
-        state = ik_at_theta((waypoint.x, waypoint.y), waypoint.phi, params)
-        if state is None:
-            raise PlanningError(
-                f"waypoint {index} at (x={waypoint.x:.6g} m, y={waypoint.y:.6g} m, "
-                f"phi={waypoint.phi:.6g} rad) is unreachable")
+        state = waypoint
+        if not isinstance(waypoint, JointState):
+            state = ik_at_theta((waypoint.x, waypoint.y), waypoint.phi, params)
+            if state is None:
+                raise PlanningError(
+                    f"waypoint {index} at (x={waypoint.x:.6g} m, y={waypoint.y:.6g} m, "
+                    f"phi={waypoint.phi:.6g} rad) is unreachable")
+        _require_within_bounds(state, params, f"waypoint {index}")
         states.append(state)
     if not states:
         raise PlanningError("need at least one waypoint")

@@ -1,4 +1,5 @@
 import errno
+import gc
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from tapearm.model import (
 from tapearm.serialization import save_params, save_scenario
 from tapearm.units import format_angle
 from tapearm.simulator import builtin_scenarios
+from test_golden import DIGESTS, KEY, _sha256
 
 
 def _run(capsys, argv):
@@ -534,6 +536,96 @@ def test_simulate_abort_keeps_partial_log(capsys, tmp_path):
     lines = (tmp_path / "scenario_log.csv").read_text().splitlines()
     assert len(lines) == 1 + 51 and lines[-1].startswith("0.5,")
     assert (tmp_path / "scenario_overlay.svg").read_text().startswith("<svg")
+
+
+# The process, `python -m tapearm`, runs cli.run: main, stdout's flush and the
+# exit. Its subprocesses inherit this environment, PYTHONPATH included.
+def _process(argv, **kwargs):
+    return subprocess.run([sys.executable, "-m", "tapearm", *argv], text=True, **kwargs)
+
+
+def test_the_process_writes_the_golden_bytes(tmp_path):
+    recorded = json.loads(DIGESTS.read_text())
+    if KEY not in recorded:
+        pytest.skip(f"no golden digests recorded for platform key {KEY!r} in {DIGESTS.name}")
+    out = tmp_path / "stationary-bend"
+    result = _process(["--out", str(out), "demo", "stationary-bend"], capture_output=True)
+    assert result.stderr == ""
+    stdout = f"exit {result.returncode}\n" + result.stdout.replace(str(tmp_path), "<out>")
+    digests = {"stationary-bend/stdout": _sha256(stdout.encode()),
+               **{f"stationary-bend/{path.name}": _sha256(path.read_bytes())
+                  for path in out.iterdir()}}
+    assert digests == {name: digest for name, digest in recorded[KEY].items()
+                       if name.startswith("stationary-bend/")}
+
+
+# one _EXIT_CODE_TABLE row each for exit codes 1, 2 and 3
+_PROCESS_ROWS = [row for row in _EXIT_CODE_TABLE
+                 if row[0] in ("invalid-state", "bad-angle", "params-file-missing")]
+
+
+@pytest.mark.parametrize("case, text, argv, expected", _PROCESS_ROWS,
+                         ids=[row[0] for row in _PROCESS_ROWS])
+def test_the_process_exits_as_main_returns(capsys, tmp_path, case, text, argv, expected):
+    if text is not None:
+        (tmp_path / "input.json").write_text(text)
+    argv = ["--out", str(tmp_path / "out")] + [arg.replace("{dir}", str(tmp_path))
+                                               for arg in argv]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == expected
+    result = _process(argv, capture_output=True)
+    assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
+
+
+def _environment(unbuffered):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("sink", ["closed-pipe", "dev-full"])
+def test_an_unwritable_stdout_is_an_io_error(sink, unbuffered):
+    # block-buffered, the write fails only at the flush after main returns
+    if sink == "closed-pipe":
+        read, stdout = os.pipe()
+        os.close(read)
+    elif os.path.exists("/dev/full"):
+        stdout = os.open("/dev/full", os.O_WRONLY)
+    else:
+        pytest.skip("no /dev/full on this platform")
+    try:
+        result = _process(["fk", "0.4", "0.3", "10"], stdout=stdout, stderr=subprocess.PIPE,
+                          env=_environment(unbuffered))
+    finally:
+        os.close(stdout)
+    assert result.returncode == 3, result.stderr
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    assert result.stderr.startswith("I/O error: "), result.stderr
+
+
+def test_a_stdout_closed_at_start_is_no_error():
+    # with fd 1 closed, sys.stdout is None and print writes nothing
+    argv = [sys.executable, "-m", "tapearm", "fk", "0.4", "0.3", "10"]
+    script = f"import os; os.close(1); os.execv({argv[0]!r}, {argv!r})"
+    result = subprocess.run([sys.executable, "-c", script], stderr=subprocess.PIPE, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+
+
+def test_the_process_exits_frozen_and_runs_atexit():
+    script = ("import atexit, gc, sys; from tapearm import cli; "
+              "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0)); "
+              "sys.argv[1:] = ['fk', '0.4', '0.3', '10']; cli.run()")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.endswith("phi_deg=10\nfrozen True\n")
+
+
+def test_main_in_process_leaves_the_gc_unfrozen(capsys, tmp_path):
+    before = gc.get_freeze_count()
+    assert main(["--out", str(tmp_path), "demo", "stationary-bend"]) == 0
+    assert main(["fk", "0.4", "0.3", "10"]) == 0
+    assert gc.get_freeze_count() == before
 
 
 # The commands that write files, each of which checks --out before its work.

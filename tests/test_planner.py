@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from tapearm.model import (
     DEFAULT_PARAMS,
@@ -12,6 +14,7 @@ from tapearm.model import (
     cable_lengths,
     forward_kinematics,
     link_lengths,
+    within_bounds,
 )
 from tapearm.planner import (
     ControlProfile,
@@ -24,6 +27,7 @@ from tapearm.planner import (
     plan_trajectory,
     stationary_bend_rates,
 )
+from tapearm.simulator import Scenario, initial_state, run_scenario
 from tapearm.workspace import feasible_theta_interval, ik_at_theta
 
 PARAMS = DEFAULT_PARAMS
@@ -212,11 +216,13 @@ def test_plan_trajectory_refuses_a_joint_state_outside_the_bounds():
     on_bounds = JointState(PARAMS.l1_min, PARAMS.max_total_length - PARAMS.l1_min,
                            -PARAMS.theta_limit)
     assert len(plan_trajectory([inside, on_bounds], PARAMS).segments) == 1
+    # and so is a pose, though ik_at_theta reaches this one within its slack
+    with pytest.raises(PlanningError, match=r"^waypoint 1 is outside the bounds: "
+                       r"l1_min\[value=0\.0755 limit=0\.076 margin=-0\.0005\]$"):
+        plan_trajectory([inside, Pose(0.0, 0.0755, 0.0)], PARAMS)
 
 
 def test_plan_trajectory_replay_hits_waypoints():
-    from tapearm.simulator import Scenario, run_scenario, initial_state
-
     waypoints = [Pose(0.0, 0.6, 0.0),
                  Pose(0.2, 0.9, math.radians(25.0)),
                  Pose(0.1, 1.1, math.radians(12.0)),
@@ -229,6 +235,68 @@ def test_plan_trajectory_replay_hits_waypoints():
         row = log.rows[index]
         assert math.hypot(row.l1 - state.l1, row.l2 - state.l2) <= 1e-6
         assert abs(row.theta - state.theta) <= 1e-6
+
+
+@st.composite
+def _demonstrations(draw):
+    """Valid parameters and 2-4 waypoints: joint states inside their bounds,
+    and the poses of such states. A length or an angle lies on its bound
+    about half the time. The bounds admit states too short for their bend,
+    l1 + l2 <= 2 d |sin(theta / 2)|, whose shorter cable would have no
+    positive length; none is drawn."""
+    def within(lo, hi):
+        hi = max(lo, hi)  # max_total_length - l1 may round below l2_min
+        return draw(st.sampled_from([lo, hi]) | st.floats(lo, hi))
+
+    l1_min, l2_min = draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.3))
+    params = ManipulatorParams(cable_offset=draw(st.floats(0.001, 0.05)),
+                               theta_limit=draw(st.floats(0.01, math.pi / 2)),
+                               l1_min=l1_min, l2_min=l2_min,
+                               max_total_length=draw(st.floats(l1_min + l2_min + 0.01, 2.0)))
+    waypoints = []
+    for _ in range(draw(st.integers(2, 4))):
+        l1 = within(params.l1_min, params.max_total_length - params.l2_min)
+        l2 = within(params.l2_min, params.max_total_length - l1)
+        state = JointState(l1, l2, within(-params.theta_limit, params.theta_limit))
+        assume(l1 + l2 > 2.0 * params.cable_offset * abs(math.sin(0.5 * state.theta)))
+        waypoints.append(draw(st.sampled_from([state, forward_kinematics(state)])))
+    return params, waypoints
+
+
+def _midline_pose():
+    # within STRAIGHT_X_TOL of the midline: ik_at_theta gives l2 = 0, which
+    # only its slack admits under l2_min = 1e-9
+    params = ManipulatorParams(cable_offset=0.03125, theta_limit=1.0, l1_min=0.5, l2_min=1e-9,
+                               max_total_length=1.0)
+    state = JointState(0.5, 1e-9, -1.0)
+    return params, [state, forward_kinematics(state)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_demonstrations())
+@example(_midline_pose())
+def test_planned_runs_end_at_the_last_waypoint_inside_the_bounds(demonstration):
+    # a pose is solved as plan_trajectory solves it, and refused where
+    # ik_at_theta does not reach it inside the bounds
+    params, waypoints = demonstration
+    states = [waypoint if isinstance(waypoint, JointState)
+              else ik_at_theta((waypoint.x, waypoint.y), waypoint.phi, params)
+              for waypoint in waypoints]
+    if not all(state is not None and within_bounds(state.l1, state.l2, state.theta, params)
+               for state in states):
+        with pytest.raises(PlanningError, match=r"^waypoint \d+ (at .* is unreachable"
+                                                r"|is outside the bounds: )"):
+            plan_trajectory(waypoints, params)
+        return
+    profile = plan_trajectory(waypoints, params)
+    start = initial_state(control_from_state(states[0]), states[0].theta, params)
+    log = run_scenario(Scenario("demonstration", params, start, profile))
+    assert log.abort is None
+    assert not log.rows.outside.any(), log.rows.violations
+    end, final = states[-1], log.final
+    assert max(abs(final.l1 - end.l1), abs(final.l2 - end.l2), abs(final.theta - end.theta)) <= 1e-9
+    if isinstance(waypoints[-1], Pose):
+        assert math.hypot(final.x - waypoints[-1].x, final.y - waypoints[-1].y) <= 1e-9
 
 
 def test_leg_command_endpoint_exactness():
