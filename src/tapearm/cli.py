@@ -42,8 +42,18 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a help text that cannot be written to
+    stdout raises the write's OSError, which argparse ignores."""
+
+    def print_help(self, file=None):
+        file = sys.stdout if file is None else file
+        if file is not None:  # None when fd 1 was closed at start, as for print
+            file.write(self.format_help())
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tapearm",
         description="Model, plan and simulate the pinched-tape planar manipulator.")
     parser.add_argument("--params", metavar="FILE",
@@ -302,9 +312,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         # argparse's float() accepts "nan" and "inf"
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
@@ -320,10 +329,14 @@ def main(argv=None) -> int:
 
 
 def run():
-    """The ``tapearm`` process: ``main``, then stdout's flush, whose failure is
-    an I/O error (fd 1 then goes to os.devnull, so the exit's flush cannot fail
+    """The ``tapearm`` process: ``main``, whose code or SystemExit (argparse's
+    help and usage errors) it keeps, then stdout's flush, whose failure is an
+    I/O error (fd 1 then goes to os.devnull, so the exit's flush cannot fail
     again), then gc.freeze, so the shutdown collections skip every object."""
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
     try:
         if sys.stdout is not None:  # None when fd 1 was closed at start
             sys.stdout.flush()

@@ -273,6 +273,17 @@ class BlockText:
         index += head
         np.take(self._groups, index, out=words[:, 0], mode="clip")
 
+    def packed_cells(self, values, sep=","):
+        """The texts of :meth:`float_cells` with their NULs moved to the end,
+        each NUL-padded only to the longest text: a new uint8 array of shape
+        values.shape + (width,), which later calls do not overwrite."""
+        cells = self.float_cells(values, sep)
+        keep = cells != 0
+        length = np.count_nonzero(keep, axis=-1)
+        packed = np.zeros(length.shape + (int(length.max(initial=0)),), np.uint8)
+        packed[np.arange(packed.shape[-1]) < length[..., None]] = cells[keep]
+        return packed
+
     def join_cells(self, *cells) -> str:
         """The text of rows of cells, uint8 arrays whose leading shapes broadcast
         to one: the cells side by side in a frame of the working set, without

@@ -34,90 +34,89 @@ _SEGMENTS = {
     (10, True): ("lb", "rt"), (10, False): ("br", "tl"),
 }
 
+# The corners BL, BR, TR, TL as (row, column) steps from a cell's bottom-left
+# sample, and the corners that the edges b, r, t and l run from and to.
+_CORNER_DY, _CORNER_DX = np.array([0, 0, 1, 1]), np.array([0, 1, 1, 0])
+_EDGE_FROM, _EDGE_TO = np.array([0, 1, 3, 0]), np.array([1, 2, 2, 3])
 
-def _interpolate(pa, va, pb, vb, level) -> list:
-    """Points where ``level`` crosses the edges from ``pa`` to ``pb``.
 
-    Elementwise over arrays of edges. Where the endpoint values straddle the
-    level, the denominator is nonzero.
-    """
-    t = (level - va) / (vb - va)
-    return list(zip((pa[0] + t * (pb[0] - pa[0])).tolist(),
-                    (pa[1] + t * (pb[1] - pa[1])).tolist()))
+# _SEGMENTS as indices into "brtl", by row case << 1 | center_above: the edge
+# pairs of the row's two segments, or of its one segment and then [4, 4].
+_SEGMENT_TABLE = np.array([
+    [list(map("brtl-".index, pair)) for pair in (*pairs, "--", "--")[:2]]
+    for pairs in (_SEGMENTS.get(row >> 1) or _SEGMENTS.get((row >> 1, bool(row & 1)), ())
+                  for row in range(32))])
 
 
 def marching_squares(xs, ys, field, level) -> list:
     """Iso-contour polylines of ``field`` (shape (len(ys), len(xs))) at ``level``.
 
     Cells with a NaN corner are skipped. Segments are stitched into chains
-    where they share endpoints; returns polylines as lists of (x, y) tuples.
+    where their endpoints round to the same nanometre (``np.rint(p * 1e9)``);
+    returns polylines as lists of (x, y) tuples.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    field = np.asarray(field, dtype=float)
-    # Corner values of every cell, indexed [iy, ix] like the cell's
-    # bottom-left sample.
-    bl = field[:-1, :-1]
-    br = field[:-1, 1:]
-    tr = field[1:, 1:]
-    tl = field[1:, :-1]
-    above = (field > level).view(np.uint8)
-    case = above[:-1, :-1] | above[:-1, 1:] << 1 | above[1:, 1:] << 2 | above[1:, :-1] << 3
-    nan = np.isnan(field)
-    finite = ~(nan[:-1, :-1] | nan[:-1, 1:] | nan[1:, 1:] | nan[1:, :-1])
-    # Row-major, so segments come out in cell scan order.
-    iy, ix = np.nonzero(finite & (case != 0) & (case != 15))
-    if iy.size == 0:
-        return []
-    v_bl, v_br, v_tr, v_tl = bl[iy, ix], br[iy, ix], tr[iy, ix], tl[iy, ix]
-    x0, x1 = xs[ix], xs[ix + 1]
-    y0, y1 = ys[iy], ys[iy + 1]
-    # Interpolate all four edges of each crossed cell; an edge the contour
-    # does not cross may divide by zero, and its point is never used.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        edge_points = {
-            "b": _interpolate((x0, y0), v_bl, (x1, y0), v_br, level),
-            "r": _interpolate((x1, y0), v_br, (x1, y1), v_tr, level),
-            "t": _interpolate((x0, y1), v_tl, (x1, y1), v_tr, level),
-            "l": _interpolate((x0, y0), v_bl, (x0, y1), v_tl, level),
-        }
-        # Saddle cells use the center value to pick the separation.
-        center_above = (0.25 * (((v_bl + v_br) + v_tr) + v_tl) > level).tolist()
-    segments = []
-    for k, cell_case in enumerate(case[iy, ix].tolist()):
-        for edge_a, edge_b in _SEGMENTS.get(cell_case) or _SEGMENTS[cell_case, center_above[k]]:
-            segments.append((edge_points[edge_a][k], edge_points[edge_b][k]))
-    return _stitch(segments)
+    xs, ys, field = (np.asarray(a, dtype=float) for a in (xs, ys, field))
+    # A sample's bits are 1 above the level and 16 NaN. The cell whose
+    # bottom-left corner is flat sample k ORs its corners' bits shifted by 0
+    # (BL), 1 (BR), 2 (TR) and 3 (TL), so a crossed cell with no NaN corner
+    # has case 1..14. A k in the last column wraps around its row: no cell.
+    bits = ((field > level).view(np.uint8) | np.isnan(field).view(np.uint8) << 4).reshape(-1)
+    ny, nx = field.shape
+    size = max((ny - 1) * nx - 1, 0)
+    case = bits[:size] | bits[1:size + 1] << 1 | bits[nx + 1:] << 2 | bits[nx:nx + size] << 3
+    cells = np.flatnonzero(case - np.uint8(1) < 14)  # case 0 wraps to 255; row-major order
+    cells = cells[cells % nx != nx - 1]
+    # Each crossed cell's corner values and coordinates, shape (4, cells).
+    values = field.reshape(-1)[cells + (_CORNER_DY * nx + _CORNER_DX)[:, None]]
+    corner_x, corner_y = xs[cells % nx + _CORNER_DX[:, None]], ys[cells // nx + _CORNER_DY[:, None]]
+    # Saddle cells use the center value to pick the separation.
+    center_above = 0.25 * (((values[0] + values[1]) + values[2]) + values[3]) > level
+    edges = _SEGMENT_TABLE[case[cells].astype(np.intp) << 1 | center_above]
+    cell, slot = np.nonzero(edges[:, :, 0] < 4)  # in cell order, then the cell's order
+    edges, cell = edges[cell, slot], cell[:, None]
+    # Both ends of every segment, interpolated from its edges' corners: start
+    # and stop are flat indices into the (4, cells) arrays.
+    start, stop = _EDGE_FROM[edges] * cells.size + cell, _EDGE_TO[edges] * cells.size + cell
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = (level - values.take(start)) / (values.take(stop) - values.take(start))
+        px = (corner_x.take(start) + t * (corner_x.take(stop) - corner_x.take(start))).reshape(-1)
+        py = (corner_y.take(start) + t * (corner_y.take(stop) - corner_y.take(start))).reshape(-1)
+        keys = np.rint(np.stack([px, py], 1) * 1e9).view(np.complex128).reshape(-1)
+    return _stitch(list(zip(px.tolist(), py.tolist())), keys)
 
 
-def _key(point):
-    return (round(point[0] * 1e9), round(point[1] * 1e9))
-
-
-def _stitch(segments) -> list:
+def _stitch(points, keys) -> list:
     """Join segments sharing endpoints into polylines (undirected).
 
-    A chain grows at its end, then at its start: reversed, grown at its end
-    and reversed back.
+    ``points`` holds the two ends of each segment in turn, and the array
+    ``keys`` the join key of each end. A chain grows at its end, then at its
+    start: reversed, grown at its end and reversed back. At each tip it takes
+    the first unused segment, in segment order, with an end at the tip's key.
     """
-    keys = [(_key(a), _key(b)) for a, b in segments]
-    adjacency = {}
-    for index, pair in enumerate(keys):
-        for key in pair:
-            adjacency.setdefault(key, []).append(index)
-    used = [False] * len(segments)
+    # end i's key group g = group[i] has the ends order[first[g]:first[g + 1]]
+    order = np.argsort(keys, kind="stable")
+    new = np.ones(keys.size, bool)
+    new[1:] = keys[order[1:]] != keys[order[:-1]]
+    group = np.empty_like(order)
+    group[order] = np.cumsum(new) - 1
+    order, group, first = order.tolist(), group.tolist(), [*np.flatnonzero(new).tolist(), keys.size]
+    used = [False] * (len(points) // 2)
     polylines = []
-    for start in range(len(segments)):
+    for start in range(len(used)):
         if used[start]:
             continue
         used[start] = True
-        chain = list(segments[start])
-        for tip in keys[start][::-1]:  # the key of the end, then of the start
-            while (index := next((i for i in adjacency[tip] if not used[i]), None)) is not None:
-                used[index] = True
-                end = 1 if keys[index][0] == tip else 0
-                chain.append(segments[index][end])
-                tip = keys[index][end]
+        chain = points[2 * start:2 * start + 2]
+        for tip in (group[2 * start + 1], group[2 * start]):
+            while True:
+                for end in order[first[tip]:first[tip + 1]]:
+                    if not used[end >> 1]:
+                        break
+                else:  # no unused segment at this tip
+                    break
+                used[end >> 1] = True
+                chain.append(points[end ^ 1])
+                tip = group[end ^ 1]
             chain.reverse()
         polylines.append(chain)
     return polylines

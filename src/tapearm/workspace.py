@@ -333,8 +333,8 @@ def grid_to_csv(grid: WorkspaceGrid, fh) -> None:
     rows = max(1, BLOCK_FLOATS // cols)
     text = BlockText()
     # x cells are the same in every row and y cells are made BLOCK_FLOATS rows
-    # at a time: both are copies, which later blocks do not overwrite
-    x_cells = [text.float_cells(grid.xs[c0:c0 + cols]).copy() for c0 in range(0, grid.nx, cols)]
+    # at a time, each packed once, so the frames carry no word padding of theirs
+    x_cells = [text.packed_cells(grid.xs[c0:c0 + cols]) for c0 in range(0, grid.nx, cols)]
     y_rows = rows * max(1, BLOCK_FLOATS // rows)
     # The blocks in file order, each a run of the row-major cells. The reachable
     # angles of consecutive blocks in one chunk of y cells are formatted by one
@@ -346,7 +346,7 @@ def grid_to_csv(grid: WorkspaceGrid, fh) -> None:
     start = batch_end = 0
     for index, (r0, c0, x, reach) in enumerate(blocks):
         if not (r0 % y_rows or c0):
-            y_cells = text.float_cells(grid.ys[r0:r0 + y_rows, None]).copy()
+            y_cells = text.packed_cells(grid.ys[r0:r0 + y_rows, None])
         if index == batch_end:
             end, total = start, 0
             while (batch_end < len(blocks) and total + counts[batch_end] <= BLOCK_FLOATS

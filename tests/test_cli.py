@@ -585,8 +585,12 @@ def _environment(unbuffered):
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("sink", ["closed-pipe", "dev-full"])
-def test_an_unwritable_stdout_is_an_io_error(sink, unbuffered):
-    # block-buffered, the write fails only at the flush after main returns
+@pytest.mark.parametrize("argv", [["fk", "0.4", "0.3", "10"], ["--help"], ["fk", "--help"]],
+                         ids=["fk", "help", "fk-help"])
+def test_an_unwritable_stdout_is_an_io_error(sink, unbuffered, argv):
+    # block-buffered, the write fails only at the flush after main returns or,
+    # for help, after argparse raises SystemExit; unbuffered, argparse would
+    # ignore the failed write of its help text
     if sink == "closed-pipe":
         read, stdout = os.pipe()
         os.close(read)
@@ -595,8 +599,7 @@ def test_an_unwritable_stdout_is_an_io_error(sink, unbuffered):
     else:
         pytest.skip("no /dev/full on this platform")
     try:
-        result = _process(["fk", "0.4", "0.3", "10"], stdout=stdout, stderr=subprocess.PIPE,
-                          env=_environment(unbuffered))
+        result = _process(argv, stdout=stdout, stderr=subprocess.PIPE, env=_environment(unbuffered))
     finally:
         os.close(stdout)
     assert result.returncode == 3, result.stderr

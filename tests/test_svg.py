@@ -279,6 +279,17 @@ def _case(bl, br, tr, tl, level=0.5):
 @example(_case(math.nan, 1.0, 0.0, 0.0))
 @example((np.array([0.0, 1.0, 2.0]), np.array([0.0]), np.array([[0.0, 1.0, 0.0]]), 0.5))
 @example((np.array([0.0]), np.array([0.0, 1.0, 2.0]), np.array([[0.0], [1.0], [0.0]]), 0.5))
+# four crossings within 1 nm of the vertex (row 2, column 0): their rounded
+# keys join both loops there, which keys by grid edge or vertex would not
+@example((np.array([0.0, 0.5, 1.0]), np.linspace(0.1, 0.6, 6),
+          np.array([[0, 0, 0], [0.25, 0, 0], [0, 0, 0], [0.25, 0, 0], [0, 0, 0], [0, 0, 0]],
+                   dtype=float), 9.560234621542405e-268))
+# the level at a vertex of four crossed cells: four zero-length segments there,
+# then four saddles around it
+@example((np.arange(3.0), np.arange(3.0), np.array([[1.0, 1.0, 1.0], [1.0, 0.5, 1.0],
+                                                   [1.0, 1.0, 1.0]]), 0.5))
+@example((np.arange(3.0), np.arange(3.0), np.array([[0.0, 1.0, 0.0], [1.0, 0.5, 1.0],
+                                                   [0.0, 1.0, 0.0]]), 0.5))
 def test_marching_squares_matches_reference_loop(case):
     xs, ys, field, level = case
     assert marching_squares(xs, ys, field, level) == _marching_squares_loop(xs, ys, field, level)
