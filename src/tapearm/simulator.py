@@ -408,7 +408,9 @@ def log_to_csv(log: TrajectoryLog, fh) -> None:
     def violation_texts(bound, limit, values, margins):
         return map(fills[bound], zip(values, margins))
 
-    text = BlockText()
+    # the residual column, zero or below 1e-4 in most runs, takes repr's path
+    # in its own working set, where the other columns take the fast path
+    text, residual_text = BlockText(), BlockText()
     fh.write(LOG_CSV_HEADER + "\n")
     block_rows = BLOCK_FLOATS // len(LOG_COLUMNS)
     for first in range(0, len(rows), block_rows):
@@ -421,7 +423,8 @@ def log_to_csv(log: TrajectoryLog, fh) -> None:
             named[marked] = list(map(";".join, _name_violations(rows, first + marked,
                                                                 violation_texts)))
             texts = named.astype(bytes).view(np.uint8).reshape(count, -1)
-        fh.write(text.join_cells(text.float_cells(block.T).reshape(count, -1), texts, _NEWLINE))
+        fh.write(text.join_cells(text.float_cells(block[:-1].T).reshape(count, -1),
+                                 residual_text.float_cells(block[-1]), texts, _NEWLINE))
 
 
 # --- named checks ----------------------------------------------------------

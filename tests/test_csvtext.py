@@ -1,6 +1,7 @@
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -80,6 +81,34 @@ def test_fast_path_calls_repr_only_off_it(monkeypatch):
     # exponent notation, NaN
     assert sorted(map(repr, seen)) == sorted(map(repr, [0.0, -0.0, 0.5, 1e-7, float("nan"),
                                                          1627795238560.5938]))
+
+
+# Values only repr writes: zeros, exponent notation, subnormals, infinities,
+# NaN, powers of two and a tie; and values the fast path writes.
+_REPR_ONLY = [0.0, -0.0, 1e-17, 5e-324, -2.2250738585072014e-308, float("inf"), -float("inf"),
+              float("nan"), 0.5, -1024.0, 2.0**-20, 1627795238560.5938]
+_FAST = [0.1, -0.30000000000000004, 123.456, 0.38397243543875437, -0.0002, 999999999999999.0]
+
+
+@pytest.mark.parametrize("block", [
+    # columns of repr-only values, fast values, both, and one repeated zero
+    np.stack([np.resize(_REPR_ONLY, 12), np.resize(_FAST, 12),
+              np.resize(_REPR_ONLY[::2] + _FAST[::-2], 12), np.zeros(12)], axis=1),
+    np.resize(_REPR_ONLY[::-1], (5, 3)),  # no fast-path value
+    np.resize([0.0, 4.440892098500626e-16, 0.0, 1e-20], 9),  # a residual column's kind
+], ids=["mixed-columns", "repr-only-table", "repr-only-column"])
+def test_blocks_off_the_fast_path_call_repr_once_per_value(monkeypatch, block):
+    seen = []
+    monkeypatch.setattr(csvtext, "repr", lambda value: seen.append(value) or repr(value),
+                        raising=False)
+    rows = block.reshape(len(block), -1)
+    cells = TEXT.float_cells(block, "," * (rows.shape[1] - 1) + "\n")
+    assert TEXT.join_cells(cells.reshape(len(block), -1)) == "".join(
+        ",".join(map(repr, row)) + "\n" for row in rows.tolist())
+    # each distinct value off the fast path once, -0.0 and 0.0 apart
+    distinct = np.unique(block.view(np.uint64)).view(np.float64).tolist()
+    assert sorted(map(repr, seen)) == sorted(repr(value) for value in distinct
+                                             if value not in _FAST)
 
 
 def test_cells_of_a_table_join_row_by_row():

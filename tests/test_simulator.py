@@ -601,7 +601,8 @@ def test_run_scenario_memory_is_the_log_plus_a_few_blocks():
 
 def test_log_to_csv_memory_is_a_few_blocks():
     # the same 200k rows: every temporary is per block of BLOCK_FLOATS floats,
-    # about 4 MB, where one frame over the whole log would take hundreds of MB
+    # about 4.3 MiB, where one frame over the whole log would take hundreds of MB.
+    # The bound is absolute, so that a larger block size has to fit in it too.
     profile = ControlProfile(((800.0, RateCommand(q1_rate=1e-4)),
                               (800.0, RateCommand(q2_rate=1e-4)),
                               (400.0, RateCommand(cL_rate=1e-6, cR_rate=-1e-6))))
@@ -613,7 +614,7 @@ def test_log_to_csv_memory_is_a_few_blocks():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert peak <= 1024 * BLOCK_FLOATS
+    assert peak <= 8 * 2**20
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -811,7 +812,7 @@ _BEND = 4.0 * PARAMS.cable_offset
 @given(_scenarios())
 # retracts past zero length: every late row breaks l1_min
 @example(_example((12.0, RateCommand(q1_rate=-0.1, cL_rate=-0.1, cR_rate=-0.1))))
-# rows 561-2000 break l1_min, across the CSV writer's 744-row blocks
+# rows 561-2000 break l1_min, across the CSV writer's 1489-row blocks
 @example(_example((20.0, RateCommand(q1_rate=-0.04, cL_rate=-0.04, cR_rate=-0.04))))
 # the cable differential leaves the +/-4d range mid-segment
 @example(_example((1.0, RateCommand()), (1.0, RateCommand(cL_rate=_BEND, cR_rate=-_BEND))))

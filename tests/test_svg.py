@@ -347,8 +347,8 @@ def test_workspace_outputs_match_reference_loops(params, bounds, resolution):
 # Each case's facts: one row wider than BLOCK_FLOATS, a frame that ends in the
 # middle of a row, a rect at a negative pixel x, and any reachable cell.
 @pytest.mark.parametrize("bounds, resolution, frame_cells, facts", [
-    # one row of 10 000 cells, about 6 500 of them reachable
-    ((-2.0, 2.0, 1.5, 1.5004), 0.0004, svg._FRAME_CELLS, (True, True, False, True)),
+    # one row of 20 000 cells, 6 478 of them reachable
+    ((-4.0, 4.0, 1.5, 1.5004), 0.0004, svg._FRAME_CELLS, (True, True, False, True)),
     ((-1.0, 1.0, 0.0, 1.0), 0.1, 7, (False, True, False, True)),
     # 3 x 3 cells over bounds 2.6 cells wide: the cells stick out left of the
     # plot's origin
