@@ -51,6 +51,10 @@ class _Parser(argparse.ArgumentParser):
         if file is not None:  # None when fd 1 was closed at start, as for print
             file.write(self.format_help())
 
+    def error(self, message):
+        # one line, though argparse names unrecognized arguments as they are
+        super().error(message.replace("\r", "\\r").replace("\n", "\\n"))
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(

@@ -75,8 +75,8 @@ def _require_positive(obj, *names):
 
 
 def _require_finite(obj, *names):
-    # The value types built per simulator row test their fields inline and
-    # call this only on failure, to name the first non-finite one.
+    # The states and poses that each scalar FK or IK call builds test their
+    # fields inline, for that per-call cost, and call this only on failure.
     for name in names:
         value = getattr(obj, name)
         if not math.isfinite(value):

@@ -148,15 +148,13 @@ def _rgb(values) -> np.ndarray:
     return np.rint(c0 + f * (c1 - c0)).astype(int)
 
 
-def _colors(values) -> list[str]:
-    """Hex colours of ``values`` on the colormap, one per value."""
-    rgb = _rgb(values)
-    packed = (rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]
-    return [f"#{v:06x}" for v in packed.tolist()]
-
-
 # The two lowercase hex digits of each channel value, as uint8 rows.
 _HEX = np.frombuffer(b"0123456789abcdef", np.uint8)[np.stack(np.divmod(np.arange(256), 16), 1)]
+
+
+def _colors(values) -> list[str]:
+    """Hex colours of ``values`` on the colormap, one per value."""
+    return ["#" + h.decode() for h in _HEX[_rgb(values)].reshape(-1, 6).view("S6")[:, 0].tolist()]
 
 
 class _Canvas:
@@ -211,12 +209,10 @@ def workspace_svg(grid, fh) -> None:
     canvas = _Canvas(fh, x_min, x_max, y_min, y_max, _WORKSPACE_WIDTH)
     magnitude = np.abs(grid.min_angle)
     vmax = float(np.nanmax(magnitude, initial=0.0)) or 1.0
-    # The pixel coordinates of each cell's top-left corner, computed once per
-    # column or row in the same operation order as _Canvas.px.
+    # The pixel coordinates of each cell's top-left corner, once per column or row.
     half = 0.5 * grid.resolution
     size = grid.resolution * canvas.scale
-    px = _PAD + ((grid.xs - half) - canvas.x_min) * canvas.scale
-    py = _PAD + (canvas.y_max - ((grid.ys - half) + grid.resolution)) * canvas.scale
+    px, py = canvas.px(grid.xs - half, (grid.ys - half) + grid.resolution)
     # A rect's text is its column's, its row's, the fill's hex digits and the
     # end, as NUL-padded uint8 rows joined _FRAME_CELLS reachable cells at a time.
     px_text = np.array([f'<rect x="{v:.2f}" y="' for v in px.tolist()], "S")[:, None].view(np.uint8)

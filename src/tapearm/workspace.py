@@ -48,10 +48,6 @@ GRID_CSV_HEADER = "x_m,y_m,reachable,min_angle_rad"
 # --bounds -2 2 0 2 --resolution 0.01), so time and memory stay bounded.
 MAX_GRID_CELLS = 4_000_000
 
-# compute_grid evaluates the mesh this many cells at a time, so its
-# temporaries and Python float lists stay bounded whatever the grid size.
-_BLOCK_CELLS = 4096
-
 # How far a cell's np.arctan2 lo may exceed its hi and the cell still be
 # reachable by math.atan2's: 16 ulps of the larger, and 16 of the subnormals.
 _SCREEN_ULPS = 16.0 * np.finfo(float).eps
@@ -232,7 +228,8 @@ def grid_centers(lo: float, hi: float, n: int, resolution: float) -> np.ndarray:
 
 
 def _map_math(function, *arrays) -> np.ndarray:
-    """``function`` applied to the broadcast floats of ``arrays``, as float64.
+    """``function`` applied to the floats of the 1-D ``arrays``, all of one
+    length, as float64.
 
     The math module's libm calls, not numpy's own loops, so vectorized code
     keeps the scalar path's values bit for bit: np.arcsin differs from
@@ -241,12 +238,7 @@ def _map_math(function, *arrays) -> np.ndarray:
     from math.sin and math.cos, depending on the build. compute_grid uses
     np.arctan2 only to rule cells out, within a slack the tests check.
     """
-    shape = arrays[0].shape
-    if any(a.shape != shape for a in arrays):
-        shape = np.broadcast_shapes(*(a.shape for a in arrays))
-        arrays = [np.broadcast_to(a, shape) for a in arrays]
-    lists = [a.ravel().tolist() for a in arrays]
-    return np.fromiter(map(function, *lists), float, math.prod(shape)).reshape(shape)
+    return np.fromiter(map(function, *(a.tolist() for a in arrays)), float, arrays[0].size)
 
 
 def compute_grid(params: ManipulatorParams, bounds, resolution: float) -> WorkspaceGrid:
@@ -254,16 +246,16 @@ def compute_grid(params: ManipulatorParams, bounds, resolution: float) -> Worksp
 
     bounds = (x_min, x_max, y_min, y_max). Off the midline a cell's minimum
     angle is the closed-form lo of feasible_theta_interval, signed like x, or
-    NaN unless lo <= hi; these are evaluated over blocks of at most
-    _BLOCK_CELLS cells in the scalar path's operation order, so every value
-    equals min_end_effector_angle's bit for bit. np.arctan2 first rules out the
-    cells whose lo exceeds hi by more than a slack of _SCREEN_ULPS and
-    _SCREEN_SUBNORMALS; math.atan2 then gives every other cell's lo, and its hi
-    where the two lie within the slack. Cells within STRAIGHT_X_TOL
-    of the midline call min_end_effector_angle. A cell is reachable where its
-    angle is not NaN. Raises ValueError on non-finite input, and on a grid
-    over MAX_GRID_CELLS cells (an empty axis counts as one cell wide) before
-    allocating it.
+    NaN unless lo <= hi; these are evaluated over grid_to_csv's blocks of at
+    most BLOCK_FLOATS cells, which bound the temporaries, in the scalar path's
+    operation order, so every value equals min_end_effector_angle's bit for
+    bit. np.arctan2 first rules out the cells whose lo exceeds hi by more than
+    a slack of _SCREEN_ULPS and _SCREEN_SUBNORMALS; math.atan2 then gives
+    every other cell's lo, and its hi where the two lie within the slack.
+    Cells within STRAIGHT_X_TOL of the midline call min_end_effector_angle. A
+    cell is reachable where its angle is not NaN. Raises ValueError on
+    non-finite input, and on a grid over MAX_GRID_CELLS cells (an empty axis
+    counts as one cell wide) before allocating it.
     """
     if not (resolution > 0 and math.isfinite(resolution)):
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
@@ -294,8 +286,8 @@ def compute_grid(params: ManipulatorParams, bounds, resolution: float) -> Worksp
         hi_cap[capped] = np.minimum(hi_cap[capped], _map_math(math.asin, ratio[capped]))
     l1_floor = _length_floor(params.l1_min, LENGTH_TOL)
     total = params.max_total_length + LENGTH_TOL
-    cols = max(1, min(nx, _BLOCK_CELLS))
-    rows = max(1, _BLOCK_CELLS // cols)
+    cols = max(1, min(nx, BLOCK_FLOATS))
+    rows = max(1, BLOCK_FLOATS // cols)
     for r0 in range(0, ny, rows):
         below, above = ys[r0:r0 + rows] - l1_floor, total - ys[r0:r0 + rows]
         for c0 in range(0, nx, cols):
@@ -336,29 +328,15 @@ def grid_to_csv(grid: WorkspaceGrid, fh) -> None:
     # at a time, each packed once, so the frames carry no word padding of theirs
     x_cells = [text.packed_cells(grid.xs[c0:c0 + cols]) for c0 in range(0, grid.nx, cols)]
     y_rows = rows * max(1, BLOCK_FLOATS // rows)
-    # The blocks in file order, each a run of the row-major cells. The reachable
-    # angles of consecutive blocks in one chunk of y cells are formatted by one
-    # call, up to BLOCK_FLOATS of them, after that chunk's y cells.
-    blocks = [(r0, c0, x, grid.reachable[r0:r0 + rows, c0:c0 + cols])
-              for r0 in range(0, grid.ny, rows) for c0, x in zip(range(0, grid.nx, cols), x_cells)]
-    counts = [np.count_nonzero(reach) for *_, reach in blocks]
-    angles, reachable = grid.min_angle.reshape(-1), grid.reachable.reshape(-1)
-    start = batch_end = 0
-    for index, (r0, c0, x, reach) in enumerate(blocks):
-        if not (r0 % y_rows or c0):
+    # compute_grid's blocks, in file order; each formats its reachable angles in one call
+    for r0 in range(0, grid.ny, rows):
+        if not r0 % y_rows:
             y_cells = text.packed_cells(grid.ys[r0:r0 + y_rows, None])
-        if index == batch_end:
-            end, total = start, 0
-            while (batch_end < len(blocks) and total + counts[batch_end] <= BLOCK_FLOATS
-                   and blocks[batch_end][0] // y_rows == r0 // y_rows):
-                total += counts[batch_end]
-                end += blocks[batch_end][-1].size
-                batch_end += 1
-            found = text.float_cells(angles[start:end][reachable[start:end]], "\n")
-        angle = np.zeros(reach.shape + found.shape[1:], np.uint8)  # unreachable: "\n"
-        angle[..., -1] = ord("\n")
-        angle[reach] = found[:counts[index]]
-        found = found[counts[index]:]
-        start += reach.size
-        fh.write(text.join_cells(x, y_cells[r0 % y_rows:][:rows],
-                                 np.take(flags, reach.view(np.uint8), axis=0), angle))
+        for c0, x in zip(range(0, grid.nx, cols), x_cells):
+            reach = grid.reachable[r0:r0 + rows, c0:c0 + cols]
+            found = text.float_cells(grid.min_angle[r0:r0 + rows, c0:c0 + cols][reach], "\n")
+            angle = np.zeros(reach.shape + found.shape[1:], np.uint8)  # unreachable: "\n"
+            angle[..., -1] = ord("\n")
+            angle[reach] = found
+            fh.write(text.join_cells(x, y_cells[r0 % y_rows:][:rows],
+                                     np.take(flags, reach.view(np.uint8), axis=0), angle))

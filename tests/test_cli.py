@@ -1,12 +1,19 @@
+import contextlib
 import errno
 import gc
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tapearm import simulator, stiffness, workspace
 from tapearm.cli import main
@@ -691,3 +698,55 @@ def test_simulate_reads_no_params_env_var(capsys, tmp_path, monkeypatch, params_
                               str(tmp_path / "scenario.json")])
     assert code == 0
     assert "PASS l1_constant" in out
+
+
+# Tokens for the exit contract: float spellings, most often, each command's
+# options and choices, and arbitrary text.
+_FLOAT_SPELLINGS = st.one_of(
+    st.builds("".join, st.tuples(
+        st.sampled_from(["", "-", "+"]),
+        st.sampled_from(["0", "1", "7", "0.5", "12.25", ".5", "3.", "1e3", "1E-3", "2e400",
+                         "5e-400", "inf", "nan", "Infinity", "-NaN"]),
+        st.sampled_from(["", "", "", "deg", "rad", " deg"]))),
+    st.floats(-2.0, 2.0).map(repr), st.floats().map(repr))
+_OPTIONS = {
+    "fk": ["-h"],  # its one option
+    "ik": ["--theta"],
+    "cables": ["--d"],
+    "theta-from-cables": ["--d"],
+    "stiffness": ["--kappa", "--theta", "--model", "--curve", "pinched", "unpinched"],
+}
+
+
+@st.composite
+def _command_lines(draw):
+    # the tokens of up to five words, each a float spelling, an option and a
+    # float spelling, or text
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    word = st.one_of(_FLOAT_SPELLINGS.map(lambda value: [value]),
+                     st.tuples(st.sampled_from(_OPTIONS[command]), _FLOAT_SPELLINGS).map(list),
+                     st.text(max_size=4).map(lambda text: [text]))
+    return [command, *sum(draw(st.lists(word, max_size=5)), [])[:5]]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_command_lines())
+@example(["fk", "0.5", "0.5", "0", "a\nb"])  # argparse names an unrecognized argument raw
+@example(["ik", "1", "1", "\r"])
+def test_the_exit_contract_holds_for_any_tokens(argv):
+    # exit 0-3 with no traceback; a clean stderr on 0 and 1, and on 2 and 3 a
+    # last line that names the error. A warning would reach stderr too.
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        try:
+            code = main(["--out", out, *argv])
+        except SystemExit as exc:  # argparse's help and usage errors
+            code = exc.code
+    err = stderr.getvalue() + "".join(map(str, (w.message for w in caught)))
+    assert code in (0, 1, 2, 3) and "Traceback" not in err, (code, err)
+    if code in (0, 1):
+        assert err == "", err
+    else:
+        assert "error:" in re.split(r"\r\n?|\n", err.rstrip("\n"))[-1], err

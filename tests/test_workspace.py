@@ -378,7 +378,7 @@ def _grid_cases(draw):
     y0 = draw(st.floats(-0.2, 1.0)) * scale
     half = 0.5 * nx * resolution
     bounds = (cx - half, cx + half, y0, y0 + ny * resolution)
-    block = draw(st.sampled_from([1, 7, 64, workspace._BLOCK_CELLS]))
+    block = draw(st.sampled_from([1, 7, 64, workspace.BLOCK_FLOATS]))
     return params, bounds, resolution, block
 
 
@@ -399,7 +399,7 @@ def _close_calls(params, x, y_a, y_b, resolution=0.01):
         mid = 0.5 * (y_a + y_b)
         y_a, y_b = (mid, y_b) if reachable(mid) == side else (y_a, mid)
     return [(params, (x_min, x_min + 3 * resolution, y0, y0 + resolution), resolution,
-             workspace._BLOCK_CELLS) for y0 in (y_a, y_b)]
+             workspace.BLOCK_FLOATS) for y0 in (y_a, y_b)]
 
 
 # lo meets the hinge limit: at x = 0.5 a row is unreachable by 1 ulp where
@@ -418,7 +418,7 @@ _AT_ASIN = _close_calls(ManipulatorParams(l2_min=0.05), 0.03, 0.05, 0.2)
 @example((ManipulatorParams(l2_min=0.05), (-0.21, 0.21, 0.0, 0.24), 0.02, 20))
 @example((ManipulatorParams(l2_min=0.05), (5e-10 - 0.21, 5e-10 + 0.21, 0.0, 0.24), 0.02, 20))
 # the midline column, from below l1_min to above the length budget
-@example((PARAMS, (-0.105, 0.105, -0.1, 2.2), 0.01, workspace._BLOCK_CELLS))
+@example((PARAMS, (-0.105, 0.105, -0.1, 2.2), 0.01, workspace.BLOCK_FLOATS))
 @example(_AT_HINGE[0])
 @example(_AT_HINGE[1])
 @example(_AT_HINGE[2])
@@ -429,7 +429,7 @@ _AT_ASIN = _close_calls(ManipulatorParams(l2_min=0.05), 0.03, 0.05, 0.2)
 @example(_AT_ASIN[1])
 def test_compute_grid_matches_per_cell_min_angle(case):
     params, bounds, resolution, block = case
-    with mock.patch.object(workspace, "_BLOCK_CELLS", block):
+    with mock.patch.object(workspace, "BLOCK_FLOATS", block):
         grid = compute_grid(params, bounds, resolution)
     for iy, y in enumerate(grid.ys.tolist()):
         for ix, x in enumerate(grid.xs.tolist()):
