@@ -194,16 +194,10 @@ class CablePair:
         _require_positive(self, "c_L", "c_R")
 
 
-# The bounds of a joint state, in validate_state's order: each one's name,
-# which is the ManipulatorParams field of its limit, the value it bounds, read
-# from (l1, l2, theta), and its margin, how far inside the limit that value
-# sits. _bound_tests holds their tests, in the same order.
-_BOUNDS = (
-    ("l1_min", lambda l1, l2, theta: l1, lambda value, limit: value - limit),
-    ("l2_min", lambda l1, l2, theta: l2, lambda value, limit: value - limit),
-    ("max_total_length", lambda l1, l2, theta: l1 + l2, lambda value, limit: limit - value),
-    ("theta_limit", lambda l1, l2, theta: theta, lambda value, limit: limit - abs(value)),
-)
+# The bounds of a joint state, in validate_state's order: the ManipulatorParams
+# field of each one's limit. _bound_tests holds their tests, and _named_bounds
+# the value each one reads and its margin, in the same order.
+_BOUND_NAMES = ("l1_min", "l2_min", "max_total_length", "theta_limit")
 
 
 def _length_floor(limit: float, length_tol: float) -> float:
@@ -215,7 +209,7 @@ def _length_floor(limit: float, length_tol: float) -> float:
 
 def _bound_tests(l1, l2, theta, params: ManipulatorParams, length_tol: float = 0.0,
                  angle_tol: float = BOUND_EPS) -> tuple:
-    """Whether a state lies inside each bound of _BOUNDS, in its order, with
+    """Whether a state lies inside each bound of _BOUND_NAMES, in its order, with
     within_bounds' slack: bools for floats, and masks for numpy arrays."""
     return (l1 >= _length_floor(params.l1_min, length_tol) - BOUND_EPS,
             l2 >= _length_floor(params.l2_min, length_tol) - BOUND_EPS,
@@ -239,11 +233,14 @@ def within_bounds(l1, l2, theta, params: ManipulatorParams, length_tol: float = 
 
 
 def _named_bounds(l1, l2, theta, params: ManipulatorParams):
-    """Each bound of _BOUNDS, in its order, at a state: (name, limit, inside,
-    value, margin), for floats as for numpy arrays."""
-    for (name, read, margin), inside in zip(_BOUNDS, _bound_tests(l1, l2, theta, params)):
-        value, limit = read(l1, l2, theta), getattr(params, name)
-        yield name, limit, inside, value, margin(value, limit)
+    """Each bound of _BOUND_NAMES, in its order, at a state: (name, limit,
+    inside, value, margin), for floats as for numpy arrays. The margin is how
+    far inside the limit the value sits."""
+    l1_min, l2_min, total_max, theta_limit = limits = tuple(getattr(params, name)
+                                                            for name in _BOUND_NAMES)
+    return zip(_BOUND_NAMES, limits, _bound_tests(l1, l2, theta, params),
+               (l1, l2, l1 + l2, theta),
+               (l1 - l1_min, l2 - l2_min, total_max - (l1 + l2), theta_limit - abs(theta)))
 
 
 def validate_state(state: JointState, params: ManipulatorParams) -> list[Violation]:
@@ -254,6 +251,21 @@ def validate_state(state: JointState, params: ManipulatorParams) -> list[Violati
     """
     return [Violation(name, value, limit, margin) for name, limit, inside, value, margin
             in _named_bounds(state.l1, state.l2, state.theta, params) if not inside]
+
+
+def validate_states(l1, l2, theta, params: ManipulatorParams, text: bool = False) -> list[list]:
+    """validate_state over the numpy arrays ``l1``, ``l2`` and ``theta``: per
+    state, its Violations in validate_state's order, or with ``text`` their
+    str. Each bound takes one mask over the states and formats its limit once."""
+    named = [[] for _ in range(len(l1))]
+    for name, limit, inside, values, margins in _named_bounds(l1, l2, theta, params):
+        at = (~inside).nonzero()[0]
+        pairs = zip(values[at].tolist(), margins[at].tolist())
+        made = (map(_VIOLATION_TEXT.format(name, limit).__mod__, pairs) if text else
+                [Violation(name, value, limit, margin) for value, margin in pairs])
+        for state, item in zip(at.tolist(), made):
+            named[state].append(item)
+    return named
 
 
 def forward_kinematics(state: JointState, params: ManipulatorParams | None = None) -> Pose:

@@ -156,6 +156,9 @@ def scenario_from_dict(data) -> Scenario:
     control = ControlState(**_fields(_get(initial, "control", "initial"), _CONTROL,
                                      "control state", {"q1": 0.0, "q2": 0.0}))
     if "cables" in initial:
+        if "theta_rad" in initial:
+            raise ScenarioError("theta_rad and cables in initial: give one or the other, "
+                                "not both")
         state = SimState(control, CablePair(**_fields(initial["cables"], _CABLES, "cables", {})))
     else:
         theta = _number(initial.get("theta_rad", 0.0), "theta_rad", "initial")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -25,20 +26,17 @@ import numpy as np
 
 from .csvtext import BLOCK_FLOATS, BlockText
 from .model import (
-    _BOUNDS,
-    _VIOLATION_TEXT,
     CABLE_RANGE_SLACK,
     DEFAULT_PARAMS,
     CablePair,
     ControlState,
     JointState,
     ManipulatorParams,
-    Violation,
-    _named_bounds,
     cable_lengths,
     forward_kinematics,
     link_lengths,
     theta_from_cables,
+    validate_states,
     within_bounds,
 )
 from .planner import (
@@ -120,10 +118,11 @@ class Scenario:
                 sep and sep in self.name for sep in ("/", os.sep, os.altsep)):
             raise ScenarioError(f"scenario name {self.name!r} is empty, '.', '..' or "
                                 "contains a path separator")
-        # Nor may it fail only after the run, as a file name or as the UTF-8
-        # text of the overlay's title.
-        if "\0" in self.name:
-            raise ScenarioError(f"scenario name {self.name!r} contains a NUL character")
+        # Nor may it fail only after the run: as a file name, or as the UTF-8
+        # text of the overlay's title, which holds only the characters of XML
+        # 1.0's Char production (section 2.2) that UTF-8 can encode.
+        if re.search("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]", self.name):
+            raise ScenarioError(f"scenario name {self.name!r} has a character XML cannot carry")
         try:
             size = len(f"{self.name}_overlay.svg".encode())
         except UnicodeEncodeError as exc:
@@ -206,7 +205,8 @@ class LogRows(Sequence):
     def violations(self) -> dict:
         """The violations of each row outside a bound, keyed by row index."""
         marked = np.flatnonzero(self.outside)
-        return dict(zip(marked.tolist(), map(tuple, _name_violations(self, marked))))
+        return dict(zip(marked.tolist(),
+                        map(tuple, validate_states(*self.values[_JOINT, marked], self.params))))
 
     def column(self, name: str):
         """The float64 array of one LOG_COLUMNS column, one entry per row."""
@@ -219,7 +219,8 @@ class LogRows(Sequence):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
         index = range(len(self))[index]  # negative indices and IndexError as for a list
-        violations = tuple(_name_violations(self, [index])[0]) if self.outside[index] else ()
+        violations = (tuple(validate_states(*self.values[_JOINT, [index]], self.params)[0])
+                      if self.outside[index] else ())
         return LogRow(*self.values[:, index].tolist(), violations)
 
     def __eq__(self, other):
@@ -230,25 +231,6 @@ class LogRows(Sequence):
 
     def __repr__(self) -> str:
         return f"<LogRows: {len(self)} rows, {np.count_nonzero(self.outside)} with violations>"
-
-
-def _violations(bound, limit, values, margins) -> list:
-    return [Violation(bound, value, limit, margin) for value, margin in zip(values, margins)]
-
-
-def _name_violations(rows: LogRows, index, name=_violations) -> list[list]:
-    """For each row at ``index``, what name(bound, limit, values, margins) makes
-    of each bound the row breaks, in model._BOUNDS order: by default its
-    Violation. Each bound is tested with one mask over the rows' l1, l2 and
-    theta, and named with the values and margins of the rows that break it."""
-    joint = rows.values[_JOINT, index]
-    named = [[] for _ in range(joint.shape[1])]
-    for bound, limit, inside, values, margins in _named_bounds(*joint, rows.params):
-        at = np.flatnonzero(~inside)
-        for row, item in zip(at.tolist(), name(bound, limit, values[at].tolist(),
-                                                 margins[at].tolist())):
-            named[row].append(item)
-    return named
 
 
 @dataclass
@@ -398,16 +380,9 @@ def log_to_csv(log: TrajectoryLog, fh) -> None:
 
     Every float is its shortest round-trip ``repr``, byte for byte, from
     ``csvtext.BlockText``, BLOCK_FLOATS floats and one write per block. A
-    marked row's violations are formatted per bound, straight from the columns.
+    block's marked rows have their violations named as text from its columns.
     """
     rows = log.rows
-    # each bound's text, its limit formatted once
-    fills = {bound: _VIOLATION_TEXT.format(bound, getattr(rows.params, bound)).__mod__
-             for bound, _, _ in _BOUNDS}
-
-    def violation_texts(bound, limit, values, margins):
-        return map(fills[bound], zip(values, margins))
-
     # the residual column, zero or below 1e-4 in most runs, takes repr's path
     # in its own working set, where the other columns take the fast path
     text, residual_text = BlockText(), BlockText()
@@ -420,8 +395,8 @@ def log_to_csv(log: TrajectoryLog, fh) -> None:
         texts = np.zeros((count, 0), np.uint8)  # a block in bounds: no violation column
         if marked.size:
             named = np.full(count, "", object)
-            named[marked] = list(map(";".join, _name_violations(rows, first + marked,
-                                                                violation_texts)))
+            named[marked] = list(map(";".join, validate_states(
+                *block[_JOINT, marked], rows.params, text=True)))
             texts = named.astype(bytes).view(np.uint8).reshape(count, -1)
         fh.write(text.join_cells(text.float_cells(block[:-1].T).reshape(count, -1),
                                  residual_text.float_cells(block[-1]), texts, _NEWLINE))

@@ -238,8 +238,9 @@ def overlay_svg(log, fh) -> None:
     Links are drawn as segments along the tape midline, the pinching node as
     a circle, the tip as a dot. Samples are the initial row, the segment
     boundaries, and the final row, thinned to _MAX_OVERLAY_CONFIGS. The title,
-    the log's scenario name, is escaped as XML character data (XML 1.0,
-    section 2.4).
+    the log's scenario name, is escaped as XML character data; Scenario admits
+    only names whose characters match the Char production of XML 1.0
+    (section 2.2), so the document stays well formed.
     """
     indices = sorted(set([0] + list(log.boundary_indices) + [len(log.rows) - 1]))
     if len(indices) > _MAX_OVERLAY_CONFIGS:

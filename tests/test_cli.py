@@ -426,6 +426,10 @@ _EXIT_CODE_TABLE = [
     ("scenario-name-has-nul",
      '{"name": "a\\u0000b", ' + _SCENARIO[1:] % ("0.01", "1.0", "{}", "[]"),
      ["simulate", "{dir}/input.json"], 2),
+    # BEL is no XML 1.0 character, so the overlay's title could not hold it
+    ("scenario-name-not-xml",
+     '{"name": "bend\\u0007", ' + _SCENARIO[1:] % ("0.01", "1.0", "{}", "[]"),
+     ["simulate", "{dir}/input.json"], 2),
     ("scenario-name-too-long",
      '{"name": "%s", ' % ("a" * 300) + _SCENARIO[1:] % ("0.01", "1.0", "{}", "[]"),
      ["simulate", "{dir}/input.json"], 2),

@@ -151,6 +151,9 @@ _INITIAL = {"control": {"l1_0_m": 0.3, "l2_0_m": 0.4}}
     ({"initial": _INITIAL, "checks": "eq3_residual"},
      "checks in scenario: expected a JSON array of strings"),
     ({"initial": _INITIAL, "checks": [1]}, "checks in scenario: expected a JSON array of strings"),
+    # theta_rad beside explicit cables used to be ignored: this loaded as theta 0
+    ({"initial": {**_INITIAL, "theta_rad": 1.0, "cables": {"cL_m": 0.7, "cR_m": 0.7}}},
+     "theta_rad and cables in initial: give one or the other"),
 ])
 def test_scenario_errors_name_the_key_and_its_object(data, message):
     with pytest.raises(ScenarioError, match=message):

@@ -324,7 +324,9 @@ def test_scenario_rejects_fractional_step_counts():
 
 @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "../up", "/abs/path",
                                   # and names that are no file name
-                                  "a\0b", "a" * 244, "\udc80", "\ud800x"])
+                                  "a\0b", "a" * 244, "\udc80", "\ud800x",
+                                  # and names that are no XML 1.0 text
+                                  "a\x01b", "\x1b[31m", "a\ufffeb"])
 def test_scenario_rejects_names_that_leave_the_output_directory(name):
     with pytest.raises(ScenarioError, match="scenario name"):
         Scenario(name, PARAMS, _start(), ControlProfile(()))
@@ -672,16 +674,16 @@ def test_log_csv_blocks_of_every_kind_reuse_one_working_set(in_bounds_blocks):
 
 
 def _counted_naming(monkeypatch):
-    """The number of rows that each call of simulator._name_violations, the one
-    path that names violations, names from now on."""
+    """The number of states that each call of model.validate_states, the one
+    function that names a log's violations, names from now on."""
     calls = []
-    name_violations = simulator._name_violations
+    validate_states = simulator.validate_states
 
-    def counted(rows, index, *name):
-        calls.append(len(index))
-        return name_violations(rows, index, *name)
+    def counted(l1, l2, theta, params, *text):
+        calls.append(len(l1))
+        return validate_states(l1, l2, theta, params, *text)
 
-    monkeypatch.setattr(simulator, "_name_violations", counted)
+    monkeypatch.setattr(simulator, "validate_states", counted)
     return calls
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from tapearm import svg
 from tapearm.csvtext import BLOCK_FLOATS
 from tapearm.model import DEFAULT_PARAMS, ManipulatorParams
-from tapearm.simulator import builtin_scenarios, run_scenario
+from tapearm.simulator import ScenarioError, builtin_scenarios, run_scenario
 from tapearm.svg import marching_squares, overlay_svg, workspace_svg
 from tapearm.workspace import GRID_CSV_HEADER, compute_grid, grid_to_csv
 from textcheck import assert_same_text
@@ -489,3 +489,21 @@ def test_overlay_title_is_escaped():
     assert "a&amp;b&lt;c&gt;" in text
     root = ElementTree.fromstring(text)
     assert root.find("{http://www.w3.org/2000/svg}text").text == "a&b<c>"
+
+
+_STATIONARY_BEND = builtin_scenarios()["stationary-bend"]
+_STATIONARY_BEND_LOG = run_scenario(_STATIONARY_BEND)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.text())
+def test_every_accepted_name_gives_a_well_formed_overlay(name):
+    try:
+        dataclasses.replace(_STATIONARY_BEND, name=name)
+    except ScenarioError:
+        return
+    text = _render(overlay_svg, dataclasses.replace(_STATIONARY_BEND_LOG, scenario=name))
+    root = ElementTree.fromstring(text)
+    # an XML parser reads each line break in character data as "\n"
+    title = name.replace("\r\n", "\n").replace("\r", "\n")
+    assert root.find("{http://www.w3.org/2000/svg}text").text == title
