@@ -15,7 +15,7 @@ pascals).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 
 # Bound comparisons allow this much absolute slack so states derived through
 # floating-point pipelines (e.g. inverse kinematics at an exact bound) do not
@@ -37,6 +37,11 @@ TAPE_COUNT = 2
 # housing the full tapes spool into.
 DEFAULT_STOWED_LENGTH = 0.35
 
+# Smallest cable offset, per m of max_total_length. theta = 2 asin((c_L - c_R) /
+# 4d) inherits the cables' rounding, about eps * max_total_length, so at this
+# offset its error is about 1e-10 rad, far inside every check's tolerance.
+MIN_CABLE_OFFSET = 1e-6
+
 
 class ConstraintViolationError(ValueError):
     """A state violates manipulator bounds; carries every violated bound."""
@@ -50,18 +55,61 @@ class CableRangeError(ValueError):
     """Cable differential is kinematically inconsistent with the offset."""
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
+class _Value:
+    """Base of the value types. Each lists its fields as ``__slots__`` and sets
+    them in ``__init__`` with object.__setattr__; later writes raise
+    AttributeError unless the class is declared with ``frozen=False``. Equality
+    (within one type), hash and repr read the fields in slot order."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._values = operator.attrgetter(*cls.__slots__)
+        if not frozen:
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+            cls.__hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # for copy and pickle: __init__ on the same fields
+        return type(self), tuple(self._asdict().values())
+
+    def _asdict(self) -> dict:
+        """Each field's value by name, in slot order."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+
+class Violation(_Value):
     """One violated bound: its name, the offending value, limit and margin.
 
     ``margin`` is how far inside the bound the value sits; negative means
     violated.
     """
 
-    bound: str
-    value: float
-    limit: float
-    margin: float
+    __slots__ = ("bound", "value", "limit", "margin")
+
+    def __init__(self, bound: str, value: float, limit: float, margin: float):
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "limit", limit)
+        object.__setattr__(self, "margin", margin)
 
     def __str__(self) -> str:
         return _VIOLATION_TEXT.format(self.bound, self.limit) % (self.value, self.margin)
@@ -83,21 +131,23 @@ def _require_finite(obj, *names):
             raise ValueError(f"{type(obj).__name__}.{name} must be finite, got {value}")
 
 
-@dataclass(frozen=True)
-class TapeProperties:
+class TapeProperties(_Value):
     """Material and cross-section geometry of one bistable tape."""
 
-    elastic_modulus: float   # Pa
-    thickness: float         # m
-    transverse_radius: float  # m, unstressed radius of the cross-section arc
-    subtended_angle: float   # rad, arc swept by the cross section
-    linear_density: float    # kg/m
-    total_tape_length: float  # m, length wound on one reel
+    __slots__ = ("elastic_modulus", "thickness", "transverse_radius", "subtended_angle",
+                 "linear_density", "total_tape_length")
 
-    def __post_init__(self):
+    def __init__(self, elastic_modulus: float, thickness: float, transverse_radius: float,
+                 subtended_angle: float, linear_density: float, total_tape_length: float):
+        object.__setattr__(self, "elastic_modulus", elastic_modulus)  # Pa
+        object.__setattr__(self, "thickness", thickness)  # m
+        object.__setattr__(self, "transverse_radius", transverse_radius)  # m, unstressed arc
+        object.__setattr__(self, "subtended_angle", subtended_angle)  # rad, swept by the arc
+        object.__setattr__(self, "linear_density", linear_density)  # kg/m
+        object.__setattr__(self, "total_tape_length", total_tape_length)  # m, on one reel
         _require_positive(self, "elastic_modulus", "thickness", "transverse_radius",
                           "subtended_angle", "linear_density", "total_tape_length")
-        if self.thickness >= self.transverse_radius:
+        if thickness >= transverse_radius:
             raise ValueError("thin-shell tape requires thickness < transverse_radius")
 
 
@@ -113,84 +163,91 @@ DEFAULT_TAPE = TapeProperties(
 )
 
 
-@dataclass(frozen=True)
-class ManipulatorParams:
+class ManipulatorParams(_Value):
     """Joint limits, cable geometry and mass figures of the assembled arm."""
 
-    tape: TapeProperties = DEFAULT_TAPE
-    cable_offset: float = 0.015           # m, cable distance from the midline
-    theta_limit: float = math.radians(55.0)  # rad, hinge stop
-    l1_min: float = 0.076                 # m, tape must clear the pinching node
-    l2_min: float = 0.0                   # m
-    max_total_length: float = 2.0         # m, budget for l1 + l2
-    base_mass: float = 0.372              # kg, housing + reels + spools, tapes excluded
-    node_mass: float = 0.163              # kg
+    __slots__ = ("tape", "cable_offset", "theta_limit", "l1_min", "l2_min", "max_total_length",
+                 "base_mass", "node_mass")
 
-    def __post_init__(self):
+    def __init__(self, tape: TapeProperties = DEFAULT_TAPE, cable_offset: float = 0.015,
+                 theta_limit: float = math.radians(55.0), l1_min: float = 0.076,
+                 l2_min: float = 0.0, max_total_length: float = 2.0, base_mass: float = 0.372,
+                 node_mass: float = 0.163):
+        object.__setattr__(self, "tape", tape)
+        object.__setattr__(self, "cable_offset", cable_offset)  # m, from the midline
+        object.__setattr__(self, "theta_limit", theta_limit)  # rad, hinge stop
+        object.__setattr__(self, "l1_min", l1_min)  # m, tape must clear the pinching node
+        object.__setattr__(self, "l2_min", l2_min)  # m
+        object.__setattr__(self, "max_total_length", max_total_length)  # m, for l1 + l2
+        object.__setattr__(self, "base_mass", base_mass)  # kg, tapes excluded
+        object.__setattr__(self, "node_mass", node_mass)  # kg
         _require_positive(self, "cable_offset", "max_total_length")
         _require_finite(self, "l1_min", "l2_min", "base_mass", "node_mass")
-        if not 0.0 < self.theta_limit <= math.pi / 2:
+        if cable_offset < MIN_CABLE_OFFSET * max_total_length:
+            raise ValueError(f"cable_offset {cable_offset:.9g} m is below {MIN_CABLE_OFFSET:g} * "
+                             "max_total_length: too short for the cables to resolve theta")
+        if not 0.0 < theta_limit <= math.pi / 2:
             raise ValueError("theta_limit must lie in (0, pi/2]")
-        if self.l1_min < 0 or self.l2_min < 0:
+        if l1_min < 0 or l2_min < 0:
             raise ValueError("minimum link lengths must be nonnegative")
-        if self.max_total_length > self.tape.total_tape_length:
+        if max_total_length > tape.total_tape_length:
             raise ValueError("max_total_length exceeds the available tape")
-        if self.base_mass < 0 or self.node_mass < 0:
+        if base_mass < 0 or node_mass < 0:
             raise ValueError("masses must be nonnegative")
 
 
 DEFAULT_PARAMS = ManipulatorParams()
 
 
-@dataclass(frozen=True)
-class JointState:
+class JointState(_Value):
     """Kinematic triple: link lengths and bending angle."""
 
-    l1: float     # m
-    l2: float     # m
-    theta: float  # rad
+    __slots__ = ("l1", "l2", "theta")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.l1) and math.isfinite(self.l2) and math.isfinite(self.theta)):
+    def __init__(self, l1: float, l2: float, theta: float):
+        object.__setattr__(self, "l1", l1)  # m
+        object.__setattr__(self, "l2", l2)  # m
+        object.__setattr__(self, "theta", theta)  # rad
+        if not (math.isfinite(l1) and math.isfinite(l2) and math.isfinite(theta)):
             _require_finite(self, "l1", "l2", "theta")
 
 
-@dataclass(frozen=True)
-class ControlState:
+class ControlState(_Value):
     """Actuator-space coordinates plus the link lengths they started from."""
 
-    q1: float    # m, cumulative tape extension
-    q2: float    # m, cumulative node displacement toward the tip
-    l1_0: float  # m, link 1 length at q1 = q2 = 0
-    l2_0: float  # m, link 2 length at q1 = q2 = 0
+    __slots__ = ("q1", "q2", "l1_0", "l2_0")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.q1) and math.isfinite(self.q2)
-                and math.isfinite(self.l1_0) and math.isfinite(self.l2_0)):
+    def __init__(self, q1: float, q2: float, l1_0: float, l2_0: float):
+        object.__setattr__(self, "q1", q1)  # m, cumulative tape extension
+        object.__setattr__(self, "q2", q2)  # m, cumulative node displacement toward the tip
+        object.__setattr__(self, "l1_0", l1_0)  # m, link 1 length at q1 = q2 = 0
+        object.__setattr__(self, "l2_0", l2_0)  # m, link 2 length at q1 = q2 = 0
+        if not (math.isfinite(q1) and math.isfinite(q2)
+                and math.isfinite(l1_0) and math.isfinite(l2_0)):
             _require_finite(self, "q1", "q2", "l1_0", "l2_0")
 
 
-@dataclass(frozen=True)
-class Pose:
+class Pose(_Value):
     """Planar end-effector pose; ``phi`` equals the bending angle."""
 
-    x: float    # m
-    y: float    # m
-    phi: float  # rad
+    __slots__ = ("x", "y", "phi")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.phi)):
+    def __init__(self, x: float, y: float, phi: float):
+        object.__setattr__(self, "x", x)  # m
+        object.__setattr__(self, "y", y)  # m
+        object.__setattr__(self, "phi", phi)  # rad
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(phi)):
             _require_finite(self, "x", "y", "phi")
 
 
-@dataclass(frozen=True)
-class CablePair:
+class CablePair(_Value):
     """Left and right steering cable lengths from base to tip."""
 
-    c_L: float  # m
-    c_R: float  # m
+    __slots__ = ("c_L", "c_R")
 
-    def __post_init__(self):
+    def __init__(self, c_L: float, c_R: float):
+        object.__setattr__(self, "c_L", c_L)  # m
+        object.__setattr__(self, "c_R", c_R)  # m
         _require_positive(self, "c_L", "c_R")
 
 
@@ -277,7 +334,7 @@ def forward_kinematics(state: JointState, params: ManipulatorParams | None = Non
     """
     if params is not None and not within_bounds(state.l1, state.l2, state.theta, params):
         raise ConstraintViolationError(validate_state(state, params))
-    # positional fields: keywords cost a dataclass __init__ about 150 ns a call
+    # positional fields: keywords cost Pose's __init__ about 200 ns a call
     l1, l2, theta = state.l1, state.l2, state.theta
     return Pose(l2 * math.sin(theta), l1 + l2 * math.cos(theta), theta)
 
@@ -318,13 +375,15 @@ def theta_from_cables(cables: CablePair, d: float) -> float:
     return 2.0 * math.asin(max(-1.0, min(1.0, ratio)))
 
 
-@dataclass(frozen=True)
-class MassBudget:
+class MassBudget(_Value):
     """Mass breakdown at a given deployed length."""
 
-    base: float      # kg, housing + reels + spools
-    node: float      # kg, pinching node
-    per_tape: float  # kg, one tape at the deployed length
+    __slots__ = ("base", "node", "per_tape")
+
+    def __init__(self, base: float, node: float, per_tape: float):
+        object.__setattr__(self, "base", base)  # kg, housing + reels + spools
+        object.__setattr__(self, "node", node)  # kg, pinching node
+        object.__setattr__(self, "per_tape", per_tape)  # kg, one tape at the deployed length
 
     @property
     def total(self) -> float:

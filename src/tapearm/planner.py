@@ -8,12 +8,12 @@ All functions are pure and deterministic for identical inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .model import (
     ControlState,
     JointState,
     ManipulatorParams,
+    _Value,
     cable_lengths,
     forward_kinematics,
     validate_state,
@@ -26,30 +26,31 @@ class PlanningError(ValueError):
     """A trajectory request cannot be satisfied (e.g. unreachable waypoint)."""
 
 
-@dataclass(frozen=True)
-class SpeedLimits:
+class SpeedLimits(_Value):
     """Actuator rate caps, m/s."""
 
-    q1: float = 0.1
-    q2: float = 0.1
-    cable: float = 0.1
+    __slots__ = ("q1", "q2", "cable")
 
-    def __post_init__(self):
-        if not (self.q1 > 0 and self.q2 > 0 and self.cable > 0):
+    def __init__(self, q1: float = 0.1, q2: float = 0.1, cable: float = 0.1):
+        object.__setattr__(self, "q1", q1)
+        object.__setattr__(self, "q2", q2)
+        object.__setattr__(self, "cable", cable)
+        if not (q1 > 0 and q2 > 0 and cable > 0):
             raise ValueError("speed limits must be positive")
 
 
-@dataclass(frozen=True)
-class RateCommand:
+class RateCommand(_Value):
     """Constant actuator rates, m/s."""
 
-    q1_rate: float = 0.0
-    q2_rate: float = 0.0
-    cL_rate: float = 0.0
-    cR_rate: float = 0.0
+    __slots__ = ("q1_rate", "q2_rate", "cL_rate", "cR_rate")
 
-    def __post_init__(self):
-        for name in ("q1_rate", "q2_rate", "cL_rate", "cR_rate"):
+    def __init__(self, q1_rate: float = 0.0, q2_rate: float = 0.0, cL_rate: float = 0.0,
+                 cR_rate: float = 0.0):
+        object.__setattr__(self, "q1_rate", q1_rate)
+        object.__setattr__(self, "q2_rate", q2_rate)
+        object.__setattr__(self, "cL_rate", cL_rate)
+        object.__setattr__(self, "cR_rate", cR_rate)
+        for name in self.__slots__:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"RateCommand.{name} must be finite")
 
@@ -72,14 +73,13 @@ class RateCommand:
             raise ValueError("rate limits exceeded: " + "; ".join(over))
 
 
-@dataclass(frozen=True)
-class ControlProfile:
+class ControlProfile(_Value):
     """Ordered piecewise-constant rate segments: (duration_s, RateCommand)."""
 
-    segments: tuple
+    __slots__ = ("segments",)
 
-    def __post_init__(self):
-        segments = tuple((float(duration), command) for duration, command in self.segments)
+    def __init__(self, segments: tuple):
+        segments = tuple((float(duration), command) for duration, command in segments)
         object.__setattr__(self, "segments", segments)
         for duration, _ in segments:
             if not (duration > 0 and math.isfinite(duration)):

@@ -5,7 +5,7 @@ unambiguous; rates inside profile segments use the bare actuator names
 q1/q2/cL/cR, all in m/s.
 
 Each value type a file holds has one key table mapping its JSON keys, in
-file order, to its dataclass fields: ``_TAPE``, ``_PARAMS``, ``_CONTROL``,
+file order, to its fields: ``_TAPE``, ``_PARAMS``, ``_CONTROL``,
 ``_CABLES`` and ``_RATES``. ``_encode`` writes a value through its table and
 ``_fields`` reads it back: the value must be a JSON object, unknown keys are
 rejected so typos fail loudly, a missing key takes its default or is
@@ -128,8 +128,8 @@ def params_to_dict(params: ManipulatorParams) -> dict:
 
 def params_from_dict(data) -> ManipulatorParams:
     """Build parameters from a (possibly partial) dict; defaults fill gaps."""
-    fields = _fields(data, _PARAMS, "params", vars(DEFAULT_PARAMS), other=("tape",))
-    tape = _fields(data.get("tape", {}), _TAPE, "tape", vars(DEFAULT_TAPE))
+    fields = _fields(data, _PARAMS, "params", DEFAULT_PARAMS._asdict(), other=("tape",))
+    tape = _fields(data.get("tape", {}), _TAPE, "tape", DEFAULT_TAPE._asdict())
     return ManipulatorParams(tape=TapeProperties(**tape), **fields)
 
 
@@ -167,7 +167,7 @@ def scenario_from_dict(data) -> Scenario:
     for entry in _array(data, "segments", dict, "objects"):
         _object(entry, ("duration_s", "rates"), "segment")
         duration = _number(_get(entry, "duration_s", "segment"), "duration_s", "segment")
-        rates = _fields(entry.get("rates", {}), _RATES, "rates", vars(RateCommand()))
+        rates = _fields(entry.get("rates", {}), _RATES, "rates", RateCommand()._asdict())
         segments.append((duration, RateCommand(**rates)))
     name = data.get("name", "scenario")
     if not isinstance(name, str):

@@ -20,7 +20,6 @@ import math
 import os
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from .model import (
     ControlState,
     JointState,
     ManipulatorParams,
+    _Value,
     cable_lengths,
     forward_kinematics,
     link_lengths,
@@ -81,12 +81,14 @@ class ScenarioError(ValueError):
     """Scenario definition is malformed or kinematically inconsistent."""
 
 
-@dataclass(frozen=True)
-class SimState:
+class SimState(_Value):
     """The start of a run at t = 0: actuator coordinates and cable lengths."""
 
-    control: ControlState
-    cables: CablePair
+    __slots__ = ("control", "cables")
+
+    def __init__(self, control: ControlState, cables: CablePair):
+        object.__setattr__(self, "control", control)
+        object.__setattr__(self, "cables", cables)
 
 
 def initial_state(control: ControlState, theta: float, params: ManipulatorParams) -> SimState:
@@ -97,18 +99,19 @@ def initial_state(control: ControlState, theta: float, params: ManipulatorParams
 
 # --- scenarios -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Value):
     """A runnable experiment: parameters, start state, profile and checks."""
 
-    name: str
-    params: ManipulatorParams
-    initial: SimState
-    profile: ControlProfile
-    dt: float = 0.01
-    checks: tuple = ()
+    __slots__ = ("name", "params", "initial", "profile", "dt", "checks")
 
-    def __post_init__(self):
+    def __init__(self, name: str, params: ManipulatorParams, initial: SimState,
+                 profile: ControlProfile, dt: float = 0.01, checks: tuple = ()):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "checks", tuple(checks))
         # The start needs a kinematic state: finite link lengths, and a bend
         # angle for its cable differential (else CableRangeError).
         JointState(*link_lengths(self.initial.control),
@@ -133,7 +136,6 @@ class Scenario:
                                 f"'<name>_overlay.svg'; at most {_NAME_MAX} bytes fit")
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ScenarioError(f"dt must be positive and finite, got {self.dt}")
-        object.__setattr__(self, "checks", tuple(self.checks))
         rows = 1
         for duration, _ in self.profile.segments:
             steps = duration / self.dt
@@ -150,45 +152,51 @@ class Scenario:
             parse_check(check)  # fail fast on malformed checks
 
 
-@dataclass(frozen=True)
-class LogRow:
-    """One sampled instant plus its consistency audit."""
+class LogRow(_Value):
+    """One sampled instant plus its consistency audit: ``eq3_residual`` is the
+    drift, in m, of the left cable from what l1, l2 and theta imply."""
 
-    t: float
-    q1: float
-    q2: float
-    cL: float
-    cR: float
-    l1: float
-    l2: float
-    theta: float
-    x: float
-    y: float
-    eq3_residual: float  # m, drift of the left cable from what l1, l2, theta imply
-    violations: tuple
+    __slots__ = (*LOG_COLUMNS, "violations")
+
+    def __init__(self, t, q1, q2, cL, cR, l1, l2, theta, x, y, eq3_residual, violations):
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "q1", q1)
+        object.__setattr__(self, "q2", q2)
+        object.__setattr__(self, "cL", cL)
+        object.__setattr__(self, "cR", cR)
+        object.__setattr__(self, "l1", l1)
+        object.__setattr__(self, "l2", l2)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "eq3_residual", eq3_residual)
+        object.__setattr__(self, "violations", violations)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Value):
     """Outcome of one named check over a trajectory."""
 
-    check: str
-    passed: bool
-    observed: float
-    threshold: float
-    detail: str
+    __slots__ = ("check", "passed", "observed", "threshold", "detail")
+
+    def __init__(self, check: str, passed: bool, observed: float, threshold: float, detail: str):
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "observed", observed)
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class Abort:
+class Abort(_Value):
     """Why and when a run stopped before the end of its profile."""
 
-    time: float  # s, the first instant no kinematic state exists for
-    reason: str
+    __slots__ = ("time", "reason")
+
+    def __init__(self, time: float, reason: str):
+        object.__setattr__(self, "time", time)  # s, the first instant with no kinematic state
+        object.__setattr__(self, "reason", reason)
 
 
-@dataclass(frozen=True, eq=False)
-class LogRows(Sequence):
+class LogRows(_Value, Sequence):
     """The logged rows of a run, stored as columns: a read-only sequence of LogRow.
 
     ``values`` is a read-only float64 array with one row per name in
@@ -197,9 +205,12 @@ class LogRows(Sequence):
     with the violations of such a row, is built only when read.
     """
 
-    values: np.ndarray
-    params: ManipulatorParams
-    outside: np.ndarray
+    __slots__ = ("values", "params", "outside")
+
+    def __init__(self, values: np.ndarray, params: ManipulatorParams, outside: np.ndarray):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "outside", outside)
 
     @property
     def violations(self) -> dict:
@@ -233,19 +244,22 @@ class LogRows(Sequence):
         return f"<LogRows: {len(self)} rows, {np.count_nonzero(self.outside)} with violations>"
 
 
-@dataclass
-class TrajectoryLog:
+class TrajectoryLog(_Value, frozen=False):
     """Time series of a scenario run plus per-check outcomes.
 
     An aborted run holds the rows logged before ``abort.time`` and no check
     outcomes, since checks grade the whole profile.
     """
 
-    scenario: str
-    rows: LogRows
-    checks: list
-    boundary_indices: list
-    abort: Abort | None = None
+    __slots__ = ("scenario", "rows", "checks", "boundary_indices", "abort")
+
+    def __init__(self, scenario: str, rows: LogRows, checks: list, boundary_indices: list,
+                 abort: Abort | None = None):
+        self.scenario = scenario
+        self.rows = rows
+        self.checks = checks
+        self.boundary_indices = boundary_indices
+        self.abort = abort
 
     @property
     def all_passed(self) -> bool:

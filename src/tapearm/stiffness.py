@@ -16,12 +16,11 @@ from __future__ import annotations
 import bisect
 import csv
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .csvtext import BLOCK_FLOATS, BlockText
-from .model import DEFAULT_TAPE, TAPE_COUNT, TapeProperties
+from .model import DEFAULT_TAPE, TAPE_COUNT, TapeProperties, _Value
 
 #: Reference pair calibration: the bench pair peaks at 0.654 N*m while the
 #: pinched joint needs only 0.055 N*m at that same angle. The angle where the
@@ -44,20 +43,20 @@ class CalibrationError(ValueError):
     """Moment-curve fit failed or the data cannot constrain the model."""
 
 
-@dataclass(frozen=True)
-class FlattenedSection:
+class FlattenedSection(_Value):
     """Rectangular cross section of a tape flattened by the pinch rollers.
 
     The flattened width equals the unrolled cross-section arc, so the second
     moment of area is (transverse_radius * subtended_angle) * t^3 / 12.
     """
 
-    width: float            # m
-    thickness: float        # m
-    elastic_modulus: float  # Pa
+    __slots__ = ("width", "thickness", "elastic_modulus")
 
-    def __post_init__(self):
-        if not (self.width > 0 and self.thickness > 0 and self.elastic_modulus > 0):
+    def __init__(self, width: float, thickness: float, elastic_modulus: float):
+        object.__setattr__(self, "width", width)  # m
+        object.__setattr__(self, "thickness", thickness)  # m
+        object.__setattr__(self, "elastic_modulus", elastic_modulus)  # Pa
+        if not (width > 0 and thickness > 0 and elastic_modulus > 0):
             raise ValueError("FlattenedSection dimensions and modulus must be positive")
 
     @classmethod
@@ -72,19 +71,19 @@ class FlattenedSection:
         return self.width * self.thickness ** 3 / 12.0
 
 
-@dataclass(frozen=True)
-class PinchJointModel:
+class PinchJointModel(_Value):
     """Pinched tapes as a torsional spring over the flattened bend region.
 
     The bend angle distributes over the flattened length, kappa = theta / Lp,
     so the joint moment is TAPE_COUNT * E * I * theta / Lp.
     """
 
-    section: FlattenedSection
-    bend_region_length: float = 0.01  # m, roller contact scale
+    __slots__ = ("section", "bend_region_length")
 
-    def __post_init__(self):
-        if not self.bend_region_length > 0:
+    def __init__(self, section: FlattenedSection, bend_region_length: float = 0.01):
+        object.__setattr__(self, "section", section)
+        object.__setattr__(self, "bend_region_length", bend_region_length)  # m, roller contact
+        if not bend_region_length > 0:
             raise ValueError("bend_region_length must be positive")
 
     @property
@@ -107,8 +106,7 @@ class PinchJointModel:
         return self.stiffness * theta
 
 
-@dataclass(frozen=True)
-class UnpinchedPairModel:
+class UnpinchedPairModel(_Value):
     """Odd moment-angle curve of the unpinched back-to-back pair.
 
     Linear ramp from the origin to (peak_angle, peak_moment), then an
@@ -117,17 +115,18 @@ class UnpinchedPairModel:
     is continuous at the peak, which is its single positive-side maximum.
     """
 
-    peak_moment: float             # N*m
-    peak_angle: float              # rad
-    propagation_moment: float      # N*m, post-fold plateau
-    decay_angle: float | None = None  # rad, relaxation scale; peak_angle when omitted
+    __slots__ = ("peak_moment", "peak_angle", "propagation_moment", "decay_angle")
 
-    def __post_init__(self):
-        if self.decay_angle is None:
-            object.__setattr__(self, "decay_angle", self.peak_angle)
-        if not self.peak_angle > 0:
+    def __init__(self, peak_moment: float, peak_angle: float, propagation_moment: float,
+                 decay_angle: float | None = None):
+        object.__setattr__(self, "peak_moment", peak_moment)  # N*m
+        object.__setattr__(self, "peak_angle", peak_angle)  # rad
+        object.__setattr__(self, "propagation_moment", propagation_moment)  # N*m, plateau
+        # rad, relaxation scale; peak_angle when omitted
+        object.__setattr__(self, "decay_angle", peak_angle if decay_angle is None else decay_angle)
+        if not peak_angle > 0:
             raise ValueError("peak_angle must be positive")
-        if not 0.0 < self.propagation_moment < self.peak_moment:
+        if not 0.0 < propagation_moment < peak_moment:
             raise ValueError("need 0 < propagation_moment < peak_moment")
         if not self.decay_angle > 0:
             raise ValueError("decay_angle must be positive")
@@ -195,12 +194,14 @@ def read_moment_csv(path) -> np.ndarray:
     return np.array(rows)
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
+class CalibrationResult(_Value):
     """Fitted pair model plus the residual norm of the fit."""
 
-    model: UnpinchedPairModel
-    residual_norm: float  # N*m, sqrt of the squared-residual sum
+    __slots__ = ("model", "residual_norm")
+
+    def __init__(self, model: UnpinchedPairModel, residual_norm: float):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "residual_norm", residual_norm)  # N*m, root of the squares' sum
 
 
 # Levenberg-Marquardt settings: damping range, stopping tolerances on the

@@ -23,12 +23,12 @@ knowledge of the interval analysis above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .csvtext import BLOCK_FLOATS, BlockText
-from .model import BOUND_EPS, JointState, ManipulatorParams, _length_floor, within_bounds
+from .model import (BOUND_EPS, JointState, ManipulatorParams, _length_floor, _Value,
+                    within_bounds)
 
 # Targets with |x| at or below this count as on the midline: they ride the
 # theta = 0 straight-arm branch, and bent, link 2 has zero length.
@@ -54,16 +54,16 @@ _SCREEN_ULPS = 16.0 * np.finfo(float).eps
 _SCREEN_SUBNORMALS = 16.0 * np.finfo(float).smallest_subnormal
 
 
-@dataclass(frozen=True)
-class AngleInterval:
+class AngleInterval(_Value):
     """Closed interval of feasible bend angles, radians."""
 
-    lo: float
-    hi: float
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo: float, hi: float):
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        if lo > hi:
+            raise ValueError(f"empty interval [{lo}, {hi}]")
 
     @property
     def width(self) -> float:
@@ -189,20 +189,23 @@ def min_end_effector_angle(point, params: ManipulatorParams) -> float | None:
     return 0.0
 
 
-@dataclass
-class WorkspaceGrid:
+class WorkspaceGrid(_Value, frozen=False):
     """Reachability and minimum-angle samples at cell centers.
 
     Arrays are indexed [iy, ix]; ``min_angle`` is NaN where unreachable and
     signed like x elsewhere.
     """
 
-    xs: np.ndarray
-    ys: np.ndarray
-    reachable: np.ndarray
-    min_angle: np.ndarray
-    resolution: float
-    bounds: tuple
+    __slots__ = ("xs", "ys", "reachable", "min_angle", "resolution", "bounds")
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, reachable: np.ndarray,
+                 min_angle: np.ndarray, resolution: float, bounds: tuple):
+        self.xs = xs
+        self.ys = ys
+        self.reachable = reachable
+        self.min_angle = min_angle
+        self.resolution = resolution
+        self.bounds = bounds
 
     @property
     def nx(self) -> int:

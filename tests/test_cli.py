@@ -315,6 +315,16 @@ def test_console_entry_point_smoke():
     assert "y_m=1" in result.stdout
 
 
+def test_cli_import_loads_no_dataclasses():
+    # the value types are __slots__ classes: a dataclass generates and compiles
+    # its methods when defined, about 0.5 ms a class on every start-up
+    result = subprocess.run(
+        [sys.executable, "-c", "import tapearm.cli, sys; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 def test_cli_import_loads_no_scipy():
     # numpy is the only runtime dependency; a stray scipy import would add
     # most of a second to every command's start-up.
@@ -391,6 +401,12 @@ _EXIT_CODE_TABLE = [
      ["--params", "{dir}/input.json", "demo", "deploy-and-bend"], 2),
     ("demo-waypoints-inside", '{"l1_min_m": 0.9}',
      ["--params", "{dir}/input.json", "demo", "deploy-and-bend"], 0),
+    # a cable offset too small for the cables to resolve the bend angle is
+    # refused with the parameters; at 1e-6 * max_total_length, the demo passes
+    ("demo-cable-offset-too-small", '{"cable_offset_m": 1e-15}',
+     ["--params", "{dir}/input.json", "demo", "reach-two-targets"], 2),
+    ("demo-cable-offset-at-the-bound", '{"cable_offset_m": 2e-6}',
+     ["--params", "{dir}/input.json", "demo", "reach-two-targets"], 0),
     # a scenario file carries its own parameters, so simulate reads no --params
     ("simulate-reads-no-params", _SCENARIO % ("0.01", "1.0", "{}", "[]"),
      ["--params", "{dir}/absent.json", "simulate", "{dir}/input.json"], 0),
@@ -490,6 +506,9 @@ _EXIT_STDERR = {
     "demo-stationary-bend-under-l2-min": (
         "error: demo 'stationary-bend': the end of segment 0 is outside the bounds: "
         "l2_min[value=0.1 limit=0.5 margin=-0.4]\n"),
+    "demo-cable-offset-too-small": "error: bad parameter file: cable_offset 1e-15 m is below "
+                                   "1e-06 * max_total_length: too short for the cables to "
+                                   "resolve theta\n",
     "start-cables-out-of-range": "error: bad scenario file: cable differential 0.2 m is "
                                  "outside the +/-0.06 m range",
     "start-cables-inconsistent": "error: initial state is inconsistent: ",

@@ -282,6 +282,21 @@ def test_type_invariants():
         JointState(math.nan, 0.5, 0.0)
 
 
+def test_params_refuse_a_cable_offset_too_small_to_resolve_theta():
+    # at 1e-15 m, reach-two-targets missed both of its targets by millimeters
+    with pytest.raises(ValueError, match="^cable_offset 1e-15 m is below 1e-06 "
+                                         r"\* max_total_length: too short"):
+        ManipulatorParams(cable_offset=1e-15)
+    with pytest.raises(ValueError, match="^cable_offset 9.99e-07 m is below"):
+        ManipulatorParams(cable_offset=9.99e-7, max_total_length=1.0)
+
+
+def test_params_accept_a_cable_offset_at_the_bound():
+    # tests/test_cli.py's demo-cable-offset-at-the-bound runs a demo there
+    for total in (2.0, 0.5, 7.62):
+        ManipulatorParams(cable_offset=1e-6 * total, max_total_length=total)
+
+
 @pytest.mark.parametrize("field", ["l1_min", "l2_min", "base_mass", "node_mass"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_params_reject_non_finite_bounds_and_masses(field, value):

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import math
 import os
@@ -49,6 +48,7 @@ from tapearm.simulator import (
     run_scenario,
 )
 from textcheck import assert_same_text
+from valuecopy import replace
 
 PARAMS = DEFAULT_PARAMS
 
@@ -224,7 +224,7 @@ def test_step_zero_rates_identical_state():
     first = log.rows[0]
     assert len(log.rows) == 101
     assert log.final.t == 1.0
-    assert dataclasses.replace(log.final, t=first.t) == first
+    assert replace(log.final, t=first.t) == first
 
 
 def test_step_growth_only_feeds_l1():
@@ -423,7 +423,7 @@ _RATE_DEMOS = {"constant-angle-retraction", "stationary-bend", "stationary-bend-
 ])
 def test_demo_out_of_reach_raises_a_planning_error_and_the_rest_pass(overrides, out_of_reach,
                                                                       outside):
-    params = dataclasses.replace(DEFAULT_PARAMS, **overrides)
+    params = replace(DEFAULT_PARAMS, **overrides)
     for name, build in simulator.DEMOS.items():
         if name in out_of_reach:
             with pytest.raises(PlanningError, match=f"^demo '{name}': .* m is out of reach"):
@@ -538,7 +538,7 @@ def test_rows_view_behaves_like_the_row_list():
     assert len(rows) == len(listed) == 1201
     assert rows[-1] == listed[-1] == log.final and rows[-1201] == listed[0]
     assert rows[1:4] == listed[1:4] and rows[::-400] == listed[::-400]
-    assert all(isinstance(value, float) for value in dataclasses.astuple(rows[7])[:-1])
+    assert all(isinstance(value, float) for value in list(rows[7]._asdict().values())[:-1])
     with pytest.raises(IndexError):
         rows[1201]
     with pytest.raises(IndexError):
@@ -743,7 +743,7 @@ def test_log_rows_equality_names_no_violations(monkeypatch):
     # equal values and params make equal violations, so == compares only those
     rows, again = run_scenario(_outside_scenario()).rows, run_scenario(_outside_scenario()).rows
     # the same bounds, so the same values and violations, under other params
-    heavier = run_scenario(_outside_scenario(dataclasses.replace(PARAMS, node_mass=1.0))).rows
+    heavier = run_scenario(_outside_scenario(replace(PARAMS, node_mass=1.0))).rows
     calls = _counted_naming(monkeypatch)
     assert rows == again and rows != heavier
     assert np.array_equal(rows.values, heavier.values)
@@ -774,7 +774,7 @@ _RATE = st.one_of(st.sampled_from([0.0, 0.05, -0.05]), st.floats(-0.3, 0.3))
 
 @st.composite
 def _scenarios(draw):
-    params = dataclasses.replace(
+    params = replace(
         PARAMS, cable_offset=draw(st.floats(0.005, 0.05)),
         theta_limit=draw(st.floats(0.2, 1.5)), l1_min=draw(st.floats(0.0, 0.3)),
         l2_min=draw(st.floats(0.0, 0.2)), max_total_length=draw(st.floats(0.5, 3.0)))
@@ -929,7 +929,7 @@ _ODD_LENGTHS = [0.0, -0.0, math.inf, -math.inf]
 @st.composite
 def _bound_columns(draw):
     """Parameters, and l1, l2 and theta columns on, near and across their bounds."""
-    params = dataclasses.replace(
+    params = replace(
         PARAMS, theta_limit=draw(st.floats(0.2, math.pi / 2)), l1_min=draw(st.floats(0.0, 1.5)),
         l2_min=draw(st.floats(0.0, 1.5)), max_total_length=draw(st.floats(0.5, 3.0)))
     count = draw(st.integers(1, 12))

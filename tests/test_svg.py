@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import math
 import tracemalloc
@@ -17,6 +16,7 @@ from tapearm.simulator import ScenarioError, builtin_scenarios, run_scenario
 from tapearm.svg import marching_squares, overlay_svg, workspace_svg
 from tapearm.workspace import GRID_CSV_HEADER, compute_grid, grid_to_csv
 from textcheck import assert_same_text
+from valuecopy import replace
 
 
 # --- reference loops: the per-cell renderers the vectorized ones replace ----
@@ -372,7 +372,7 @@ def test_overlay_svg_matches_reference_loop():
         log = run_scenario(scenario)
         assert _render(overlay_svg, log) == _overlay_svg_loop(log), name
     for name in ("a&b<c>", ""):  # an escaped title, and none
-        renamed = dataclasses.replace(log, scenario=name)
+        renamed = replace(log, scenario=name)
         assert _render(overlay_svg, renamed) == _overlay_svg_loop(renamed), name
 
 
@@ -484,7 +484,7 @@ def test_overlay_svg_structure():
 
 def test_overlay_title_is_escaped():
     # "&" and "<" must be escaped in XML character data (XML 1.0, section 2.4)
-    scenario = dataclasses.replace(builtin_scenarios()["stationary-bend"], name="a&b<c>")
+    scenario = replace(builtin_scenarios()["stationary-bend"], name="a&b<c>")
     text = _render(overlay_svg, run_scenario(scenario))
     assert "a&amp;b&lt;c&gt;" in text
     root = ElementTree.fromstring(text)
@@ -499,10 +499,10 @@ _STATIONARY_BEND_LOG = run_scenario(_STATIONARY_BEND)
 @given(st.text())
 def test_every_accepted_name_gives_a_well_formed_overlay(name):
     try:
-        dataclasses.replace(_STATIONARY_BEND, name=name)
+        replace(_STATIONARY_BEND, name=name)
     except ScenarioError:
         return
-    text = _render(overlay_svg, dataclasses.replace(_STATIONARY_BEND_LOG, scenario=name))
+    text = _render(overlay_svg, replace(_STATIONARY_BEND_LOG, scenario=name))
     root = ElementTree.fromstring(text)
     # an XML parser reads each line break in character data as "\n"
     title = name.replace("\r\n", "\n").replace("\r", "\n")
