@@ -244,19 +244,18 @@ def cmd_workspace(args, params) -> int:
 
 
 def cmd_stiffness(args, params) -> int:
+    if args.kappa is None and args.theta is None and args.curve is None:
+        raise ValueError("stiffness needs one of --kappa, --theta, --curve")
     if args.curve is not None:
         _check_out(args)
     section = stiffness.FlattenedSection.from_tape(params.tape)
     pinched, unpinched = stiffness.default_models(params.tape)
     model = pinched if args.model == "pinched" else unpinched
-    did_something = False
     if args.kappa is not None:
         print(f"moment_Nm={_fmt(stiffness.flattened_moment(section, args.kappa))}")
-        did_something = True
     if args.theta is not None:
         theta = _parse_cli_angle(args.theta, args)
         print(f"moment_Nm={_fmt(model.moment(theta))}")
-        did_something = True
     if args.curve is not None:
         lo = _parse_cli_angle(args.curve[0], args)
         hi = _parse_cli_angle(args.curve[1], args)
@@ -264,9 +263,6 @@ def cmd_stiffness(args, params) -> int:
         samples = stiffness.moment_angle_curve(model, lo, hi, n)
         _write_outputs(args, (f"stiffness_{args.model}.csv",
                               lambda fh: stiffness.write_moment_csv(samples, fh)))
-        did_something = True
-    if not did_something:
-        raise ValueError("stiffness needs one of --kappa, --theta, --curve")
     return EXIT_OK
 
 

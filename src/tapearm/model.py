@@ -58,17 +58,14 @@ class CableRangeError(ValueError):
 class _Value:
     """Base of the value types. Each lists its fields as ``__slots__`` and sets
     them in ``__init__`` with object.__setattr__; later writes raise
-    AttributeError unless the class is declared with ``frozen=False``. Equality
-    (within one type), hash and repr read the fields in slot order."""
+    AttributeError. Equality (within one type), hash and repr read the fields
+    in slot order."""
 
     __slots__ = ()
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._values = operator.attrgetter(*cls.__slots__)
-        if not frozen:
-            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
-            cls.__hash__ = None
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -8,11 +8,13 @@ All functions are pure and deterministic for identical inputs.
 from __future__ import annotations
 
 import math
+import sys
 
 from .model import (
     ControlState,
     JointState,
     ManipulatorParams,
+    _require_positive,
     _Value,
     cable_lengths,
     forward_kinematics,
@@ -27,7 +29,7 @@ class PlanningError(ValueError):
 
 
 class SpeedLimits(_Value):
-    """Actuator rate caps, m/s."""
+    """Actuator rate caps, m/s, positive and finite."""
 
     __slots__ = ("q1", "q2", "cable")
 
@@ -35,8 +37,7 @@ class SpeedLimits(_Value):
         object.__setattr__(self, "q1", q1)
         object.__setattr__(self, "q2", q2)
         object.__setattr__(self, "cable", cable)
-        if not (q1 > 0 and q2 > 0 and cable > 0):
-            raise ValueError("speed limits must be positive")
+        _require_positive(self, "q1", "q2", "cable")
 
 
 class RateCommand(_Value):
@@ -53,24 +54,6 @@ class RateCommand(_Value):
         for name in self.__slots__:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"RateCommand.{name} must be finite")
-
-    def check_limits(self, limits: SpeedLimits) -> None:
-        """Raise ValueError if any rate magnitude exceeds its actuator cap.
-
-        A 1e-9 relative slack keeps rates computed as distance/duration from
-        tripping the cap through rounding alone.
-        """
-        slack = 1.0 + 1e-9
-        over = []
-        if abs(self.q1_rate) > limits.q1 * slack:
-            over.append(f"|q1_rate|={abs(self.q1_rate):.9g} > {limits.q1:.9g}")
-        if abs(self.q2_rate) > limits.q2 * slack:
-            over.append(f"|q2_rate|={abs(self.q2_rate):.9g} > {limits.q2:.9g}")
-        for name, rate in (("cL_rate", self.cL_rate), ("cR_rate", self.cR_rate)):
-            if abs(rate) > limits.cable * slack:
-                over.append(f"|{name}|={abs(rate):.9g} > {limits.cable:.9g}")
-        if over:
-            raise ValueError("rate limits exceeded: " + "; ".join(over))
 
 
 class ControlProfile(_Value):
@@ -163,17 +146,19 @@ def plan_trajectory(waypoints, params: ManipulatorParams,
     joint states; either state must lie inside the bounds of ``params``,
     without ik_at_theta's slack. The first waypoint is the start. Each leg
     runs all four actuators together at constant rates, stretched to the
-    slowest-admissible duration and rounded up to a whole number of ``dt``
-    steps, at least one, so a simulator can replay the profile exactly.
-    Cable rates come from the endpoint cable lengths, so the bend angle
-    arrives exactly even though it evolves nonlinearly along the leg. Legs
-    between waypoints with equal orientation reduce to the constant-angle
-    cable law. Coincident waypoints produce no segment. A leg whose ends lie
-    inside the bounds stays inside them: l1, l2 and l1 + l2 are affine in
-    time along it, and theta monotone.
+    duration of its slowest actuator at its cap and rounded up to a whole
+    number of ``dt`` steps, at least one, so no rate exceeds its cap and a
+    simulator can replay the profile exactly. Cable rates come from the
+    endpoint cable lengths, so the bend angle arrives exactly even though it
+    evolves nonlinearly along the leg. Legs between waypoints with equal
+    orientation reduce to the constant-angle cable law. Coincident waypoints
+    produce no segment. A leg whose ends lie inside the bounds stays inside
+    them: l1, l2 and l1 + l2 are affine in time along it, and theta monotone.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    # A subnormal dt counts a leg's steps too coarsely to keep its rates within
+    # their caps.
+    if not sys.float_info.min <= dt < math.inf:
+        raise PlanningError(f"dt must be positive, finite and normal, got {dt}")
     states = []
     for index, waypoint in enumerate(waypoints):
         state = waypoint
@@ -188,20 +173,21 @@ def plan_trajectory(waypoints, params: ManipulatorParams,
     if not states:
         raise PlanningError("need at least one waypoint")
 
-    d = params.cable_offset
+    cables = [cable_lengths(state, params.cable_offset) for state in states]
     segments = []
-    for a, b in zip(states, states[1:]):
-        dq1, dq2 = controls_between(a, b)
-        cables_a = cable_lengths(a, d)
-        cables_b = cable_lengths(b, d)
-        dcL = cables_b.c_L - cables_a.c_L
-        dcR = cables_b.c_R - cables_a.c_R
+    for index in range(1, len(states)):
+        dq1, dq2 = controls_between(states[index - 1], states[index])
+        dcL = cables[index].c_L - cables[index - 1].c_L
+        dcR = cables[index].c_R - cables[index - 1].c_R
         slowest = max(abs(dq1) / limits.q1, abs(dq2) / limits.q2,
                       abs(dcL) / limits.cable, abs(dcR) / limits.cable)
         if slowest == 0.0:
             continue
-        duration = max(1, math.ceil(slowest / dt - 1e-12)) * dt
-        command = RateCommand(dq1 / duration, dq2 / duration, dcL / duration, dcR / duration)
-        command.check_limits(limits)
-        segments.append((duration, command))
+        steps = slowest / dt - 1e-12
+        if steps == math.inf:
+            raise PlanningError(f"the leg to waypoint {index} takes more dt={dt:.6g} s "
+                                "steps than a float counts at these speed limits")
+        duration = max(1, math.ceil(steps)) * dt
+        segments.append((duration, RateCommand(dq1 / duration, dq2 / duration,
+                                               dcL / duration, dcR / duration)))
     return ControlProfile(tuple(segments))

@@ -164,10 +164,11 @@ def scenario_from_dict(data) -> Scenario:
         theta = _number(initial.get("theta_rad", 0.0), "theta_rad", "initial")
         state = initial_state(control, theta, params)
     segments = []
+    rate_defaults = RateCommand()._asdict()
     for entry in _array(data, "segments", dict, "objects"):
         _object(entry, ("duration_s", "rates"), "segment")
         duration = _number(_get(entry, "duration_s", "segment"), "duration_s", "segment")
-        rates = _fields(entry.get("rates", {}), _RATES, "rates", RateCommand()._asdict())
+        rates = _fields(entry.get("rates", {}), _RATES, "rates", rate_defaults)
         segments.append((duration, RateCommand(**rates)))
     name = data.get("name", "scenario")
     if not isinstance(name, str):

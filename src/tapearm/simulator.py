@@ -139,10 +139,10 @@ class Scenario(_Value):
         rows = 1
         for duration, _ in self.profile.segments:
             steps = duration / self.dt
-            if (not math.isfinite(steps)
+            if (not math.isfinite(steps) or round(steps) < 1
                     or abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps))):
                 raise ScenarioError(f"segment duration {duration} s is not a whole "
-                                    f"number of dt={self.dt} s steps")
+                                    f"number of dt={self.dt} s steps, at least one")
             rows += round(steps)
         if rows > MAX_LOG_ROWS:
             raise ScenarioError(f"the profile logs {rows} rows at dt={self.dt} s, over the "
@@ -244,7 +244,7 @@ class LogRows(_Value, Sequence):
         return f"<LogRows: {len(self)} rows, {np.count_nonzero(self.outside)} with violations>"
 
 
-class TrajectoryLog(_Value, frozen=False):
+class TrajectoryLog(_Value):
     """Time series of a scenario run plus per-check outcomes.
 
     An aborted run holds the rows logged before ``abort.time`` and no check
@@ -255,11 +255,11 @@ class TrajectoryLog(_Value, frozen=False):
 
     def __init__(self, scenario: str, rows: LogRows, checks: list, boundary_indices: list,
                  abort: Abort | None = None):
-        self.scenario = scenario
-        self.rows = rows
-        self.checks = checks
-        self.boundary_indices = boundary_indices
-        self.abort = abort
+        object.__setattr__(self, "scenario", scenario)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "boundary_indices", boundary_indices)
+        object.__setattr__(self, "abort", abort)
 
     @property
     def all_passed(self) -> bool:
@@ -350,9 +350,9 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     outside, abort = np.empty(values.shape[1], bool), None
     checked = 1  # segments before this one have a checked, finite end
     with np.errstate(all="ignore"):  # overflow is reported as a ScenarioError below
-        # A segment starts where the one before ends, start + rate * duration,
-        # or with -0.0 added if it had no steps: bit for bit that last row.
-        reach = np.where(table[12] == table[11], -0.0, table[:5] * table[5])[:, :-1]
+        # A segment starts where the one before ends, start + rate * duration:
+        # bit for bit that last row.
+        reach = (table[:5] * table[5])[:, :-1]
         start = (0.0, initial.control.q1, initial.control.q2,
                  initial.cables.c_L, initial.cables.c_R)
         table[6:11] = np.add.accumulate(np.column_stack((start, reach)), axis=1)

@@ -189,7 +189,7 @@ def min_end_effector_angle(point, params: ManipulatorParams) -> float | None:
     return 0.0
 
 
-class WorkspaceGrid(_Value, frozen=False):
+class WorkspaceGrid(_Value):
     """Reachability and minimum-angle samples at cell centers.
 
     Arrays are indexed [iy, ix]; ``min_angle`` is NaN where unreachable and
@@ -200,12 +200,12 @@ class WorkspaceGrid(_Value, frozen=False):
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray, reachable: np.ndarray,
                  min_angle: np.ndarray, resolution: float, bounds: tuple):
-        self.xs = xs
-        self.ys = ys
-        self.reachable = reachable
-        self.min_angle = min_angle
-        self.resolution = resolution
-        self.bounds = bounds
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
+        object.__setattr__(self, "reachable", reachable)
+        object.__setattr__(self, "min_angle", min_angle)
+        object.__setattr__(self, "resolution", resolution)
+        object.__setattr__(self, "bounds", bounds)
 
     @property
     def nx(self) -> int:

@@ -362,6 +362,9 @@ _EXIT_CODE_TABLE = [
     ("infinite-duration", _SCENARIO % ("0.01", "1e400", "{}", "[]"),
      ["simulate", "{dir}/input.json"], 2),
     ("infinite-dt", _SCENARIO % ("1e400", "1.0", "{}", "[]"), ["simulate", "{dir}/input.json"], 2),
+    # a segment too short for one step would log no row and drop its motion
+    ("zero-step-segment", _SCENARIO % ("0.01", "1e-12", '{"q1": 1e9}', "[]"),
+     ["simulate", "{dir}/input.json"], 2),
     ("infinite-workspace-bound", None,
      ["workspace", "--bounds", "0", "inf", "0", "1", "--resolution", "0.1"], 2),
     ("workspace-grid-too-large", None, ["workspace", "--resolution", "1e-300"], 2),
@@ -513,6 +516,8 @@ _EXIT_STDERR = {
                                  "outside the +/-0.06 m range",
     "start-cables-inconsistent": "error: initial state is inconsistent: ",
     "stiffness-no-option": "error: stiffness needs one of --kappa, --theta, --curve\n",
+    "zero-step-segment": "error: bad scenario file: segment duration 1e-12 s is not a whole "
+                         "number of dt=0.01 s steps, at least one\n",
     **{case: f"error: bad scenario file: check {case[len('check-'):]!r}: "
        for case, *_ in _EXIT_CODE_TABLE if case.startswith("check-")},
 }
@@ -522,6 +527,7 @@ _EXIT_STDOUT = {"cables-invalid-state": "violation: theta_limit"}
 
 # rows that must fail before any run or grid is computed
 _NOTHING_COMPUTED = {"output-directory-is-a-file", "output-directory-below-a-file",
+                     "zero-step-segment",
                      *(case for case, *_ in _EXIT_CODE_TABLE if case.startswith("check-")),
                      # every demo refused
                      *(case for case, _, argv, expected in _EXIT_CODE_TABLE

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -192,14 +193,6 @@ def test_plan_trajectory_actuation_sequence_three_segments():
     assert bend_cmd.cL_rate > 0 > bend_cmd.cR_rate
 
 
-def test_plan_trajectory_respects_limits():
-    limits = SpeedLimits()
-    waypoints = [Pose(0.0, 0.5, 0.0), Pose(0.3, 1.2, math.radians(40.0))]
-    profile = plan_trajectory(waypoints, PARAMS, limits)
-    for _, command in profile.segments:
-        command.check_limits(limits)
-
-
 def test_plan_trajectory_unreachable_waypoint():
     with pytest.raises(PlanningError, match="waypoint 1"):
         plan_trajectory([Pose(0.0, 0.5, 0.0), Pose(1.9, 0.1, math.radians(40.0))], PARAMS)
@@ -297,6 +290,59 @@ def test_planned_runs_end_at_the_last_waypoint_inside_the_bounds(demonstration):
     assert max(abs(final.l1 - end.l1), abs(final.l2 - end.l2), abs(final.theta - end.theta)) <= 1e-9
     if isinstance(waypoints[-1], Pose):
         assert math.hypot(final.x - waypoints[-1].x, final.y - waypoints[-1].y) <= 1e-9
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_demonstrations(), st.tuples(*[st.sampled_from([0.01, 0.1, 10.0]) | st.floats(0.01, 10.0)
+                                      for _ in range(3)]),
+       st.sampled_from([1e-3, 0.01, 0.3, 1.0]) | st.floats(1e-3, 1.0))
+@example((PARAMS, [Pose(0.0, 0.5, 0.0), Pose(0.3, 1.2, math.radians(40.0))]), (0.1,) * 3, 0.01)
+def test_plan_trajectory_respects_limits(demonstration, caps, dt):
+    # every rate is within its cap, but for rounding, and every leg a whole
+    # number of dt steps, at least one, that a Scenario accepts
+    params, waypoints = demonstration
+    limits = SpeedLimits(*caps)
+    try:
+        profile = plan_trajectory(waypoints, params, limits, dt)
+    except PlanningError as exc:  # a pose not reached inside the bounds
+        assert re.match(r"waypoint \d+ (at .* is unreachable|is outside the bounds: )", str(exc))
+        return
+    for duration, command in profile.segments:
+        assert abs(command.q1_rate) <= limits.q1 * (1.0 + 1e-9)
+        assert abs(command.q2_rate) <= limits.q2 * (1.0 + 1e-9)
+        assert max(abs(command.cL_rate), abs(command.cR_rate)) <= limits.cable * (1.0 + 1e-9)
+        steps = duration / dt
+        assert round(steps) >= 1 and abs(steps - round(steps)) <= 1e-9 * steps
+    state = waypoints[0] if isinstance(waypoints[0], JointState) else ik_at_theta(
+        (waypoints[0].x, waypoints[0].y), waypoints[0].phi, params)
+    Scenario("limits", params, initial_state(control_from_state(state), state.theta, params),
+             profile, dt)
+
+
+@pytest.mark.parametrize("caps", [(math.inf, 0.1, 0.1), (0.1, math.inf, 0.1),
+                                  (0.1, 0.1, math.inf), (math.nan, 0.1, 0.1), (0.0, 0.1, 0.1),
+                                  (0.1, -0.1, 0.1)])
+def test_speed_limits_refuse_caps_that_are_not_positive_and_finite(caps):
+    # an infinite cap would make a leg's slowest duration 0 s, and the leg vanish
+    with pytest.raises(ValueError, match=r"^SpeedLimits\.\w+ must be positive and finite"):
+        SpeedLimits(*caps)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf, 1e-320, 5e-324])
+def test_plan_trajectory_refuses_a_dt_that_is_not_positive_finite_and_normal(dt):
+    # a subnormal dt counts steps too coarsely to keep the rates within their caps
+    with pytest.raises(PlanningError, match="^dt must be positive, finite and normal"):
+        plan_trajectory([JointState(0.3, 0.4, 0.0), JointState(0.5, 0.4, 0.0)], PARAMS, dt=dt)
+
+
+def test_plan_trajectory_refuses_a_leg_with_too_many_steps_to_count():
+    # 2e309 steps of 1e-10 s at a 1e-300 m/s cap: more than a float holds
+    legs = [JointState(0.3, 0.4, 0.0), JointState(0.5, 0.4, 0.0)]
+    with pytest.raises(PlanningError, match="^the leg to waypoint 1 takes more dt=1e-10 s"):
+        plan_trajectory(legs, PARAMS, SpeedLimits(q1=1e-300), dt=1e-10)
+    # and so does a subnormal cap, whose slowest duration overflows
+    with pytest.raises(PlanningError, match="^the leg to waypoint 1 takes more dt=0.01 s"):
+        plan_trajectory(legs, PARAMS, SpeedLimits(q1=5e-324))
 
 
 def test_leg_command_endpoint_exactness():

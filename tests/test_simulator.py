@@ -317,9 +317,15 @@ def test_run_scenario_rejects_inconsistent_initial_state():
 
 
 def test_scenario_rejects_fractional_step_counts():
-    profile = ControlProfile(((0.015, RateCommand()),))
-    with pytest.raises(ScenarioError, match="whole number"):
-        Scenario("bad", PARAMS, _start(), profile, dt=0.01)
+    for segments in (
+            ((0.015, RateCommand()),),
+            # a segment too short for a step would log no row, and its 1 mm of
+            # extension would never happen
+            ((1e-12, RateCommand(q1_rate=1e9)),),
+            ((1e-12, RateCommand(q1_rate=1.0)), (1.0, RateCommand(q1_rate=0.05)),
+             (1e-12, RateCommand(cL_rate=0.5)), (1.0, RateCommand(cR_rate=0.01)))):
+        with pytest.raises(ScenarioError, match="whole number of dt=0.01 s steps, at least one"):
+            Scenario("bad", PARAMS, _start(), ControlProfile(segments), dt=0.01)
 
 
 @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "../up", "/abs/path",
@@ -848,9 +854,6 @@ _BEND = 4.0 * PARAMS.cable_offset
 # overflow is reported
 @example(_example((1e10, RateCommand(q1_rate=1e300)),
                   (1e10, RateCommand(cL_rate=1e300, cR_rate=-1e300)), dt=1e10))
-# segments too short for a step add no rows and leave the next start as it is
-@example(_example((1e-12, RateCommand(q1_rate=1.0)), (1.0, RateCommand(q1_rate=0.05)),
-                  (1e-12, RateCommand(cL_rate=0.5)), (1.0, RateCommand(cR_rate=0.01))))
 def test_columnar_log_matches_reference_loop(scenario):
     try:
         rows, checks, boundary_indices, abort = _run_scenario_loop(scenario)

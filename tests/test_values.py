@@ -58,10 +58,9 @@ _VALUES = [
     compute_grid(DEFAULT_PARAMS, (-0.2, 0.2, 0.0, 0.4), 0.1),
 ]
 
-# The types whose fields take new values, and so have no hash; nor has
-# LogRows, which has its own equality and repr.
-_MUTABLE = {"TrajectoryLog", "WorkspaceGrid"}
-_UNHASHABLE = _MUTABLE | {"LogRows"}
+# The types with a list or an array field, and so no hash; nor has LogRows,
+# which has its own equality and repr.
+_UNHASHABLE = {"TrajectoryLog", "WorkspaceGrid", "LogRows"}
 
 
 def _fields(value) -> dict:
@@ -90,15 +89,11 @@ def test_value_type_behaves_as_a_dataclass(value):
         text = ", ".join(f"{name}={field!r}" for name, field in fields.items())
         assert repr(value) == f"{cls.__name__}({text})"
     name = next(iter(fields))
-    if cls.__name__ in _MUTABLE:
-        setattr(by_keyword, name, None)
-        assert getattr(by_keyword, name) is None and getattr(value, name) is not None
-    else:
-        with pytest.raises(AttributeError):
-            setattr(value, name, None)
-        with pytest.raises(AttributeError):
-            delattr(value, name)
-        assert getattr(value, name) is fields[name]
+    with pytest.raises(AttributeError):
+        setattr(value, name, None)
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    assert getattr(value, name) is fields[name]
     assert copy.copy(value) == value
     restored = pickle.loads(pickle.dumps(value))
     assert type(restored) is cls and repr(restored) == repr(value)
