@@ -7,7 +7,9 @@ step size. Constraint violations are recorded on the log rows, never
 clamped; only a cable differential outside the reachable range aborts a run,
 since no kinematic state exists for it. The aborted run keeps the rows logged
 before it. A segment whose rates overflow the state to non-finite values is
-rejected as a malformed scenario.
+rejected as a malformed scenario once the run has finished its segments.
+Scenario itself refuses a start whose cables do not match its link lengths
+and segments whose durations add up past the largest float.
 
 The log is columnar: float64 arrays, and a bool per row that marks the rows
 outside a bound. A LogRow and its violations are built only when it is read.
@@ -113,9 +115,14 @@ class Scenario(_Value):
         object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "checks", tuple(checks))
         # The start needs a kinematic state: finite link lengths, and a bend
-        # angle for its cable differential (else CableRangeError).
-        JointState(*link_lengths(self.initial.control),
-                   theta_from_cables(self.initial.cables, self.params.cable_offset))
+        # angle for its cable differential (else CableRangeError). Its cable
+        # sum must match them as the log's row 0 computes its residual.
+        cables, d = self.initial.cables, self.params.cable_offset
+        l1, l2 = link_lengths(self.initial.control)
+        theta = JointState(l1, l2, theta_from_cables(cables, d)).theta
+        if abs(cables.c_L - (l1 + l2 + 2.0 * d * math.sin(0.5 * theta))) > INITIAL_CONSISTENCY_TOL:
+            raise ScenarioError("initial state is inconsistent: cable sum does not "
+                                "match the link lengths")
         # The CLI writes <out>/<name>_log.csv, so a name must not leave --out.
         if self.name in ("", ".", "..") or any(
                 sep and sep in self.name for sep in ("/", os.sep, os.altsep)):
@@ -136,7 +143,7 @@ class Scenario(_Value):
                                 f"'<name>_overlay.svg'; at most {_NAME_MAX} bytes fit")
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ScenarioError(f"dt must be positive and finite, got {self.dt}")
-        rows = 1
+        rows, clock = 1, 0.0
         for duration, _ in self.profile.segments:
             steps = duration / self.dt
             if (not math.isfinite(steps) or round(steps) < 1
@@ -144,6 +151,9 @@ class Scenario(_Value):
                 raise ScenarioError(f"segment duration {duration} s is not a whole "
                                     f"number of dt={self.dt} s steps, at least one")
             rows += round(steps)
+            clock += duration  # in run_scenario's order, so its last row's t
+        if not math.isfinite(clock):
+            raise ScenarioError(f"the segment durations add up to {clock} s, past a float's range")
         if rows > MAX_LOG_ROWS:
             raise ScenarioError(f"the profile logs {rows} rows at dt={self.dt} s, over the "
                                 f"{MAX_LOG_ROWS} row limit; use a larger dt or a shorter "
@@ -270,8 +280,8 @@ class TrajectoryLog(_Value):
         return self.rows[-1]
 
 
-def _evaluate_rows(out, outside, row0, start, rates, t_rels, datum, params: ManipulatorParams):
-    """Fill ``out[:, row0:]`` with rows of constant-rate segments.
+def _evaluate_rows(out, outside, start, rates, t_rels, datum, params: ManipulatorParams):
+    """Fill the columns ``out`` and the flags ``outside`` with a block of rows.
 
     For each row, ``start`` holds its segment's start as (t, q1, q2, cL, cR),
     ``rates`` the (q1, q2, cL, cR) rates in m/s and ``t_rels`` the time since
@@ -279,12 +289,12 @@ def _evaluate_rows(out, outside, row0, start, rates, t_rels, datum, params: Mani
     Each row is computed in closed form from the start, elementwise in the
     operation order of link_lengths, theta_from_cables, forward_kinematics
     and cable_lengths, so every value is bit-identical to what those
-    functions return. ``outside[row0:]`` marks the rows outside a bound,
-    except those with a non-finite link length, left to the segment-end check.
+    functions return. ``outside`` marks the rows outside a bound, except
+    those with a non-finite link length, left to the segment-end check.
 
-    Returns (rows filled, None), or (rows filled, reason) when the next row's
-    cable differential is one no bend angle can produce; that row and the
-    ones after it are not filled.
+    Returns (rows, None), or (row, reason) when ``row`` is the first whose
+    cable differential is one no bend angle can produce; it and the rows
+    after it are filled but hold no kinematic state.
     """
     t0, q1_0, q2_0, cL_0, cR_0 = start
     q1_rate, q2_rate, cL_rate, cR_rate = rates
@@ -294,14 +304,6 @@ def _evaluate_rows(out, outside, row0, start, rates, t_rels, datum, params: Mani
     cL = cL_0 + cL_rate * t_rels
     cR = cR_0 + cR_rate * t_rels
     ratio = (cL - cR) / four_d
-    reason = None
-    beyond = np.flatnonzero(np.abs(ratio) > 1.0 + CABLE_RANGE_SLACK)
-    if beyond.size:
-        count = int(beyond[0])
-        reason = (f"cable differential {float(cL[count] - cR[count]):.9g} m is outside "
-                  f"the +/-{four_d:.9g} m range reachable at offset d={d:.9g} m")
-        t_rels, cL, cR, ratio = t_rels[:count], cL[:count], cR[:count], ratio[:count]
-        t0, q1_0, q2_0, q1_rate, q2_rate = (v[:count] for v in (t0, q1_0, q2_0, q1_rate, q2_rate))
     q1 = q1_0 + q1_rate * t_rels
     q2 = q2_0 + q2_rate * t_rels
     l1 = q1 + q2 + l1_0
@@ -314,10 +316,14 @@ def _evaluate_rows(out, outside, row0, start, rates, t_rels, datum, params: Mani
     rows = (t0 + t_rels, q1, q2, cL, cR, l1, l2, theta,
             l2 * _map_math(math.sin, theta), l1 + l2 * _map_math(math.cos, theta), residual)
     for column, values in zip(out, rows):
-        column[row0:row0 + len(t_rels)] = values
-    outside[row0:row0 + len(t_rels)] = (~within_bounds(l1, l2, theta, params)
-                                        & np.isfinite(l1) & np.isfinite(l2))
-    return len(t_rels), reason
+        column[:] = values
+    outside[:] = ~within_bounds(l1, l2, theta, params) & np.isfinite(l1) & np.isfinite(l2)
+    beyond = np.flatnonzero(np.abs(ratio) > 1.0 + CABLE_RANGE_SLACK)
+    if not beyond.size:
+        return len(t_rels), None
+    row = int(beyond[0])
+    return row, (f"cable differential {float(cL[row] - cR[row]):.9g} m is outside "
+                 f"the +/-{four_d:.9g} m range reachable at offset d={d:.9g} m")
 
 
 def run_scenario(scenario: Scenario) -> TrajectoryLog:
@@ -348,7 +354,6 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     table[5, 0], table[11], table[12] = -0.0, lasts - np.concatenate(([1], steps)), lasts
     values = np.empty((len(LOG_COLUMNS), int(lasts[-1]) + 1))
     outside, abort = np.empty(values.shape[1], bool), None
-    checked = 1  # segments before this one have a checked, finite end
     with np.errstate(all="ignore"):  # overflow is reported as a ScenarioError below
         # A segment starts where the one before ends, start + rate * duration:
         # bit for bit that last row.
@@ -357,36 +362,31 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
                  initial.cables.c_L, initial.cables.c_R)
         table[6:11] = np.add.accumulate(np.column_stack((start, reach)), axis=1)
         for first in range(0, values.shape[1], _BLOCK_ROWS):
-            index = np.arange(first, min(first + _BLOCK_ROWS, values.shape[1]))
+            stop = min(first + _BLOCK_ROWS, values.shape[1])
+            index = np.arange(first, stop)
             block = table[:, np.searchsorted(lasts, index)]
             # Constant rates integrate exactly; evaluating from the segment
             # start keeps boundary states independent of dt.
             t_rels = (index - block[11]) * dt
             np.copyto(t_rels, block[5], where=index == block[12])
-            filled, reason = _evaluate_rows(values, outside, first, block[6:11], block[1:5],
-                                            t_rels, datum, params)
-            # Scenario has checked that the start's cable differential is in range.
-            if not first and values[LOG_COLUMNS.index("eq3_residual"), 0] > INITIAL_CONSISTENCY_TOL:
-                raise ScenarioError("initial state is inconsistent: cable sum does not "
-                                    "match the link lengths")
-            # Every coordinate is affine in t, so a finite segment end bounds
-            # the whole segment.
-            done = int(np.searchsorted(lasts, first + filled))
-            finite = np.isfinite(values[np.ix_(_STATE_COLUMNS, lasts[checked:done])]).all(axis=0)
-            if not finite.all():
-                raise ScenarioError(f"segment {checked + int(np.argmin(finite)) - 1} drives "
-                                    "the state to non-finite values")
-            checked = done
+            filled, reason = _evaluate_rows(values[:, first:stop], outside[first:stop],
+                                            block[6:11], block[1:5], t_rels, datum, params)
             if reason is not None:
                 abort = Abort(float(block[6, filled]) + float(t_rels[filled]), reason)
                 break
+    done = int(np.searchsorted(lasts, first + filled))  # segments 1 to done - 1 ended
+    # A finite segment end bounds the segment: every coordinate is affine in t.
+    finite = np.isfinite(values[np.ix_(_STATE_COLUMNS, lasts[1:done])]).all(axis=0)
+    if not finite.all():
+        raise ScenarioError(f"segment {int(np.argmin(finite))} drives the state to "
+                            "non-finite values")
     values, outside = values[:, :first + filled], outside[:first + filled]
     values.flags.writeable = outside.flags.writeable = False
     rows = LogRows(values, params, outside)
     checks = ([evaluate_check(check, rows) for check in scenario.checks]
               if abort is None else [])
     return TrajectoryLog(scenario=scenario.name, rows=rows, checks=checks,
-                         boundary_indices=lasts[1:checked].tolist(), abort=abort)
+                         boundary_indices=lasts[1:done].tolist(), abort=abort)
 
 
 def log_to_csv(log: TrajectoryLog, fh) -> None:
@@ -572,22 +572,24 @@ def evaluate_check(text: str, rows: LogRows) -> CheckResult:
 
 # --- built-in demonstration scenarios --------------------------------------
 
+def _demo(name: str, params: ManipulatorParams, start: JointState, profile: ControlProfile,
+          checks: tuple) -> Scenario:
+    """The demo ``name``: ``profile`` from the consistent start at ``start``, at dt = 0.01 s."""
+    return Scenario(name, params, initial_state(control_from_state(start), start.theta, params),
+                    profile, 0.01, checks)
+
+
 def _deploy_and_bend(params: ManipulatorParams) -> Scenario:
     # Stowed -> extend the tapes -> reposition the node -> bend to 30 deg.
     stowed = JointState(params.l1_min, 0.004, 0.0)
     extended = JointState(params.l1_min + 0.6, 0.004, 0.0)
     node_set = JointState(params.l1_min + 0.3, 0.304, 0.0)
     bent = JointState(node_set.l1, node_set.l2, math.radians(30.0))
-    profile = plan_trajectory([stowed, extended, node_set, bent], params)
     target = forward_kinematics(bent)
-    checks = (
-        f"target:({target.x:.9g},{target.y:.9g}):1e-3",
-        f"final_theta:{bent.theta!r}rad:1e-6",
-        "eq3_residual:1e-9",
-    )
-    return Scenario("deploy-and-bend", params,
-                    initial_state(control_from_state(stowed), 0.0, params),
-                    profile, 0.01, checks)
+    checks = (f"target:({target.x:.9g},{target.y:.9g}):1e-3",
+              f"final_theta:{bent.theta!r}rad:1e-6", "eq3_residual:1e-9")
+    return _demo("deploy-and-bend", params, stowed,
+                 plan_trajectory([stowed, extended, node_set, bent], params), checks)
 
 
 def _out_of_reach(demo: str, point) -> PlanningError:
@@ -606,10 +608,8 @@ def _reach_two_targets(params: ManipulatorParams) -> Scenario:
         waypoints.append(ik_at_theta(point, 0.5 * (interval.lo + interval.hi), params))
     checks = ("eq3_residual:1e-9", "visits_target:(0.229,0.838):1e-3",
               "target:(0.076,0.838):1e-3")
-    profile = plan_trajectory(waypoints, params)
-    return Scenario("reach-two-targets", params,
-                    initial_state(control_from_state(waypoints[0]), 0.0, params),
-                    profile, 0.01, checks)
+    return _demo("reach-two-targets", params, waypoints[0],
+                 plan_trajectory(waypoints, params), checks)
 
 
 def _multi_config_same_target(params: ManipulatorParams) -> Scenario:
@@ -629,64 +629,49 @@ def _multi_config_same_target(params: ManipulatorParams) -> Scenario:
     states = [ik_at_theta(point, theta, params) for theta in path]
     if any(state is None for state in states):
         raise _out_of_reach("multi-config-same-target", point)
-    profile = plan_trajectory(states, params)
     visit_tol = math.radians(0.05)
-    checks = (
-        f"target_held:({point[0]},{point[1]}):1e-3",
-        f"theta_visits:7.1deg:{visit_tol!r}",
-        f"theta_visits:10deg:{visit_tol!r}",
-        f"theta_visits:16.7deg:{visit_tol!r}",
-        "eq3_residual:1e-9",
-    )
-    return Scenario("multi-config-same-target", params,
-                    initial_state(control_from_state(states[0]), states[0].theta, params),
-                    profile, 0.01, checks)
+    checks = (f"target_held:({point[0]},{point[1]}):1e-3",
+              *(f"theta_visits:{angle}:{visit_tol!r}" for angle in ("7.1deg", "10deg", "16.7deg")),
+              "eq3_residual:1e-9")
+    return _demo("multi-config-same-target", params, states[0],
+                 plan_trajectory(states, params), checks)
 
 
-def _inside_the_bounds(scenario: Scenario) -> Scenario:
-    """``scenario`` if its start and the end of each segment lie inside the
-    bounds, else a PlanningError naming the first that does not.
+def _held_rates(name: str, params: ManipulatorParams, start: JointState, duration: float,
+                command: RateCommand, checks: tuple) -> Scenario:
+    """The demo ``name``, holding ``command`` for ``duration`` s from ``start``,
+    or a PlanningError if its start or its end lies outside the bounds.
 
-    The ends bound each segment: along constant rates l1, l2 and l1 + l2 are
-    affine in time, and theta = 2 asin((cL - cR) / 4d) is monotone. Each end
-    is computed as run_scenario computes it, start + rate * duration.
+    The two ends bound the segment: along constant rates l1, l2 and l1 + l2
+    are affine in time, and theta = 2 asin((cL - cR) / 4d) is monotone. The
+    end is computed as run_scenario computes it, start + rate * duration.
     """
-    params, control, cables = scenario.params, scenario.initial.control, scenario.initial.cables
-    ends = [(control.q1, control.q2, cables.c_L, cables.c_R)]
-    for duration, command in scenario.profile.segments:
-        rates = (command.q1_rate, command.q2_rate, command.cL_rate, command.cR_rate)
-        ends.append(tuple(value + rate * duration for value, rate in zip(ends[-1], rates)))
-    for index, (q1, q2, c_L, c_R) in enumerate(ends):
+    scenario = _demo(name, params, start, ControlProfile(((duration, command),)), checks)
+    control, cables = scenario.initial.control, scenario.initial.cables
+    begin = (control.q1, control.q2, cables.c_L, cables.c_R)
+    rates = (command.q1_rate, command.q2_rate, command.cL_rate, command.cR_rate)
+    end = tuple(value + rate * duration for value, rate in zip(begin, rates))
+    for where, (q1, q2, c_L, c_R) in (("the start", begin), ("the end of segment 0", end)):
         state = JointState(*link_lengths(ControlState(q1, q2, control.l1_0, control.l2_0)),
                            theta_from_cables(CablePair(c_L, c_R), params.cable_offset))
-        _require_within_bounds(state, params, f"demo {scenario.name!r}: " + (
-            f"the end of segment {index - 1}" if index else "the start"))
+        _require_within_bounds(state, params, f"demo {name!r}: {where}")
     return scenario
 
 
 def _constant_angle_retraction(params: ManipulatorParams) -> Scenario:
     # Retract the tape while the cables hold a 22 deg bend.
     theta = math.radians(22.0)
-    start = JointState(0.3, 0.4, theta)
-    q1_rate = -0.02
     # At fixed theta both cables track the total-length rate l1' + l2' = q1'.
-    command = RateCommand(q1_rate=q1_rate, q2_rate=0.0,
-                          cL_rate=q1_rate, cR_rate=q1_rate)
-    profile = ControlProfile(((11.0, command),))
-    checks = (
-        f"theta_constant:{theta!r}rad:1e-6",
-        "eq3_residual:1e-9",
-    )
-    return _inside_the_bounds(Scenario("constant-angle-retraction", params,
-                                       initial_state(control_from_state(start), theta, params),
-                                       profile, 0.01, checks))
+    command = RateCommand(q1_rate=-0.02, cL_rate=-0.02, cR_rate=-0.02)
+    checks = (f"theta_constant:{theta!r}rad:1e-6", "eq3_residual:1e-9")
+    return _held_rates("constant-angle-retraction", params, JointState(0.3, 0.4, theta), 11.0,
+                       command, checks)
 
 
 def _stationary_bend(params: ManipulatorParams, coordinated: bool) -> Scenario:
     # Shorten link 2 by retracting while driving the node outward at the same
     # rate, which pins l1; the uncoordinated variant drives the node alone
     # and l1 grows by the integrated node drive instead.
-    start = JointState(0.3, 0.6, 0.0)
     rate = 0.05
     if coordinated:
         name = "stationary-bend"
@@ -695,13 +680,9 @@ def _stationary_bend(params: ManipulatorParams, coordinated: bool) -> Scenario:
     else:
         name = "stationary-bend-uncoordinated"
         command = RateCommand(q2_rate=rate)
-        checks = ("expect_fail:l1_constant:1e-6",
-                  "l1_growth_equals_node_drive:1e-6",
+        checks = ("expect_fail:l1_constant:1e-6", "l1_growth_equals_node_drive:1e-6",
                   "eq3_residual:1e-9")
-    profile = ControlProfile(((10.0, command),))
-    return _inside_the_bounds(Scenario(name, params,
-                                       initial_state(control_from_state(start), 0.0, params),
-                                       profile, 0.01, checks))
+    return _held_rates(name, params, JointState(0.3, 0.6, 0.0), 10.0, command, checks)
 
 
 # The builder of each bundled demonstration scenario, keyed by CLI name. A

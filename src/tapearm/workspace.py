@@ -224,9 +224,10 @@ def grid_centers(lo: float, hi: float, n: int, resolution: float) -> np.ndarray:
     """Cell-center coordinates laid out symmetrically about the bounds midpoint.
 
     The symmetric layout makes mirrored bounds produce exactly mirrored
-    sample points, so workspace symmetry holds bit-for-bit.
+    sample points, so workspace symmetry holds bit-for-bit. The midpoint halves
+    each bound first, so bounds near the largest float do not overflow it.
     """
-    center = 0.5 * (lo + hi)
+    center = 0.5 * lo + 0.5 * hi
     return center + (np.arange(n) - 0.5 * (n - 1)) * resolution
 
 

@@ -464,6 +464,11 @@ _EXIT_CODE_TABLE = [
      ["simulate", "{dir}/input.json"], 2),
     ("start-cables-inconsistent", _START_CABLES % ("0.75", "0.74"),
      ["simulate", "{dir}/input.json"], 2),
+    # one step each, but the last row's t, their sum, overflows to inf
+    ("scenario-clock-overflows",
+     '{"initial": {"control": {"l1_0_m": 0.3, "l2_0_m": 0.4}}, "dt_s": 1e308, "segments": '
+     '[{"duration_s": 1e308, "rates": {}}, {"duration_s": 1e308, "rates": {}}]}',
+     ["simulate", "{dir}/input.json"], 2),
     ("stiffness-no-option", None, ["stiffness"], 2),
     ("cables-invalid-state", None, ["cables", "0.5", "0.5", "80deg"], 1),
 ] + [
@@ -514,7 +519,10 @@ _EXIT_STDERR = {
                                    "resolve theta\n",
     "start-cables-out-of-range": "error: bad scenario file: cable differential 0.2 m is "
                                  "outside the +/-0.06 m range",
-    "start-cables-inconsistent": "error: initial state is inconsistent: ",
+    "start-cables-inconsistent": "error: bad scenario file: initial state is inconsistent: "
+                                 "cable sum does not match the link lengths\n",
+    "scenario-clock-overflows": "error: bad scenario file: the segment durations add up to "
+                                "inf s",
     "stiffness-no-option": "error: stiffness needs one of --kappa, --theta, --curve\n",
     "zero-step-segment": "error: bad scenario file: segment duration 1e-12 s is not a whole "
                          "number of dt=0.01 s steps, at least one\n",
@@ -527,7 +535,8 @@ _EXIT_STDOUT = {"cables-invalid-state": "violation: theta_limit"}
 
 # rows that must fail before any run or grid is computed
 _NOTHING_COMPUTED = {"output-directory-is-a-file", "output-directory-below-a-file",
-                     "zero-step-segment",
+                     "zero-step-segment", "start-cables-inconsistent",
+                     "scenario-clock-overflows",
                      *(case for case, *_ in _EXIT_CODE_TABLE if case.startswith("check-")),
                      # every demo refused
                      *(case for case, _, argv, expected in _EXIT_CODE_TABLE

@@ -161,17 +161,21 @@ def _evaluate_check_loop(text, rows):
     return CheckResult(text, passed, observed, tol, detail)
 
 
+def _first_row_loop(initial, params):
+    """The row the per-row simulator logged at t = 0 from ``initial``."""
+    start = (0.0, initial.control.q1, initial.control.q2,
+             initial.cables.c_L, initial.cables.c_R)
+    (row,) = _evaluate_segment_loop(start, (0.0,) * 4, (-0.0,),
+                                    (initial.control.l1_0, initial.control.l2_0), params)
+    return row
+
+
 def _run_scenario_loop(scenario):
     """(rows, checks, boundary_indices, abort) as the per-row simulator logged them."""
     params = scenario.params
     initial = scenario.initial
     datum = (initial.control.l1_0, initial.control.l2_0)
-    start = (0.0, initial.control.q1, initial.control.q2,
-             initial.cables.c_L, initial.cables.c_R)
-    rows = list(_evaluate_segment_loop(start, (0.0,) * 4, (-0.0,), datum, params))
-    if rows[0].eq3_residual > INITIAL_CONSISTENCY_TOL:
-        raise ScenarioError("initial state is inconsistent: cable sum does not "
-                            "match the link lengths")
+    rows = [_first_row_loop(initial, params)]
     boundary_indices = []
     abort = None
     for index, (duration, command) in enumerate(scenario.profile.segments):
@@ -311,9 +315,19 @@ def test_run_scenario_rejects_inconsistent_initial_state():
     state = _start()
     broken = SimState(state.control,
                       CablePair(state.cables.c_L + 0.01, state.cables.c_R + 0.01))
-    scenario = Scenario("broken", PARAMS, broken, ControlProfile(()))
-    with pytest.raises(ScenarioError, match="inconsistent"):
-        run_scenario(scenario)
+    with pytest.raises(ScenarioError, match="^initial state is inconsistent: cable sum does not "
+                                            "match the link lengths$"):
+        Scenario("broken", PARAMS, broken, ControlProfile(()))
+
+
+def test_scenario_rejects_a_clock_that_overflows():
+    # each segment is one step, but their sum, the last row's t, is inf
+    segments = ((1e308, RateCommand()), (1e308, RateCommand()))
+    with pytest.raises(ScenarioError, match="^the segment durations add up to inf s"):
+        Scenario("bad", PARAMS, _start(), ControlProfile(segments), dt=1e308)
+    # just below the largest float the run logs a finite clock
+    log = _run(_start(), (8e307, RateCommand()), (8e307, RateCommand()), dt=8e307)
+    assert log.rows.column("t").tolist() == [0.0, 8e307, 1.6e308]
 
 
 def test_scenario_rejects_fractional_step_counts():
@@ -779,7 +793,8 @@ _RATE = st.one_of(st.sampled_from([0.0, 0.05, -0.05]), st.floats(-0.3, 0.3))
 
 
 @st.composite
-def _scenarios(draw):
+def _starts(draw):
+    """Parameters, and a start whose left cable may drift off its link lengths."""
     params = replace(
         PARAMS, cable_offset=draw(st.floats(0.005, 0.05)),
         theta_limit=draw(st.floats(0.2, 1.5)), l1_min=draw(st.floats(0.0, 0.3)),
@@ -791,6 +806,25 @@ def _scenarios(draw):
     drift = draw(st.sampled_from([0.0, 0.0, 0.0, 4e-10, 1e-3]))  # 1e-3: inconsistent
     if drift:
         start = SimState(control, CablePair(start.cables.c_L + drift, start.cables.c_R))
+    return params, start
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_starts())
+def test_scenario_refuses_exactly_the_starts_whose_first_row_drifts(case):
+    params, start = case
+    drifts = _first_row_loop(start, params).eq3_residual > INITIAL_CONSISTENCY_TOL
+    try:
+        Scenario("start", params, start, ControlProfile(()))
+    except ScenarioError as exc:
+        assert drifts and str(exc).startswith("initial state is inconsistent: "), exc
+    else:
+        assert not drifts
+
+
+@st.composite
+def _scenarios(draw):
+    params, start = draw(_starts())
     dt = draw(st.sampled_from([0.001, 0.01, 0.02, 0.05, 0.1, 0.3]))
     legs = draw(st.lists(st.tuples(st.integers(1, 300), _RATE, _RATE, _RATE, _RATE),
                          max_size=3))
@@ -857,7 +891,7 @@ _BEND = 4.0 * PARAMS.cable_offset
 def test_columnar_log_matches_reference_loop(scenario):
     try:
         rows, checks, boundary_indices, abort = _run_scenario_loop(scenario)
-    except ScenarioError as exc:  # an inconsistent start or an overflowing segment
+    except ScenarioError as exc:  # an overflowing segment
         with pytest.raises(ValueError) as raised:
             run_scenario(scenario)
         assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
@@ -958,7 +992,7 @@ def _bound_log(params, l1, l2, theta):
     cL = 4.0 * params.cable_offset * np.sin(0.5 * np.array(theta))
     values, outside = np.empty((len(LOG_COLUMNS), len(l1))), np.empty(len(l1), bool)
     with np.errstate(all="ignore"):
-        filled, reason = _evaluate_rows(values, outside, 0, (zeros, zeros, zeros, cL, zeros),
+        filled, reason = _evaluate_rows(values, outside, (zeros, zeros, zeros, cL, zeros),
                                         (zeros,) * 4, zeros, (np.array(l1), np.array(l2)),
                                         params)
     assert (filled, reason) == (len(l1), None)

@@ -329,6 +329,20 @@ def test_grid_centers_match_per_point_loop(lo, hi, n, resolution):
     assert (-grid_centers(-hi, -lo, n, resolution)[::-1]).tolist() == expected
 
 
+def test_grid_centers_near_the_largest_float_stay_finite_and_inside():
+    # lo + hi overflows for these finite bounds; the 7 x 3 grid's centres do not
+    bounds = (1e308, 1.7e308, -1e307, 2e307)
+    grid = compute_grid(PARAMS, bounds, 1e307)
+    fh = io.StringIO()
+    grid_to_csv(grid, fh)
+    rows = [line.split(",") for line in fh.getvalue().splitlines()[1:]]
+    assert (grid.nx, grid.ny, len(rows)) == (7, 3, 21)
+    for values, lo, hi in ((grid.xs, *bounds[:2]), (grid.ys, *bounds[2:])):
+        assert np.isfinite(values).all() and lo <= values.min() and values.max() <= hi
+    assert grid.xs[[0, -1]].tolist() == pytest.approx([1.05e308, 1.65e308], rel=1e-15)
+    assert all(math.isfinite(float(x)) and math.isfinite(float(y)) for x, y, *_ in rows)
+
+
 def test_compute_grid_determinism_and_edge_cases():
     grid_a = compute_grid(PARAMS, (-0.5, 0.5, 0.0, 0.5), 0.1)
     grid_b = compute_grid(PARAMS, (-0.5, 0.5, 0.0, 0.5), 0.1)
