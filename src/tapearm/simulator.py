@@ -6,10 +6,9 @@ produce bit-identical logs and segment-boundary states do not depend on the
 step size. Constraint violations are recorded on the log rows, never
 clamped; only a cable differential outside the reachable range aborts a run,
 since no kinematic state exists for it. The aborted run keeps the rows logged
-before it. A segment whose rates overflow the state to non-finite values is
-rejected as a malformed scenario once the run has finished its segments.
-Scenario itself refuses a start whose cables do not match its link lengths
-and segments whose durations add up past the largest float.
+before it. Scenario evaluates the log's row 0 and each segment's end as the
+run does, and refuses at load any profile the run could not complete: a start
+off its cables, a clock past the largest float, or rates that overflow the state.
 
 The log is columnar: float64 arrays, and a bool per row that marks the rows
 outside a bound. A LogRow and its violations are built only when it is read.
@@ -30,6 +29,7 @@ from .model import (
     CABLE_RANGE_SLACK,
     DEFAULT_PARAMS,
     CablePair,
+    CableRangeError,
     ControlState,
     JointState,
     ManipulatorParams,
@@ -37,7 +37,6 @@ from .model import (
     cable_lengths,
     forward_kinematics,
     link_lengths,
-    theta_from_cables,
     validate_states,
     within_bounds,
 )
@@ -60,9 +59,6 @@ LOG_CSV_HEADER = ("t_s,q1_m,q2_m,cL_m,cR_m,l1_m,l2_m,theta_rad,x_m,y_m,"
 
 # The float columns of a run log, in LogRow and CSV order.
 LOG_COLUMNS = ("t", "q1", "q2", "cL", "cR", "l1", "l2", "theta", "x", "y", "eq3_residual")
-# Columns whose finite segment end shows that the rates did not overflow.
-_STATE_COLUMNS = [LOG_COLUMNS.index(name)
-                  for name in ("q1", "q2", "cL", "cR", "l1", "l2", "x", "y")]
 _JOINT = slice(LOG_COLUMNS.index("l1"), LOG_COLUMNS.index("theta") + 1)  # what the bounds read
 
 # Largest log a scenario may produce, in rows (the initial row included; about
@@ -114,13 +110,11 @@ class Scenario(_Value):
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "checks", tuple(checks))
-        # The start needs a kinematic state: finite link lengths, and a bend
-        # angle for its cable differential (else CableRangeError). Its cable
-        # sum must match them as the log's row 0 computes its residual.
-        cables, d = self.initial.cables, self.params.cable_offset
-        l1, l2 = link_lengths(self.initial.control)
-        theta = JointState(l1, l2, theta_from_cables(cables, d)).theta
-        if abs(cables.c_L - (l1 + l2 + 2.0 * d * math.sin(0.5 * theta))) > INITIAL_CONSISTENCY_TOL:
+        # The start needs a kinematic state, a bend angle and finite link
+        # lengths, that its cable sum matches.
+        table, ends = _segment_ends(self)
+        JointState(*ends[_JOINT, 0].tolist())
+        if ends[-1, 0] > INITIAL_CONSISTENCY_TOL:
             raise ScenarioError("initial state is inconsistent: cable sum does not "
                                 "match the link lengths")
         # The CLI writes <out>/<name>_log.csv, so a name must not leave --out.
@@ -143,23 +137,25 @@ class Scenario(_Value):
                                 f"'<name>_overlay.svg'; at most {_NAME_MAX} bytes fit")
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ScenarioError(f"dt must be positive and finite, got {self.dt}")
-        rows, clock = 1, 0.0
-        for duration, _ in self.profile.segments:
-            steps = duration / self.dt
-            if (not math.isfinite(steps) or round(steps) < 1
-                    or abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps))):
-                raise ScenarioError(f"segment duration {duration} s is not a whole "
-                                    f"number of dt={self.dt} s steps, at least one")
-            rows += round(steps)
-            clock += duration  # in run_scenario's order, so its last row's t
-        if not math.isfinite(clock):
+        with np.errstate(all="ignore"):  # a count past a float's range: inf - inf
+            steps = table[5, 1:] / self.dt
+            whole = (np.round(steps) >= 1.0) & (np.abs(steps - np.round(steps))
+                                                <= 1e-9 * np.maximum(1.0, steps))
+        if not whole.all():
+            raise ScenarioError(f"segment duration {self.profile.segments[np.argmin(whole)][0]} "
+                                f"s is not a whole number of dt={self.dt} s steps, at least one")
+        if not math.isfinite(clock := float(ends[0, -1])):
             raise ScenarioError(f"the segment durations add up to {clock} s, past a float's range")
-        if rows > MAX_LOG_ROWS:
-            raise ScenarioError(f"the profile logs {rows} rows at dt={self.dt} s, over the "
-                                f"{MAX_LOG_ROWS} row limit; use a larger dt or a shorter "
-                                "profile")
+        if (rows := table[12, -1] + 1.0) > MAX_LOG_ROWS:  # a float: it may pass int64's range
+            raise ScenarioError(f"the profile logs {rows:.0f} rows at dt={self.dt} s, over the "
+                                f"{MAX_LOG_ROWS} row limit; use a larger dt or a shorter profile")
         for check in self.checks:
             parse_check(check)  # fail fast on malformed checks
+        # A finite segment end bounds the segment: every coordinate is affine in t.
+        finite = np.isfinite(ends[1:-1, 1:]).all(axis=0)
+        if not finite.all():
+            raise ScenarioError(f"segment {int(np.argmin(finite))} drives the state to "
+                                "non-finite values")
 
 
 class LogRow(_Value):
@@ -290,7 +286,7 @@ def _evaluate_rows(out, outside, start, rates, t_rels, datum, params: Manipulato
     operation order of link_lengths, theta_from_cables, forward_kinematics
     and cable_lengths, so every value is bit-identical to what those
     functions return. ``outside`` marks the rows outside a bound, except
-    those with a non-finite link length, left to the segment-end check.
+    those with a non-finite link length, whose segment end Scenario refuses.
 
     Returns (rows, None), or (row, reason) when ``row`` is the first whose
     cable differential is one no bend angle can produce; it and the rows
@@ -326,6 +322,46 @@ def _evaluate_rows(out, outside, start, rates, t_rels, datum, params: Manipulato
                  f"the +/-{four_d:.9g} m range reachable at offset d={d:.9g} m")
 
 
+def _segment_table(scenario: Scenario) -> np.ndarray:
+    """The segments of ``scenario``, one column each, headed by row 0 as a
+    one-row segment of zero rates at t_rel = -0.0, which adds -0.0 to each
+    start value and so keeps it, negative zeros included.
+
+    Rows: the rates of t, q1, q2, cL and cR, the duration, the start, and the
+    float row numbers before the first and of the last row of each segment. A
+    segment starts where the one before ends, bit for bit that last row.
+    """
+    segments, control, cables = (scenario.profile.segments, scenario.initial.control,
+                                 scenario.initial.cables)
+    table = np.zeros((13, len(segments) + 1))
+    table[:6, 1:] = np.fromiter(((1.0, command.q1_rate, command.q2_rate, command.cL_rate,
+                                  command.cR_rate, duration) for duration, command in segments),
+                                np.dtype((float, 6)), len(segments)).T
+    table[5, 0], table[11, 0] = -0.0, -1.0
+    np.add.accumulate(np.round(table[5, 1:] / scenario.dt), out=table[12, 1:])
+    table[11, 1:] = table[12, :-1]
+    table[6:11, 0] = (0.0, control.q1, control.q2, cables.c_L, cables.c_R)
+    table[6:11, 1:] = (table[:5] * table[5])[:, :-1]
+    np.add.accumulate(table[6:11], axis=1, out=table[6:11])
+    return table
+
+
+def _segment_ends(scenario: Scenario):
+    """(table, ends): the _segment_table of ``scenario`` and the columns of its
+    log's row 0 and each segment's end as run_scenario evaluates them, or a
+    CableRangeError if row 0 holds no bend angle."""
+    control = scenario.initial.control
+    with np.errstate(all="ignore"):  # Scenario refuses a profile that overflows
+        table = _segment_table(scenario)
+        ends = np.empty((len(LOG_COLUMNS), table.shape[1]))
+        filled, reason = _evaluate_rows(ends, np.empty(table.shape[1], bool), table[6:11],
+                                        table[1:5], table[5], (control.l1_0, control.l2_0),
+                                        scenario.params)
+    if filled == 0:
+        raise CableRangeError(reason)
+    return table, ends
+
+
 def run_scenario(scenario: Scenario) -> TrajectoryLog:
     """Execute the profile and grade every named check.
 
@@ -336,31 +372,13 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     Rows are evaluated _BLOCK_ROWS at a time, each from its segment's start and
     rates, so temporaries stay bounded; the log is allocated once, at full length.
     """
-    params = scenario.params
-    initial = scenario.initial
-    dt = scenario.dt
-    datum = (initial.control.l1_0, initial.control.l2_0)
-    profile = scenario.profile.segments
-    steps = np.fromiter((round(duration / dt) for duration, _ in profile), np.int64, len(profile))
-    lasts = np.concatenate(([0], np.cumsum(steps)))  # the last row of each segment
-    # Rows: the rates of t, q1, q2, cL and cR, the duration, the start, the row
-    # before the first and the last row of each segment, headed by row 0 as a
-    # one-row segment of zero rates at t_rel = -0.0, which adds -0.0 to each
-    # start value and so keeps it, negative zeros included.
-    table = np.zeros((13, len(profile) + 1))
-    table[:6, 1:] = np.fromiter(((1.0, command.q1_rate, command.q2_rate, command.cL_rate,
-                                  command.cR_rate, duration) for duration, command in profile),
-                                np.dtype((float, 6)), len(profile)).T
-    table[5, 0], table[11], table[12] = -0.0, lasts - np.concatenate(([1], steps)), lasts
-    values = np.empty((len(LOG_COLUMNS), int(lasts[-1]) + 1))
-    outside, abort = np.empty(values.shape[1], bool), None
-    with np.errstate(all="ignore"):  # overflow is reported as a ScenarioError below
-        # A segment starts where the one before ends, start + rate * duration:
-        # bit for bit that last row.
-        reach = (table[:5] * table[5])[:, :-1]
-        start = (0.0, initial.control.q1, initial.control.q2,
-                 initial.cables.c_L, initial.cables.c_R)
-        table[6:11] = np.add.accumulate(np.column_stack((start, reach)), axis=1)
+    params, dt, control = scenario.params, scenario.dt, scenario.initial.control
+    datum = (control.l1_0, control.l2_0)
+    with np.errstate(all="ignore"):  # the sum l1 + l2 of huge finite lengths overflows
+        table = _segment_table(scenario)
+        lasts = table[12].astype(np.int64)  # the last row of each segment
+        values = np.empty((len(LOG_COLUMNS), int(lasts[-1]) + 1))
+        outside, abort = np.empty(values.shape[1], bool), None
         for first in range(0, values.shape[1], _BLOCK_ROWS):
             stop = min(first + _BLOCK_ROWS, values.shape[1])
             index = np.arange(first, stop)
@@ -375,11 +393,6 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
                 abort = Abort(float(block[6, filled]) + float(t_rels[filled]), reason)
                 break
     done = int(np.searchsorted(lasts, first + filled))  # segments 1 to done - 1 ended
-    # A finite segment end bounds the segment: every coordinate is affine in t.
-    finite = np.isfinite(values[np.ix_(_STATE_COLUMNS, lasts[1:done])]).all(axis=0)
-    if not finite.all():
-        raise ScenarioError(f"segment {int(np.argmin(finite))} drives the state to "
-                            "non-finite values")
     values, outside = values[:, :first + filled], outside[:first + filled]
     values.flags.writeable = outside.flags.writeable = False
     rows = LogRows(values, params, outside)
@@ -643,18 +656,15 @@ def _held_rates(name: str, params: ManipulatorParams, start: JointState, duratio
     or a PlanningError if its start or its end lies outside the bounds.
 
     The two ends bound the segment: along constant rates l1, l2 and l1 + l2
-    are affine in time, and theta = 2 asin((cL - cR) / 4d) is monotone. The
-    end is computed as run_scenario computes it, start + rate * duration.
+    are affine in time, and theta = 2 asin((cL - cR) / 4d) is monotone. They
+    are the log's rows 0 and 1; a cable that is not positive raises ValueError.
     """
     scenario = _demo(name, params, start, ControlProfile(((duration, command),)), checks)
-    control, cables = scenario.initial.control, scenario.initial.cables
-    begin = (control.q1, control.q2, cables.c_L, cables.c_R)
-    rates = (command.q1_rate, command.q2_rate, command.cL_rate, command.cR_rate)
-    end = tuple(value + rate * duration for value, rate in zip(begin, rates))
-    for where, (q1, q2, c_L, c_R) in (("the start", begin), ("the end of segment 0", end)):
-        state = JointState(*link_lengths(ControlState(q1, q2, control.l1_0, control.l2_0)),
-                           theta_from_cables(CablePair(c_L, c_R), params.cable_offset))
-        _require_within_bounds(state, params, f"demo {name!r}: {where}")
+    _, ends = _segment_ends(scenario)
+    for where, row in (("the start", 0), ("the end of segment 0", 1)):
+        _, _, _, c_L, c_R, l1, l2, theta = ends[:_JOINT.stop, row].tolist()
+        CablePair(c_L, c_R)  # refuses a cable that is not positive
+        _require_within_bounds(JointState(l1, l2, theta), params, f"demo {name!r}: {where}")
     return scenario
 
 

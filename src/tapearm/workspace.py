@@ -275,8 +275,8 @@ def compute_grid(params: ManipulatorParams, bounds, resolution: float) -> Worksp
     nx = round(min(nx_f, MAX_GRID_CELLS + 1))
     ny = round(min(ny_f, MAX_GRID_CELLS + 1))
     if max(nx, 1) * max(ny, 1) > MAX_GRID_CELLS:
-        raise ValueError(f"a {nx_f:.7g} x {ny_f:.7g} cell grid exceeds the "
-                         f"{MAX_GRID_CELLS} cell limit; use a coarser resolution")
+        raise ValueError(f"bounds {tuple(bounds)} at resolution {resolution} m make a grid "
+                         f"over the {MAX_GRID_CELLS} cell limit; use a coarser resolution")
     xs = grid_centers(x_min, x_max, nx, resolution)
     ys = grid_centers(y_min, y_max, ny, resolution)
     angle = np.full((ny, nx), math.nan)

@@ -368,6 +368,9 @@ _EXIT_CODE_TABLE = [
     ("infinite-workspace-bound", None,
      ["workspace", "--bounds", "0", "inf", "0", "1", "--resolution", "0.1"], 2),
     ("workspace-grid-too-large", None, ["workspace", "--resolution", "1e-300"], 2),
+    # the x width overflows to inf, and the y axis holds a small fraction of a cell
+    ("workspace-grid-too-wide", None,
+     ["workspace", "--bounds", "-1.7e308", "1.7e308", "0", "1", "--resolution", "1e307"], 2),
     # no cells, under bounds whose height overflows a pixel count
     ("workspace-empty-tall-bounds", None,
      ["workspace", "--bounds", "0", "0", "0", "1e308", "--resolution", "1e305"], 0),
@@ -410,6 +413,10 @@ _EXIT_CODE_TABLE = [
      ["--params", "{dir}/input.json", "demo", "reach-two-targets"], 2),
     ("demo-cable-offset-at-the-bound", '{"cable_offset_m": 2e-6}',
      ["--params", "{dir}/input.json", "demo", "reach-two-targets"], 0),
+    # a cable offset that drives a rate-command demo's right cable below zero
+    # by the end of its segment
+    ("demo-held-rates-cable-not-positive", '{"cable_offset_m": 1.5}',
+     ["--params", "{dir}/input.json", "demo", "constant-angle-retraction"], 2),
     # a scenario file carries its own parameters, so simulate reads no --params
     ("simulate-reads-no-params", _SCENARIO % ("0.01", "1.0", "{}", "[]"),
      ["--params", "{dir}/absent.json", "simulate", "{dir}/input.json"], 0),
@@ -523,6 +530,15 @@ _EXIT_STDERR = {
                                  "cable sum does not match the link lengths\n",
     "scenario-clock-overflows": "error: bad scenario file: the segment durations add up to "
                                 "inf s",
+    "rates-overflow-the-state": "error: bad scenario file: segment 0 drives the state to "
+                                "non-finite values\n",
+    "rates-overflow-a-length": "error: bad scenario file: segment 0 drives the state to "
+                               "non-finite values\n",
+    "demo-held-rates-cable-not-positive": "error: CablePair.c_R must be positive and finite, "
+                                          "got -0.0924",
+    "workspace-grid-too-wide": "error: bounds (-1.7e+308, 1.7e+308, 0.0, 1.0) at resolution "
+                               "1e+307 m make a grid over the 4000000 cell limit; use a "
+                               "coarser resolution\n",
     "stiffness-no-option": "error: stiffness needs one of --kappa, --theta, --curve\n",
     "zero-step-segment": "error: bad scenario file: segment duration 1e-12 s is not a whole "
                          "number of dt=0.01 s steps, at least one\n",
@@ -536,7 +552,8 @@ _EXIT_STDOUT = {"cables-invalid-state": "violation: theta_limit"}
 # rows that must fail before any run or grid is computed
 _NOTHING_COMPUTED = {"output-directory-is-a-file", "output-directory-below-a-file",
                      "zero-step-segment", "start-cables-inconsistent",
-                     "scenario-clock-overflows",
+                     "scenario-clock-overflows", "rates-overflow-the-state",
+                     "rates-overflow-a-length",
                      *(case for case, *_ in _EXIT_CODE_TABLE if case.startswith("check-")),
                      # every demo refused
                      *(case for case, _, argv, expected in _EXIT_CODE_TABLE

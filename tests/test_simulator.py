@@ -4,6 +4,7 @@ import os
 import resource
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -330,9 +331,12 @@ def test_scenario_rejects_a_clock_that_overflows():
     assert log.rows.column("t").tolist() == [0.0, 8e307, 1.6e308]
 
 
+@pytest.mark.filterwarnings("error")
 def test_scenario_rejects_fractional_step_counts():
     for segments in (
             ((0.015, RateCommand()),),
+            # 1e309 steps: the count overflows to inf
+            ((1e307, RateCommand()),),
             # a segment too short for a step would log no row, and its 1 mm of
             # extension would never happen
             ((1e-12, RateCommand(q1_rate=1e9)),),
@@ -580,6 +584,9 @@ def test_scenario_row_budget_is_checked_before_running():
         Scenario("over", PARAMS, _start(), ControlProfile((fits, (dt, RateCommand()))), dt)
     with pytest.raises(ScenarioError, match="row limit"):
         Scenario("huge", PARAMS, _start(), ControlProfile(((1e9, RateCommand()),)), dt)
+    # a whole count past int64's range, about 1e302
+    with pytest.raises(ScenarioError, match=r"^the profile logs \d{303} rows at dt=0.01 s"):
+        Scenario("huge", PARAMS, _start(), ControlProfile(((1e300, RateCommand()),)), 0.01)
 
 
 def test_scenario_accepts_a_255_byte_file_name():
@@ -874,9 +881,6 @@ _BEND = 4.0 * PARAMS.cable_offset
 # the last row's distance overflows to inf among finite ones near 1e308
 @example(_example((1.0, RateCommand()), (1.0, RateCommand(q1_rate=1e308)), dt=0.25,
                   checks=_extremes((0.0, -1e308))))
-# the rates overflow the state to inf
-@example(_example((1e10, RateCommand(q1_rate=1e300)), dt=1e10))
-@example(_example((1e10, RateCommand(cL_rate=1e300, cR_rate=1e300)), dt=1e10))
 # 3000 + 2500 + 10 steps: blocks span segments, and boundaries fall inside them
 @example(_example((30.0, RateCommand(q1_rate=0.001, cL_rate=0.001, cR_rate=0.001)),
                   (25.0, RateCommand(cL_rate=1e-4, cR_rate=-1e-4)),
@@ -884,18 +888,10 @@ _BEND = 4.0 * PARAMS.cable_offset
 # the cable differential leaves the +/-4d range in the second of three segments
 @example(_example((1.0, RateCommand()), (1.0, RateCommand(cL_rate=_BEND, cR_rate=-_BEND)),
                   (1.0, RateCommand())))
-# the first segment overflows the state and the second would abort at once: the
-# overflow is reported
-@example(_example((1e10, RateCommand(q1_rate=1e300)),
-                  (1e10, RateCommand(cL_rate=1e300, cR_rate=-1e300)), dt=1e10))
 def test_columnar_log_matches_reference_loop(scenario):
-    try:
-        rows, checks, boundary_indices, abort = _run_scenario_loop(scenario)
-    except ScenarioError as exc:  # an overflowing segment
-        with pytest.raises(ValueError) as raised:
-            run_scenario(scenario)
-        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
-        return
+    # the loop raises ScenarioError at a non-finite segment end, which
+    # Scenario must have refused
+    rows, checks, boundary_indices, abort = _run_scenario_loop(scenario)
     log = run_scenario(scenario)
     for name in LOG_COLUMNS:
         assert ([value.hex() for value in log.rows.column(name).tolist()]
@@ -910,6 +906,32 @@ def test_columnar_log_matches_reference_loop(scenario):
     log_to_csv(log, fh)
     assert_same_text(fh.getvalue(), _log_csv_loop(rows, scenario.params,
                                                   [bool(row.violations) for row in rows]))
+
+
+@pytest.mark.parametrize("segments, dt, segment, aborts", [
+    # the rates overflow the state to inf
+    (((1e10, RateCommand(q1_rate=1e300)),), 1e10, 0, False),
+    (((1e10, RateCommand(cL_rate=1e300, cR_rate=1e300)),), 1e10, 0, False),
+    # the first segment overflows the state and the second would abort at once
+    (((1e10, RateCommand(q1_rate=1e300)),
+      (1e10, RateCommand(cL_rate=1e300, cR_rate=-1e300))), 1e10, 0, False),
+    # the run would abort in the first segment, before the second overflows
+    (((1.0, RateCommand(cL_rate=_BEND, cR_rate=-_BEND)), (2.0, RateCommand(q1_rate=1e308))),
+     0.01, 1, True),
+])
+def test_scenario_refuses_a_segment_that_overflows_the_state(segments, dt, segment, aborts):
+    fields = dict(name="example", params=PARAMS, initial=_start(theta=0.2),
+                  profile=ControlProfile(segments), dt=dt, checks=("eq3_residual",))
+    message = f"segment {segment} drives the state to non-finite values"
+    with pytest.raises(ScenarioError, match=f"^{message}$"):
+        Scenario(**fields)
+    # the reference loop, which checks each segment's end once the run has
+    # finished it, stops at the same segment, or aborts before reaching it
+    if aborts:
+        assert _run_scenario_loop(SimpleNamespace(**fields))[3] is not None
+    else:
+        with pytest.raises(ScenarioError, match=f"^{message}$"):
+            _run_scenario_loop(SimpleNamespace(**fields))
 
 
 @st.composite
