@@ -321,11 +321,19 @@ def main(argv=None) -> int:
         params = None if args.command == "simulate" else _load_params(args)
         return _COMMANDS[args.command](args, params)
     except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _report(f"I/O error: {exc}", EXIT_IO)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _report(f"error: {exc}", EXIT_USAGE)
+
+
+def _report(message, code) -> int:
+    """Print ``message`` to stderr and return ``code``. A stderr that cannot be
+    written drops it, and fd 2 goes to os.devnull, so no later flush fails."""
+    try:
+        print(message, file=sys.stderr)
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 2)
+    return code
 
 
 def run():
@@ -341,9 +349,8 @@ def run():
         if sys.stdout is not None:  # None when fd 1 was closed at start
             sys.stdout.flush()
     except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = EXIT_IO
+        code = _report(f"I/O error: {exc}", EXIT_IO)
     gc.freeze()
     sys.exit(code)
 

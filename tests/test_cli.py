@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import functools
 import gc
 import io
 import json
@@ -10,19 +11,24 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tapearm import simulator, stiffness, workspace
+from tapearm import cli, simulator, stiffness, workspace
 from tapearm.cli import main
 from tapearm.model import (
     DEFAULT_PARAMS,
+    CablePair,
+    CableRangeError,
     JointState,
     ManipulatorParams,
     cable_lengths,
     forward_kinematics,
+    theta_from_cables,
+    validate_state,
 )
 from tapearm.serialization import save_params, save_scenario
 from tapearm.units import format_angle
@@ -669,6 +675,23 @@ def test_an_unwritable_stdout_is_an_io_error(sink, unbuffered, argv):
     assert result.stderr.startswith("I/O error: "), result.stderr
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["fk", "0.4", "0.3", "10"], 3), (["--help"], 3), (["workspace", "--resolution", "0.1"], 3),
+    (["fk", "nan", "0.3", "10"], 2),
+], ids=["fk", "help", "workspace", "fk-nan"])
+def test_an_unwritable_stderr_keeps_the_exit_code(tmp_path, argv, expected):
+    # stdout and stderr on one closed pipe, as under `tapearm ... 2>&1 | head -1`
+    # once head has exited: the report of the error is dropped, its code kept.
+    # fk-nan's report fails in main, the others' after main, at stdout's flush.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = _process(["--out", str(tmp_path / "out"), *argv], stdout=write, stderr=write)
+    finally:
+        os.close(write)
+    assert result.returncode == expected
+
+
 def test_a_stdout_closed_at_start_is_no_error():
     # with fd 1 closed, sys.stdout is None and print writes nothing
     argv = [sys.executable, "-m", "tapearm", "fk", "0.4", "0.3", "10"]
@@ -805,3 +828,158 @@ def test_the_exit_contract_holds_for_any_tokens(argv):
         assert err == "", err
     else:
         assert "error:" in re.split(r"\r\n?|\n", err.rstrip("\n"))[-1], err
+
+
+
+# --- the grammar half: README's scalar commands, spelled every way it allows ---
+
+# A number is any float() spelling: a sign, digits with or without a leading
+# ".", an exponent, or a non-finite one (inf, nan, or one that overflows).
+_NON_FINITE = ["inf", "nan", "Infinity", "NaN", "1e400"]
+_SPELLINGS = [(sign, spell) for sign in ("", "+", "-") for spell in (
+    repr, "{:.4f}".format, "{:.5e}".format, "{:.3E}".format,
+    lambda value: f"{value * 1000:.2f}e-3",
+    lambda value: f"{value:.4f}".removeprefix("0"),  # ".2500" for 0.25
+    lambda value: _NON_FINITE[int(value * 1e6) % len(_NON_FINITE)])]
+
+
+def _spelled(high):
+    """Every spelling of 41 numbers from 0 to ``high``, and of two more whose
+    repr takes 16 or 17 digits."""
+    values = [high * k / 40 for k in range(41)] + [high * 0.1 + high * 0.2, high / 3]
+    return sorted({sign + spell(value) for sign, spell in _SPELLINGS for value in values})
+
+
+def _number(high):
+    return st.sampled_from(_spelled(high))
+
+
+# An angle is a number with no suffix, read in --angle-unit (deg by default),
+# or with a deg or rad suffix; up to 70 deg or its radians.
+_ANGLES = st.sampled_from([text + suffix for text in _spelled(70.0) + _spelled(math.radians(70.0))
+                           for suffix in ("", "deg", "rad")])
+
+# Each command's values and options as README spells them.
+_GRAMMAR = {"fk": (("l1", "l2", "theta"), ()), "ik": (("x", "y"), ("theta",)),
+            "cables": (("l1", "l2", "theta"), ("d",)), "theta-from-cables": (("cL", "cR"), ("d",)),
+            "stiffness": ((), ("kappa", "theta", "model"))}
+
+
+def _grammar_line(drawn):
+    """(argv, command, texts): the argv of one scalar command, and the text of
+    each value and option it passes, with --angle-unit's under "unit"."""
+    command, first, second, angle, d, kappa, near, bits = drawn
+    # bits: 0-2 the options passed, 3 the model, 4-5 where the options go
+    # among the values, 6-7 --angle-unit, and 8 a cR near cL
+    values, options = _GRAMMAR[command]
+    texts = dict(zip(values, (first, second) if len(values) == 2 else (first, second, angle)))
+    if command == "theta-from-cables" and bits >> 8 & 1:
+        # within the cables' range of cL at the default offset
+        texts["cR"] = repr(float(texts["cL"]) + near)
+    option_texts = {"theta": angle, "d": d, "kappa": kappa,
+                    "model": ("pinched", "unpinched")[bits >> 3 & 1]}
+    words = [[f"--{name}", option_texts[name]]
+             for bit, name in enumerate(options) if bits >> bit & 1]
+    texts.update((flag[2:], text) for flag, text in words)
+    at = (bits >> 4 & 3) % (len(words) + 1)
+    words = sum(words[:at], []) + [texts[name] for name in values] + sum(words[at:], [])
+    unit = (None, "deg", "rad", None)[bits >> 6 & 3]
+    argv = (["--angle-unit", unit] if unit else []) + [command] + words
+    return argv, command, {**texts, "unit": unit or "deg"}
+
+
+_GRAMMAR_LINES = st.tuples(
+    st.sampled_from(sorted(_GRAMMAR)), _number(2.0), _number(2.0), _ANGLES, _number(0.05),
+    _number(5.0), st.floats(-0.06, 0.06), st.integers(0, 511)).map(_grammar_line)
+
+
+def _read_angle(text, unit):
+    for suffix in ("deg", "rad"):
+        if text.endswith(suffix):
+            text, unit = text[:-3], suffix
+    return math.radians(float(text)) if unit == "deg" else float(text)
+
+
+def _grammar_oracle(command, texts):
+    """README's exit code for a command line, and its stdout from the library
+    calls, or None where README fixes none (a usage error, an infeasible point)."""
+    unit = texts["unit"]
+    numbers = {name: float(text) if name != "theta" else _read_angle(text, unit)
+               for name, text in texts.items() if name not in ("unit", "model")}
+    if not all(map(math.isfinite, numbers.values())):
+        return 2, None  # a NaN or infinite number or angle
+    params = DEFAULT_PARAMS
+    if command in ("fk", "cables"):
+        state = JointState(numbers["l1"], numbers["l2"], numbers["theta"])
+        violations = validate_state(state, params)
+        if violations:
+            return 1, "".join(f"violation: {violation}\n" for violation in violations)
+        if command == "fk":
+            pose = forward_kinematics(state)
+            return 0, (f"x_m={pose.x:.12g}\ny_m={pose.y:.12g}\n"
+                       f"phi_{unit}={format_angle(pose.phi, unit)}\n")
+        d = numbers.get("d", params.cable_offset)
+        if not d > 0:
+            return 2, None
+        pair = cable_lengths(state, d)
+        return 0, f"cL_m={pair.c_L:.12g}\ncR_m={pair.c_R:.12g}\n"
+    if command == "ik":
+        point = (numbers["x"], numbers["y"])
+        theta = numbers.get("theta")
+        if theta is None:
+            theta = workspace.min_end_effector_angle(point, params)
+        state = None if theta is None else workspace.ik_at_theta(point, theta, params)
+        if state is None:
+            return 1, None
+        return 0, (f"l1_m={state.l1:.12g}\nl2_m={state.l2:.12g}\n"
+                   f"theta_{unit}={format_angle(state.theta, unit)}\n")
+    if command == "theta-from-cables":
+        d = numbers.get("d", params.cable_offset)
+        if not (numbers["cL"] > 0 and numbers["cR"] > 0 and d > 0):
+            return 2, None
+        try:
+            theta = theta_from_cables(CablePair(numbers["cL"], numbers["cR"]), d)
+        except CableRangeError as exc:
+            return 1, f"error: {exc}\n"
+        return 0, f"theta_{unit}={format_angle(theta, unit)}\n"
+    if "kappa" not in numbers and "theta" not in numbers:
+        return 2, None  # stiffness needs one of them
+    pinched, unpinched = stiffness.default_models(params.tape)
+    model = pinched if texts.get("model") == "pinched" else unpinched
+    lines = []
+    if "kappa" in numbers:
+        section = stiffness.FlattenedSection.from_tape(params.tape)
+        lines.append(f"moment_Nm={stiffness.flattened_moment(section, numbers['kappa']):.12g}\n")
+    if "theta" in numbers:
+        lines.append(f"moment_Nm={model.moment(numbers['theta']):.12g}\n")
+    return 0, "".join(lines)
+
+
+_grammar_parser = functools.cache(cli._build_parser)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(_GRAMMAR_LINES)
+@example((["fk", "-.5", "+.5e0", "-1.5E1deg"], "fk",
+          {"l1": "-.5", "l2": "+.5e0", "theta": "-1.5E1deg", "unit": "deg"}))
+@example((["--angle-unit", "rad", "ik", "--theta", "-.1", "-.05", "1"], "ik",
+          {"x": "-.05", "y": "1", "theta": "-.1", "unit": "rad"}))
+@example((["stiffness", "--theta", "-nanrad"], "stiffness", {"theta": "-nanrad", "unit": "deg"}))
+def test_the_grammar_gives_the_library_result(line):
+    argv, command, texts = line
+    stdout, stderr = io.StringIO(), io.StringIO()
+    # main builds its parser on each call, most of a call's time; this builds
+    # it once for all examples, as parse_args leaves a parser as it was
+    with mock.patch.object(cli, "_build_parser", _grammar_parser), \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    expected_code, expected_stdout = _grammar_oracle(command, texts)
+    assert code == expected_code, (code, stdout.getvalue(), stderr.getvalue())
+    if expected_stdout is not None:
+        assert stdout.getvalue() == expected_stdout
+    # a usage error names itself on stderr's last line; any other exit writes none
+    err = stderr.getvalue()
+    assert "error:" in err.splitlines()[-1] if code == 2 else err == "", err

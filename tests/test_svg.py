@@ -1,6 +1,9 @@
+import binascii
 import io
 import math
+import re
 import tracemalloc
+import zlib
 from xml.etree import ElementTree
 from xml.sax.saxutils import escape
 
@@ -10,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tapearm import svg
-from tapearm.csvtext import BLOCK_FLOATS
 from tapearm.model import DEFAULT_PARAMS, ManipulatorParams
 from tapearm.simulator import ScenarioError, builtin_scenarios, run_scenario
 from tapearm.svg import marching_squares, overlay_svg, workspace_svg
@@ -154,10 +156,14 @@ class _Canvas:
     def px(self, x, y):
         return 20 + (x - self.x_min) * self.scale, 20 + (self.y_max - y) * self.scale
 
-    def rect(self, x, y, w, h, fill):
-        px, py = self.px(x, y + h)
-        self.parts.append(f'<rect x="{px:.2f}" y="{py:.2f}" width="{w * self.scale:.2f}" '
-                          f'height="{h * self.scale:.2f}" fill="{fill}"/>')
+    def image(self, x0, y0, x1, y1):
+        """An image over the data rectangle (x0, y0)-(x1, y1), its href left out."""
+        left, top = self.px(x0, y1)
+        right, bottom = self.px(x1, y0)
+        self.parts.append(f'<image x="{left:.2f}" y="{top:.2f}" width="{right - left:.2f}" '
+                          f'height="{bottom - top:.2f}" preserveAspectRatio="none" '
+                          'style="image-rendering:pixelated" '
+                          'xmlns:xlink="http://www.w3.org/1999/xlink" xlink:href=""/>')
 
     def polyline(self, points, stroke, stroke_width, opacity=1.0):
         text = " ".join(f"{px:.2f},{py:.2f}" for px, py in (self.px(x, y) for x, y in points))
@@ -187,27 +193,78 @@ def _render(renderer, obj, **kwargs):
 
 
 def _workspace_svg_loop(grid, width=640):
+    """The heat map's text with its image's href left out, and the image's
+    pixels, top row first: each reachable cell's colour, opaque, and every
+    other pixel transparent black; None when no cell is reachable."""
     levels = [math.radians(v) for v in (10, 20, 30, 40, 50)]
     if grid.reachable.size == 0:
         # the frame of a zero-height plot
-        return _Canvas(0.0, 1.0, 0.0, 0.0, width).render()
+        return _Canvas(0.0, 1.0, 0.0, 0.0, width).render(), None
     x_min, x_max, y_min, y_max = grid.bounds
     canvas = _Canvas(x_min, x_max, y_min, y_max, width=width)
     magnitude = np.abs(grid.min_angle)
     vmax = np.nanmax(magnitude) if grid.reachable.any() else 1.0
     if not (vmax > 0):
         vmax = 1.0
-    half = 0.5 * grid.resolution
-    for iy in range(grid.ny):
-        for ix in range(grid.nx):
-            if grid.reachable[iy, ix]:
-                fill = _color(float(magnitude[iy, ix]) / vmax)
-                canvas.rect(float(grid.xs[ix]) - half, float(grid.ys[iy]) - half,
-                            grid.resolution, grid.resolution, fill)
+    pixels = None
+    if grid.reachable.any():
+        half = 0.5 * grid.resolution
+        canvas.image(float(grid.xs[0]) - half, float(grid.ys[0]) - half,
+                     float(grid.xs[-1]) + half, float(grid.ys[-1]) + half)
+        pixels = np.zeros((grid.ny, grid.nx, 4), np.uint8)
+        for iy in range(grid.ny):
+            for ix in range(grid.nx):
+                if grid.reachable[iy, ix]:
+                    fill = _color(float(magnitude[iy, ix]) / vmax)
+                    rgb = [int(fill[i:i + 2], 16) for i in (1, 3, 5)]
+                    pixels[grid.ny - 1 - iy, ix] = (*rgb, 255)
     for level in levels:
         for chain in _marching_squares_loop(grid.xs, grid.ys, magnitude, level):
             canvas.polyline(chain, stroke="black", stroke_width=1.0)
-    return canvas.render()
+    return canvas.render(), pixels
+
+
+def _png_chunks(png):
+    """The (type, data) chunks of the PNG file ``png``, each CRC checked."""
+    assert png[:8] == b"\x89PNG\r\n\x1a\n"
+    chunks, at = [], 8
+    while at < len(png):
+        size = int.from_bytes(png[at:at + 4], "big")
+        kind, data = png[at + 4:at + 8], png[at + 8:at + 8 + size]
+        assert len(data) == size and png[at + 8 + size:at + 12 + size] == zlib.crc32(
+            kind + data).to_bytes(4, "big"), kind
+        chunks.append((kind, data))
+        at += 12 + size
+    return chunks
+
+
+def _decode_png(png):
+    """The pixels of an 8-bit RGBA PNG with filter type 0 on every row, as a
+    uint8 array of shape (height, width, 4), after checking the signature,
+    the IHDR fields, every CRC and the IEND chunk at the end."""
+    chunks = _png_chunks(png)
+    kinds = [kind for kind, _ in chunks]
+    assert kinds[0] == b"IHDR" and chunks[-1] == (b"IEND", b"") and set(kinds[1:-1]) == {b"IDAT"}
+    header = chunks[0][1]
+    width, height = int.from_bytes(header[:4], "big"), int.from_bytes(header[4:8], "big")
+    assert header[8:] == bytes([8, 6, 0, 0, 0])  # depth, RGBA, deflate, filter method, no interlace
+    raw = zlib.decompress(b"".join(data for kind, data in chunks if kind == b"IDAT"))
+    rows = np.frombuffer(raw, np.uint8).reshape(height, 1 + 4 * width)
+    assert not rows[:, 0].any()  # filter type 0 on every row
+    return rows[:, 1:].reshape(height, width, 4)
+
+
+_IMAGE = re.compile(r'(<image [^>]* xlink:href=")data:image/png;base64,([^"]*)(")')
+
+
+def _split_heat_map(text):
+    """A heat map's text with its image's href left out, and the image's pixels
+    (None when it has no image)."""
+    found = _IMAGE.findall(text)
+    assert len(found) <= 1, len(found)
+    if not found:
+        return text, None
+    return _IMAGE.sub(r"\1\3", text), _decode_png(binascii.a2b_base64(found[0][1]))
 
 
 def _overlay_svg_loop(log, width=480):
@@ -326,45 +383,45 @@ _ALT_PARAMS = ManipulatorParams(theta_limit=0.7, l1_min=0.2, l2_min=0.05, max_to
 @pytest.mark.parametrize("params, bounds, resolution", [
     (DEFAULT_PARAMS, (-1.0, 1.0, 0.0, 1.0), 0.1),        # mixed grid
     (_ALT_PARAMS, (-1.5, 1.5, -0.1, 1.5), 0.043),        # mixed, other parameters
-    # rect y (then x) pixels land next to a rounding boundary of "%.2f", so
-    # any change in the order of their float operations shows
-    (DEFAULT_PARAMS, (-0.38, -0.32, 1.27, 1.5), 0.018),
-    (DEFAULT_PARAMS, (-0.17, 1.27, 1.29, 1.34), 0.0735),
+    # the image's y (then x) pixel lands next to a rounding boundary of "%.2f":
+    # y 19.38 from ys[-1] + half, 19.37 from (ys[-1] - half) + resolution, and
+    # x 6.88 from (xs[0] - half) - x_min, 6.87 from (xs[0] - x_min) - half
+    (DEFAULT_PARAMS, (-0.4, -0.202, 1.34, 1.628), 0.0481),
+    (DEFAULT_PARAMS, (-0.66, -0.254, 0.73, 1.242), 0.0714),
     (DEFAULT_PARAMS, (5.0, 6.0, 5.0, 6.0), 0.1),         # nothing reachable
     (DEFAULT_PARAMS, (0.0, 0.0, 0.0, 1.0), 0.1),         # empty bounds
     # a midline column: its 93 reachable cells all have angle 0, so the color
     # scale has no positive maximum
     pytest.param(DEFAULT_PARAMS, (-0.005, 0.005, 0.05, 1.0), 0.01,
                  marks=pytest.mark.filterwarnings("error")),
+    # one row of 20 000 cells, 6 478 of them reachable: wider than a block of
+    # the PNG, so the row goes to the compressor in two pieces
+    (DEFAULT_PARAMS, (-4.0, 4.0, 1.5, 1.5004), 0.0004),
+    # 3 x 3 cells over bounds 2.6 cells wide: the cells stick out left of the
+    # plot's origin, so the image's x is negative
+    (DEFAULT_PARAMS, (0.3, 0.326, 0.5, 0.526), 0.01),
 ], ids=["mixed", "mixed-other-params", "rect-y-rounding", "rect-x-rounding",
-        "unreachable", "empty", "midline-zero-angles"])
+        "unreachable", "empty", "midline-zero-angles", "one-wide-row", "negative-pixel-x"])
 def test_workspace_outputs_match_reference_loops(params, bounds, resolution):
     grid = compute_grid(params, bounds, resolution)
-    assert _render(workspace_svg, grid) == _workspace_svg_loop(grid)
+    text, pixels = _split_heat_map(_render(workspace_svg, grid))
+    expected_text, expected_pixels = _workspace_svg_loop(grid)
+    assert text == expected_text
+    if expected_pixels is None:
+        assert pixels is None
+    else:
+        assert pixels.shape == expected_pixels.shape
+        assert np.array_equal(pixels, expected_pixels)
     assert_same_text(_render(grid_to_csv, grid), _grid_csv_loop(grid))
 
 
-# Each case's facts: one row wider than BLOCK_FLOATS, a frame that ends in the
-# middle of a row, a rect at a negative pixel x, and any reachable cell.
-@pytest.mark.parametrize("bounds, resolution, frame_cells, facts", [
-    # one row of 20 000 cells, 6 478 of them reachable
-    ((-4.0, 4.0, 1.5, 1.5004), 0.0004, svg._FRAME_CELLS, (True, True, False, True)),
-    ((-1.0, 1.0, 0.0, 1.0), 0.1, 7, (False, True, False, True)),
-    # 3 x 3 cells over bounds 2.6 cells wide: the cells stick out left of the
-    # plot's origin
-    ((0.3, 0.326, 0.5, 0.526), 0.01, svg._FRAME_CELLS, (False, False, True, True)),
-    ((5.0, 6.0, 5.0, 6.0), 0.1, 7, (False, False, False, False)),
-], ids=["one-wide-row", "frame-ends-mid-row", "negative-pixel-x", "unreachable"])
-def test_heat_map_frames_match_reference_loop(monkeypatch, bounds, resolution, frame_cells,
-                                              facts):
-    monkeypatch.setattr(svg, "_FRAME_CELLS", frame_cells)
-    grid = compute_grid(DEFAULT_PARAMS, bounds, resolution)
-    text = _render(workspace_svg, grid)
-    assert text == _workspace_svg_loop(grid)
-    rows = np.flatnonzero(grid.reachable) // grid.nx
-    ends = np.arange(frame_cells, rows.size, frame_cells)
-    assert (grid.ny == 1 and grid.nx > BLOCK_FLOATS, bool(np.any(rows[ends - 1] == rows[ends])),
-            '<rect x="-' in text, rows.size > 0) == facts
+def test_reference_grids_have_their_shapes():
+    # the facts the comments of the reference grids above state
+    wide = compute_grid(DEFAULT_PARAMS, (-4.0, 4.0, 1.5, 1.5004), 0.0004)
+    assert (wide.ny, wide.nx, int(wide.reachable.sum())) == (1, 20_000, 6_478)
+    assert wide.nx > svg._PNG_BLOCK_CELLS
+    left = compute_grid(DEFAULT_PARAMS, (0.3, 0.326, 0.5, 0.526), 0.01)
+    assert left.reachable.all() and '<image x="-' in _render(workspace_svg, left)
 
 
 def test_overlay_svg_matches_reference_loop():
@@ -386,10 +443,7 @@ class _CountingSink:
         self.size += len(text)
 
 
-def test_workspace_svg_streams_its_output():
-    # 125k cells; a document built in memory and then written peaks at about
-    # five times its own size
-    grid = compute_grid(DEFAULT_PARAMS, (-2.0, 2.0, 0.0, 2.0), 0.008)
+def _traced_peak(grid):
     sink = _CountingSink()
     tracemalloc.start()
     try:
@@ -397,8 +451,24 @@ def test_workspace_svg_streams_its_output():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sink.size > 4_000_000
-    assert peak <= sink.size, (peak, sink.size)
+    return peak
+
+
+@pytest.mark.parametrize("bounds, resolution", [
+    ((-2.0, 2.0, 0.0, 2.0), 0.004), ((-2.0, 2.0, 1.0, 1.000008), 0.000008)],
+    ids=["square", "one-row"])
+def test_workspace_svg_streams_its_output(monkeypatch, bounds, resolution):
+    # 500k cells. The heat map's PNG is built a block of rows, or a piece of one
+    # row, at a time, so the writer holds the grid's |angle| and one block's
+    # working set (about 2 MB), 1.6 times the angles' bytes on either grid; the
+    # whole image at once, with the colours of every reachable cell, took 8.2
+    # (square) and 11.5 (one row) times.
+    grid = compute_grid(DEFAULT_PARAMS, bounds, resolution)
+    assert grid.reachable.size == 500_000
+    bound = 2 * grid.min_angle.nbytes
+    assert _traced_peak(grid) <= bound
+    monkeypatch.setattr(svg, "_PNG_BLOCK_CELLS", grid.reachable.size)  # one block
+    assert _traced_peak(grid) > bound
 
 
 def test_marching_squares_circle_level():
@@ -440,7 +510,9 @@ def test_workspace_svg_structure():
     text = _render(workspace_svg, grid)
     assert text.startswith("<svg")
     assert text.rstrip().endswith("</svg>")
-    assert text.count("<rect") > grid.reachable.sum()  # cells + background
+    assert text.count("<rect") == 1  # the background
+    assert text.count("<image") == 1  # the heat map, one pixel per cell
+    assert _split_heat_map(text)[1].shape == (grid.ny, grid.nx, 4)
     assert "<polyline" in text
 
 
