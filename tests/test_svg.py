@@ -394,16 +394,13 @@ _ALT_PARAMS = ManipulatorParams(theta_limit=0.7, l1_min=0.2, l2_min=0.05, max_to
     # scale has no positive maximum
     pytest.param(DEFAULT_PARAMS, (-0.005, 0.005, 0.05, 1.0), 0.01,
                  marks=pytest.mark.filterwarnings("error")),
-    # one row of 20 000 cells, 6 478 of them reachable: wider than a block of
-    # the PNG, so the row goes to the compressor in two pieces
-    (DEFAULT_PARAMS, (-4.0, 4.0, 1.5, 1.5004), 0.0004),
-    # 3 x 3 cells over bounds 2.6 cells wide: the cells stick out left of the
-    # plot's origin, so the image's x is negative
-    (DEFAULT_PARAMS, (0.3, 0.326, 0.5, 0.526), 0.01),
 ], ids=["mixed", "mixed-other-params", "rect-y-rounding", "rect-x-rounding",
-        "unreachable", "empty", "midline-zero-angles", "one-wide-row", "negative-pixel-x"])
+        "unreachable", "empty", "midline-zero-angles"])
 def test_workspace_outputs_match_reference_loops(params, bounds, resolution):
-    grid = compute_grid(params, bounds, resolution)
+    _assert_workspace_outputs_match(compute_grid(params, bounds, resolution))
+
+
+def _assert_workspace_outputs_match(grid):
     text, pixels = _split_heat_map(_render(workspace_svg, grid))
     expected_text, expected_pixels = _workspace_svg_loop(grid)
     assert text == expected_text
@@ -413,15 +410,29 @@ def test_workspace_outputs_match_reference_loops(params, bounds, resolution):
         assert pixels.shape == expected_pixels.shape
         assert np.array_equal(pixels, expected_pixels)
     assert_same_text(_render(grid_to_csv, grid), _grid_csv_loop(grid))
+    return text
 
 
-def test_reference_grids_have_their_shapes():
-    # the facts the comments of the reference grids above state
-    wide = compute_grid(DEFAULT_PARAMS, (-4.0, 4.0, 1.5, 1.5004), 0.0004)
-    assert (wide.ny, wide.nx, int(wide.reachable.sum())) == (1, 20_000, 6_478)
-    assert wide.nx > svg._PNG_BLOCK_CELLS
-    left = compute_grid(DEFAULT_PARAMS, (0.3, 0.326, 0.5, 0.526), 0.01)
-    assert left.reachable.all() and '<image x="-' in _render(workspace_svg, left)
+# Each case's facts: one row wider than a block of the PNG, a block that ends
+# in the middle of a row, an image at a negative pixel x, and any reachable cell.
+@pytest.mark.parametrize("bounds, resolution, block_cells, facts", [
+    # one row of 20 000 cells, 6 478 of them reachable: the row goes to the
+    # compressor in two pieces
+    ((-4.0, 4.0, 1.5, 1.5004), 0.0004, svg._PNG_BLOCK_CELLS, (True, True, False, True)),
+    # 21 x 11 cells in pieces of 8, 8 and 5
+    ((-1.0, 1.0, 0.0, 1.0), 0.1, 8, (False, True, False, True)),
+    # 3 x 3 cells over bounds 2.6 cells wide: the cells stick out left of the
+    # plot's origin
+    ((0.3, 0.326, 0.5, 0.526), 0.01, svg._PNG_BLOCK_CELLS, (False, False, True, True)),
+    ((5.0, 6.0, 5.0, 6.0), 0.1, 7, (False, True, False, False)),
+], ids=["one-wide-row", "frame-ends-mid-row", "negative-pixel-x", "unreachable"])
+def test_heat_map_frames_match_reference_loop(monkeypatch, bounds, resolution, block_cells,
+                                              facts):
+    monkeypatch.setattr(svg, "_PNG_BLOCK_CELLS", block_cells)
+    grid = compute_grid(DEFAULT_PARAMS, bounds, resolution)
+    text = _assert_workspace_outputs_match(grid)
+    assert (grid.ny == 1 and grid.nx > block_cells, grid.nx > block_cells,
+            '<image x="-' in text, bool(grid.reachable.any())) == facts
 
 
 def test_overlay_svg_matches_reference_loop():
@@ -454,10 +465,7 @@ def _traced_peak(grid):
     return peak
 
 
-@pytest.mark.parametrize("bounds, resolution", [
-    ((-2.0, 2.0, 0.0, 2.0), 0.004), ((-2.0, 2.0, 1.0, 1.000008), 0.000008)],
-    ids=["square", "one-row"])
-def test_workspace_svg_streams_its_output(monkeypatch, bounds, resolution):
+def _assert_streams(monkeypatch, bounds, resolution):
     # 500k cells. The heat map's PNG is built a block of rows, or a piece of one
     # row, at a time, so the writer holds the grid's |angle| and one block's
     # working set (about 2 MB), 1.6 times the angles' bytes on either grid; the
@@ -469,6 +477,14 @@ def test_workspace_svg_streams_its_output(monkeypatch, bounds, resolution):
     assert _traced_peak(grid) <= bound
     monkeypatch.setattr(svg, "_PNG_BLOCK_CELLS", grid.reachable.size)  # one block
     assert _traced_peak(grid) > bound
+
+
+def test_workspace_svg_streams_its_output(monkeypatch):
+    _assert_streams(monkeypatch, (-2.0, 2.0, 0.0, 2.0), 0.004)
+
+
+def test_workspace_svg_streams_a_one_row_grid(monkeypatch):
+    _assert_streams(monkeypatch, (-2.0, 2.0, 1.0, 1.000008), 0.000008)
 
 
 def test_marching_squares_circle_level():
